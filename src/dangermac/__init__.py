@@ -28,7 +28,6 @@ from .markov import (
     stationary_b00,
     stationary_distribution,
     tau_from_distribution,
-    window_size,
 )
 from .metrics import (
     AccessProbabilities,
@@ -45,12 +44,10 @@ from .metrics import (
 from .pipeline import PerfReport, evaluate_point, geometry_from, metric_value
 from .scenario import (
     FilterOutcome,
-    NEffStats,
     apply_threshold,
     assess_danger,
     expected_n_eff,
     n_eff_samples,
-    pairwise_distance,
     place_vehicles,
     trial_rng,
 )
@@ -61,16 +58,15 @@ __version__ = "0.1.0"
 __all__ = [
     "AccessProbabilities", "ChainGeometry", "ChainInputs", "ConfigError",
     "ConvergenceError", "DelayBreakdown", "DelayStates", "FilterOutcome",
-    "FixedPointSolution", "FrameDurations", "MacTimings", "NEffStats",
-    "PerfReport", "ScenarioConfig", "SimStats", "SlotOutcome",
-    "StationState", "StationaryDistribution", "ThroughputReport",
-    "access_probabilities", "apply_threshold", "assess_danger",
-    "build_transition_matrix", "config_to_dict", "couple",
-    "delay_state_probabilities", "derive_durations", "evaluate_point",
-    "expected_n_eff", "frame_times", "geometry_from", "init_stations",
-    "load_config", "metric_value", "n_eff_samples", "oracle_stationary",
-    "pairwise_distance", "pdr", "place_vehicles", "run", "solve_fixed_point",
-    "stationary_b00", "stationary_distribution", "step_slot",
-    "tau_from_distribution", "throughput", "total_delay", "trial_rng",
-    "window_size",
+    "FixedPointSolution", "FrameDurations", "MacTimings", "PerfReport",
+    "ScenarioConfig", "SimStats", "SlotOutcome", "StationState",
+    "StationaryDistribution", "ThroughputReport", "access_probabilities",
+    "apply_threshold", "assess_danger", "build_transition_matrix",
+    "config_to_dict", "couple", "delay_state_probabilities",
+    "derive_durations", "evaluate_point", "expected_n_eff", "frame_times",
+    "geometry_from", "init_stations", "load_config", "metric_value",
+    "n_eff_samples", "oracle_stationary", "pdr", "place_vehicles", "run",
+    "solve_fixed_point", "stationary_b00", "stationary_distribution",
+    "step_slot", "tau_from_distribution", "throughput", "total_delay",
+    "trial_rng",
 ]

@@ -33,7 +33,7 @@ from .config import (
 )
 from .markov import ConvergenceError
 from .pipeline import SWEEP_METRICS, PerfReport, evaluate_point, geometry_from, metric_value
-from .scenario import n_eff_samples
+from .scenario import expected_n_eff, n_eff_samples
 from .slotsim import run as run_sim
 
 _POINT_COLUMNS = [
@@ -171,12 +171,6 @@ def _report_fields(report: PerfReport, cfg: ScenarioConfig) -> list:
     ]
 
 
-def _mean_n_eff(cfg: ScenarioConfig, thresholds: list[float]) -> list[float]:
-    samples = n_eff_samples(cfg.n_vehicles, cfg.road_length_m, thresholds,
-                            cfg.trials, cfg.rng_seed, cfg.danger_metric)
-    return [float(samples[:, j].mean()) for j in range(len(thresholds))]
-
-
 def cmd_point(args) -> int:
     timings, cfg = _build_config(args)
     if cfg.threshold_m is None:
@@ -184,7 +178,7 @@ def cmd_point(args) -> int:
         n_eff = float(cfg.n_vehicles)
     else:
         label = _fmt(cfg.threshold_m)
-        n_eff = _mean_n_eff(cfg, [cfg.threshold_m])[0]
+        n_eff = expected_n_eff(cfg)[0]
     report = evaluate_point(timings, n_eff, cfg.model_mode, cfg.throughput_mode)
     row = [cfg.n_vehicles, label] + _report_fields(report, cfg)
     _emit(args, "point.csv", _csv_text(_POINT_COLUMNS, [row]))
@@ -203,42 +197,38 @@ def cmd_sweep(args) -> int:
     if args.svg and not args.out:
         raise _UsageError("--svg requires --out")
 
+    # Each x gets one filtered count per curve, evaluated separately, and
+    # a benchmark curve of its whole population, evaluated once per size.
     if args.x_axis == "n_vehicles":
-        values = _parse_numbers(args.values, int, "--values")
-        if values[0] < 1:
+        xs = _parse_numbers(args.values, int, "--values")
+        if xs[0] < 1:
             raise _UsageError("--values must all be >= 1 for the n_vehicles axis")
         thresholds = _parse_numbers(args.thresholds, float, "--thresholds")
-        curve_labels = [_fmt(t) for t in thresholds] + ["benchmark"]
-        rows = []
-        reports: dict[tuple, PerfReport] = {}
-        for x in values:
-            means = _mean_n_eff(replace(cfg, n_vehicles=x), thresholds)
-            for label, mean in zip(curve_labels, means + [float(x)]):
-                report = evaluate_point(timings, mean, cfg.model_mode,
-                                        cfg.throughput_mode)
-                reports[(x, label)] = report
-                rows.append([x, label] + _report_fields(report, cfg))
-        xs = values
+        curves = [_fmt(t) for t in thresholds]
+        populations = xs
+        n_effs = [expected_n_eff(replace(cfg, n_vehicles=x), thresholds) for x in xs]
     else:
-        values = _parse_numbers(args.values, float, "--values")
-        if values[0] < 0:
+        xs = _parse_numbers(args.values, float, "--values")
+        if xs[0] < 0:
             raise _UsageError("--values must all be >= 0 for the threshold_m axis")
-        curve_labels = ["filtered", "benchmark"]
-        samples = n_eff_samples(cfg.n_vehicles, cfg.road_length_m, values,
-                                cfg.trials, cfg.rng_seed, cfg.danger_metric)
-        bench = evaluate_point(timings, float(cfg.n_vehicles), cfg.model_mode,
-                               cfg.throughput_mode)
-        rows = []
-        reports = {}
-        for j, x in enumerate(values):
-            mean = float(samples[:, j].mean())
-            report = evaluate_point(timings, mean, cfg.model_mode,
-                                    cfg.throughput_mode)
-            reports[(x, "filtered")] = report
-            reports[(x, "benchmark")] = bench
-            rows.append([x, _fmt(x)] + _report_fields(report, cfg))
-            rows.append([x, "benchmark"] + _report_fields(bench, cfg))
-        xs = values
+        curves = ["filtered"]
+        populations = [cfg.n_vehicles] * len(xs)
+        n_effs = [[mean] for mean in expected_n_eff(cfg, xs)]
+
+    def evaluate(n_eff: float) -> PerfReport:
+        return evaluate_point(timings, n_eff, cfg.model_mode, cfg.throughput_mode)
+
+    benchmarks = {n: evaluate(float(n)) for n in sorted(set(populations))}
+    rows = []
+    reports: dict[tuple, PerfReport] = {}
+    for x, n, means in zip(xs, populations, n_effs):
+        row_labels = curves if args.x_axis == "n_vehicles" else [_fmt(x)]
+        for curve, row_label, mean in zip(curves, row_labels, means):
+            report = reports[(x, curve)] = evaluate(mean)
+            rows.append([x, row_label] + _report_fields(report, cfg))
+        reports[(x, "benchmark")] = benchmarks[n]
+        rows.append([x, "benchmark"] + _report_fields(benchmarks[n], cfg))
+    curve_labels = curves + ["benchmark"]
 
     header = list(_SWEEP_COLUMNS)
     if args.compare_sim:
@@ -384,3 +374,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    console_main()

@@ -8,6 +8,7 @@ after loading and safe to share across workers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 
 MODEL_MODES = ("busy_aware", "classic")
@@ -141,9 +142,12 @@ def _coerce(key: str, value):
             raise ConfigError(f"{key} must be a string (got {value!r})")
         return value
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be a number (got {value!r})") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be finite (got {value!r})")
+    return number
 
 
 def load_config(

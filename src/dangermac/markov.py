@@ -19,6 +19,7 @@ counter-zero states, and the model is closed over ``n`` contenders through
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,11 +107,6 @@ class FixedPointSolution:
     mode: str
 
 
-def window_size(g: ChainGeometry, stage: int) -> int:
-    """Function spelling of :meth:`ChainGeometry.window`."""
-    return g.window(stage)
-
-
 def _stage_coefficients(inputs: ChainInputs, g: ChainGeometry) -> list[float]:
     """Transmission-state mass of each stage relative to b00.
 
@@ -136,12 +132,17 @@ def _stage_totals(inputs: ChainInputs, g: ChainGeometry) -> tuple[list[float], l
     (W_i - 1) / 2 times that factor.
     """
     coeffs = _stage_coefficients(inputs, g)
+    return coeffs, _whole_stage_masses(coeffs, inputs.p_b, g)
+
+
+def _whole_stage_masses(coeffs: list[float], p_b: float, g: ChainGeometry) -> list[float]:
+    """Whole-stage masses for the given per-stage transmission masses."""
     totals = []
     for i, c in enumerate(coeffs):
-        w = window_size(g, i)
-        hold = 1.0 / (1.0 - inputs.p_b / w)
+        w = g.window(i)
+        hold = 1.0 / (1.0 - p_b / w)
         totals.append(c * (1.0 + hold * (w - 1) / 2.0))
-    return coeffs, totals
+    return totals
 
 
 def stationary_b00(inputs: ChainInputs, g: ChainGeometry) -> float:
@@ -156,7 +157,7 @@ def stationary_distribution(inputs: ChainInputs, g: ChainGeometry) -> Stationary
     b00 = 1.0 / sum(totals)
     stages = []
     for i, c in enumerate(coeffs):
-        w = window_size(g, i)
+        w = g.window(i)
         hold = 1.0 / (1.0 - inputs.p_b / w)
         k = np.arange(w, dtype=np.float64)
         b = b00 * c * hold * (1.0 - k / w)
@@ -170,9 +171,28 @@ def tau_from_distribution(d: StationaryDistribution) -> float:
     return float(sum(s[0] for s in d.stages))
 
 
-def _tau_from_inputs(inputs: ChainInputs, g: ChainGeometry) -> float:
-    coeffs, totals = _stage_totals(inputs, g)
-    return sum(coeffs) / sum(totals)
+def _coupled_map(
+    tau: float, n: float, g: ChainGeometry, mode: str,
+) -> tuple[float, float, float, float]:
+    """One step of the fixed-point map: ``(T(tau), p_c, p_b, b00)``.
+
+    The same chain as :func:`_stage_totals`, closed over ``n`` contenders
+    as in :func:`couple`, but with every stage coefficient multiplied by
+    ``1 - p_c``: ``[p_c**i (1 - p_c)]_{i<m} + [p_c**m]``. The ratio tau is
+    unchanged, and ``p_c = 1``, which ``1 - (1 - tau)^(n-1)`` reaches in
+    floating point from about 150 contenders, becomes a finite limit
+    (only the top stage transmits) instead of a division by zero.
+    """
+    p = -math.expm1(max(n - 1.0, 0.0) * math.log1p(-tau))
+    p_b = p if mode == "busy_aware" else 0.0
+    m = g.max_stage
+    if m == 0:
+        scale, coeffs = 1.0, [1.0]
+    else:
+        scale = 1.0 - p
+        coeffs = [p**i * scale for i in range(m)] + [p**m]
+    total = sum(_whole_stage_masses(coeffs, p_b, g))
+    return sum(coeffs) / total, p, p_b, scale / total
 
 
 def couple(tau: float, n: float, mode: str = "busy_aware") -> ChainInputs:
@@ -211,6 +231,8 @@ def solve_fixed_point(
     iterate and the map output. Convergence is declared when the raw map
     residual drops below ``tol``. Deterministic: same inputs, same bits.
     """
+    if mode not in MODEL_MODES:
+        raise ValueError(f"mode must be one of {MODEL_MODES} (got {mode!r})")
     if n <= 0:
         raise ValueError(f"n must be > 0 (got {n})")
     if tol <= 0:
@@ -218,15 +240,15 @@ def solve_fixed_point(
     tau = 2.0 / (g.w0 + 1.0)  # zero-coupling value, exact for n = 1
     residual = float("inf")
     for iteration in range(1, max_iter + 1):
-        tau_next = _tau_from_inputs(couple(tau, n, mode), g)
+        tau_next = _coupled_map(tau, n, g, mode)[0]
         residual = abs(tau_next - tau)
         if residual < tol:
-            inputs = couple(tau_next, n, mode)
+            _, p_c, p_b, b00 = _coupled_map(tau_next, n, g, mode)
             return FixedPointSolution(
                 tau=tau_next,
-                p_c=inputs.p_c,
-                p_b=inputs.p_b,
-                b00=stationary_b00(inputs, g),
+                p_c=p_c,
+                p_b=p_b,
+                b00=b00,
                 iterations=iteration,
                 residual=residual,
                 mode=mode,
@@ -243,7 +265,7 @@ def solve_fixed_point(
 
 def state_index(g: ChainGeometry, stage: int, counter: int) -> int:
     """Flat index of (stage, counter) in transition-matrix ordering."""
-    offset = sum(window_size(g, i) for i in range(stage))
+    offset = sum(g.window(i) for i in range(stage))
     return offset + counter
 
 
@@ -259,18 +281,18 @@ def build_transition_matrix(inputs: ChainInputs, g: ChainGeometry) -> np.ndarray
     size = g.n_states
     p = np.zeros((size, size))
     for i in range(m + 1):
-        w = window_size(g, i)
+        w = g.window(i)
         hold = inputs.p_b / w
         for k in range(1, w):
             idx = state_index(g, i, k)
             p[idx, idx] = hold
             p[idx, state_index(g, i, k - 1)] = 1.0 - hold
         tx = state_index(g, i, 0)
-        w_succ = window_size(g, 0)
+        w_succ = g.window(0)
         for k in range(w_succ):
             p[tx, state_index(g, 0, k)] += (1.0 - inputs.p_c) / w_succ
         nxt = min(i + 1, m)
-        w_coll = window_size(g, nxt)
+        w_coll = g.window(nxt)
         for k in range(w_coll):
             p[tx, state_index(g, nxt, k)] += inputs.p_c / w_coll
     row_err = np.abs(p.sum(axis=1) - 1.0).max()
@@ -304,7 +326,7 @@ def oracle_stationary(
     stages = []
     offset = 0
     for i in range(g.max_stage + 1):
-        w = window_size(g, i)
+        w = g.window(i)
         stages.append(v[offset:offset + w].copy())
         offset += w
     return StationaryDistribution(geometry=g, stages=tuple(stages))

@@ -5,7 +5,8 @@ vehicle's danger distance is its gap to the nearest immediate neighbour
 (smaller gap = higher crash risk); a vehicle is granted a transmission
 opportunity only when that distance falls strictly below the threshold.
 Trials draw their random stream from (seed, trial index), so results do
-not depend on evaluation order.
+not depend on evaluation order. The mean granted count, which is all the
+analytic chain consumes, has a closed form and needs no trials at all.
 """
 
 from __future__ import annotations
@@ -24,13 +25,6 @@ class FilterOutcome:
     n_eff: int
 
 
-@dataclass(frozen=True)
-class NEffStats:
-    threshold_m: float
-    mean: float
-    std: float
-
-
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent per-trial stream; order-insensitive across trials."""
     return np.random.default_rng([seed, trial])
@@ -45,11 +39,6 @@ def place_vehicles(n: int, road_length_m: float, rng: np.random.Generator) -> np
     positions = rng.uniform(0.0, road_length_m, size=n)
     positions.sort()
     return positions
-
-
-def pairwise_distance(p: tuple[float, float], q: tuple[float, float]) -> float:
-    """Euclidean distance between two planar points; the road sets y = 0."""
-    return math.hypot(q[0] - p[0], q[1] - p[1])
 
 
 def assess_danger(positions: np.ndarray, metric: str = "min_gap") -> np.ndarray:
@@ -112,25 +101,42 @@ def n_eff_samples(
 def expected_n_eff(
     cfg: ScenarioConfig,
     thresholds: list[float] | None = None,
-) -> list[NEffStats]:
-    """Monte Carlo mean and standard deviation of the granted count.
+) -> list[float]:
+    """Exact mean granted count per threshold, for uniform placements.
 
-    ``thresholds`` defaults to the config's single threshold. The standard
-    deviation is the population value, defined even for a single trial.
+    The n + 1 spacings of n uniform points on [0, L] (the two road ends
+    included) are exchangeably Dirichlet(1, ..., 1) distributed, so with
+    a = d / L any one gap exceeds d with probability (1 - a)^n and any
+    two both do with probability (1 - 2a)_+^n (David & Nagaraja, *Order
+    Statistics*). A vehicle is granted when its danger distance is below
+    d, which gives
+
+    * ``min_gap``: E[N] = 2 (1 - (1 - a)_+^n) + (n - 2) (1 - (1 - 2a)_+^n),
+      the two road-end vehicles having one neighbour each;
+    * ``front_gap_only``: E[N] = (n - 1) (1 - (1 - a)_+^n);
+    * a lone vehicle: 0.
+
+    ``thresholds`` defaults to the config's single threshold. The powers
+    are taken of clipped bases, so d = 0 gives exactly 0 and d >= L gives
+    exactly n (n - 1 for ``front_gap_only``) without numpy warnings.
     """
     if thresholds is None:
         if cfg.threshold_m is None:
             raise ValueError("no threshold configured and none given")
         thresholds = [cfg.threshold_m]
-    samples = n_eff_samples(
-        cfg.n_vehicles, cfg.road_length_m, thresholds,
-        cfg.trials, cfg.rng_seed, cfg.danger_metric,
-    )
-    return [
-        NEffStats(
-            threshold_m=threshold,
-            mean=float(samples[:, j].mean()),
-            std=float(samples[:, j].std()),
-        )
-        for j, threshold in enumerate(thresholds)
-    ]
+    d = np.asarray(thresholds, dtype=np.float64)
+    if not (d >= 0).all():
+        raise ValueError("thresholds must all be >= 0")
+    n = cfg.n_vehicles
+    a = d / cfg.road_length_m
+    one_gap = 1.0 - np.maximum(1.0 - a, 0.0) ** n
+    if n == 1:
+        means = np.zeros_like(a)
+    elif cfg.danger_metric == "front_gap_only":
+        means = (n - 1) * one_gap
+    elif cfg.danger_metric == "min_gap":
+        two_gaps = 1.0 - np.maximum(1.0 - 2.0 * a, 0.0) ** n
+        means = 2.0 * one_gap + (n - 2) * two_gaps
+    else:
+        raise ValueError(f"unknown danger metric: {cfg.danger_metric!r}")
+    return [float(m) for m in means]

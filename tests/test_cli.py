@@ -2,6 +2,10 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from dangermac.cli import main
 
@@ -242,3 +246,72 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
     assert main(["sweep", "--help"]) == 0
     capsys.readouterr()
+
+
+def test_point_large_population(capsys):
+    # 1 - (1 - tau)^(n-1) rounds to 1 from about 150 contenders
+    code, out, err = run_cli(capsys, "point", "--n-vehicles", "300")
+    assert code == 0, err
+    header, rows = parse_csv(out)
+    row = dict(zip(header, rows[0]))
+    assert row["n_eff_mean"] == "300"
+    assert 0 < float(row["tau"]) < 2 / 9
+
+
+def test_sweep_across_150_vehicles(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--values", "140..160")
+    assert code == 0, err
+    header, rows = parse_csv(out)
+    assert len(rows) == 21 * 4
+    idx = header.index("tau")
+    bench = [float(r[idx]) for r in rows if r[1] == "benchmark"]
+    assert all(a > b > 0 for a, b in zip(bench, bench[1:]))
+
+
+def test_sweep_analytic_columns_ignore_trials_and_seed(capsys):
+    outputs = set()
+    for flags in (["--trials", "10"], ["--trials", "1000"],
+                  ["--seed", "1"], ["--seed", "2"]):
+        code, out, _ = run_cli(capsys, "sweep", "--values", "2,5", *flags)
+        assert code == 0
+        outputs.add(out)
+    assert len(outputs) == 1
+
+
+def test_non_finite_road_length_rejected(capsys):
+    code, _, err = run_cli(capsys, "point", "--road-length-m", "inf")
+    assert code == 1
+    assert "road_length_m" in err
+
+
+def test_non_finite_timing_rejected(capsys):
+    code, out, err = run_cli(capsys, "point", "--difs-us", "inf")
+    assert code == 1
+    assert out == ""
+    assert "difs_us" in err
+
+
+def test_non_finite_json_value_rejected(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"road_length_m": Infinity}')
+    code, _, err = run_cli(capsys, "point", "--config", str(config))
+    assert code == 1
+    assert "road_length_m" in err
+
+
+def test_negative_curve_threshold_rejected(capsys):
+    code, _, err = run_cli(capsys, "sweep", "--values", "2,3",
+                           "--thresholds", "-5,300")
+    assert code == 1
+    assert "thresholds" in err
+
+
+def test_python_dash_m_entry_points():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for module in ("dangermac", "dangermac.cli"):
+        result = subprocess.run([sys.executable, "-m", module, "--help"],
+                                env=env, capture_output=True, text=True,
+                                timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert "usage: dangermac" in result.stdout

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -67,6 +68,19 @@ def test_overrides_beat_json():
 def test_out_of_range_errors_name_the_field(payload, bound):
     with pytest.raises(ConfigError, match=bound):
         load_config(payload)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("road_length_m", math.inf),
+    ("difs_us", math.nan),
+    ("threshold_m", -math.inf),
+    ("n_vehicles", math.inf),
+])
+def test_non_finite_values_rejected(key, value):
+    with pytest.raises(ConfigError, match=key):
+        load_config(json.dumps({key: value}))  # JSON Infinity / NaN
+    with pytest.raises(ConfigError, match=key):
+        load_config(None, {key: value})
 
 
 def test_unknown_key_rejected():

@@ -12,7 +12,6 @@ from dangermac.markov import (
     stationary_b00,
     stationary_distribution,
     tau_from_distribution,
-    window_size,
 )
 
 GRID_GEOMETRIES = [(1, 2), (2, 4), (3, 8), (5, 8)]
@@ -21,13 +20,13 @@ GRID_PROBS = [0.0, 0.2, 0.5, 0.8]
 
 def test_window_size():
     g = ChainGeometry(5, 8)
-    assert window_size(g, 0) == 8
-    assert window_size(g, 2) == 32
-    assert window_size(g, 5) == 2**5 * 8 == 256
+    assert g.window(0) == 8
+    assert g.window(2) == 32
+    assert g.window(5) == 2**5 * 8 == 256
     with pytest.raises(ValueError):
-        window_size(g, 6)
+        g.window(6)
     with pytest.raises(ValueError):
-        window_size(g, -1)
+        g.window(-1)
 
 
 def test_geometry_validation():
@@ -219,3 +218,30 @@ def test_fixed_point_fractional_population():
     assert below_one.tau == 2 / 9  # nobody else to contend with
     between = solve_fixed_point(1.5, g, "busy_aware").tau
     assert solve_fixed_point(2, g, "busy_aware").tau < between < 2 / 9
+
+
+def test_fixed_point_large_populations():
+    # from about 150 contenders 1 - (1 - tau)^(n-1) rounds to 1; the solve
+    # must go on through that limit rather than reject p_c = 1
+    g = ChainGeometry(5, 8)
+    for mode in ("busy_aware", "classic"):
+        taus = [solve_fixed_point(n, g, mode).tau for n in (100, 149, 150, 300, 10_000)]
+        assert all(a > b > 0 for a, b in zip(taus, taus[1:]))
+
+
+def test_fixed_point_saturated_limit():
+    # at p_c = 1 only the top stage (window W_m = 256) transmits: classic
+    # tau = 2 / (W_m + 1); busy-aware holds each counter 256/255 as long
+    g = ChainGeometry(5, 8)
+    classic = solve_fixed_point(10**6, g, "classic")
+    busy = solve_fixed_point(10**6, g, "busy_aware")
+    assert classic.tau == pytest.approx(1 / 128.5, rel=1e-12)
+    assert busy.tau == pytest.approx(1 / 129, rel=1e-12)
+    assert classic.p_c == busy.p_c == busy.p_b == 1.0
+    assert classic.p_b == 0.0
+    assert busy.b00 == 0.0
+
+
+def test_fixed_point_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="mode"):
+        solve_fixed_point(5, ChainGeometry(5, 8), "bogus")

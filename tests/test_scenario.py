@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from dangermac.scenario import (
     assess_danger,
     expected_n_eff,
     n_eff_samples,
-    pairwise_distance,
     place_vehicles,
     trial_rng,
 )
@@ -34,12 +34,6 @@ def test_place_single_vehicle():
     positions = place_vehicles(1, 500.0, trial_rng(1, 0))
     assert positions.shape == (1,)
     assert 0 <= positions[0] <= 500
-
-
-def test_pairwise_distance():
-    assert pairwise_distance((0, 0), (3, 4)) == 5.0
-    assert pairwise_distance((2.5, -1), (2.5, -1)) == 0.0
-    assert pairwise_distance((0, 0), (300, 0)) == 300.0
 
 
 def test_assess_danger_hand_case():
@@ -142,24 +136,61 @@ def test_n_eff_samples_shapes_and_bounds():
 
 def test_expected_n_eff_saturates_at_road_length():
     cfg = ScenarioConfig(n_vehicles=50, road_length_m=1000.0, trials=200, rng_seed=9)
-    stats = expected_n_eff(cfg, [1000.0])
-    assert stats[0].mean == 50.0
-    assert stats[0].std == 0.0
+    assert expected_n_eff(cfg, [1000.0]) == [50.0]
 
 
 def test_expected_n_eff_monotone_in_threshold():
     cfg = ScenarioConfig(n_vehicles=50, road_length_m=1000.0, trials=500, rng_seed=21)
-    stats = expected_n_eff(cfg, [20.0, 40.0, 80.0])
-    means = [s.mean for s in stats]
+    means = expected_n_eff(cfg, [20.0, 40.0, 80.0])
     assert means == sorted(means)
 
 
 def test_expected_n_eff_uses_config_threshold():
     cfg = ScenarioConfig(threshold_m=50.0, trials=50, rng_seed=1)
-    stats = expected_n_eff(cfg)
-    assert stats[0].threshold_m == 50.0
+    assert expected_n_eff(cfg) == expected_n_eff(cfg, [50.0])
     with pytest.raises(ValueError):
         expected_n_eff(ScenarioConfig(trials=5))
+
+
+CLOSED_FORM_THRESHOLDS = [0.0, 50.0, 300.0, 500.0, 700.0, 1000.0, 1001.0]
+
+
+@pytest.mark.parametrize("metric", ["min_gap", "front_gap_only"])
+@pytest.mark.parametrize("n", [1, 2, 5, 20, 50])
+def test_expected_n_eff_matches_monte_carlo(n, metric):
+    # the closed form against the per-trial simulation it replaces. Where
+    # every sampled count is the maximum the standard error is 0 while the
+    # exact mean falls short by up to 2e-5 (n = 20, d = L/2), so the bound
+    # adds 1/trials, the smallest step a mean of integer counts can take
+    trials = 3000
+    samples = n_eff_samples(n, 1000.0, CLOSED_FORM_THRESHOLDS, trials,
+                            seed=2024, metric=metric)
+    cfg = ScenarioConfig(n_vehicles=n, road_length_m=1000.0, danger_metric=metric)
+    exact = np.array(expected_n_eff(cfg, CLOSED_FORM_THRESHOLDS))
+    sem = samples.std(axis=0) / math.sqrt(trials)
+    assert (np.abs(samples.mean(axis=0) - exact) <= 4.0 * sem + 1.0 / trials).all()
+
+
+@pytest.mark.parametrize("metric", ["min_gap", "front_gap_only"])
+def test_expected_n_eff_exact_at_extremes(metric):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from d >= L/2
+        for n in (1, 2, 5, 20, 50, 1000):
+            cfg = ScenarioConfig(n_vehicles=n, road_length_m=1000.0,
+                                 danger_metric=metric)
+            full = 0 if n == 1 else (n if metric == "min_gap" else n - 1)
+            means = expected_n_eff(cfg, [0.0, 500.0, 700.0, 1000.0, 1001.0, 1e9])
+            assert means[0] == 0.0
+            assert means[3:] == [full] * 3
+            if n == 1:
+                assert means == [0.0] * 6
+
+
+def test_expected_n_eff_rejects_bad_thresholds():
+    with pytest.raises(ValueError, match="thresholds"):
+        expected_n_eff(ScenarioConfig(), [-1.0])
+    with pytest.raises(ValueError, match="thresholds"):
+        expected_n_eff(ScenarioConfig(), [math.nan])
 
 
 def test_expected_n_eff_matches_independent_reimplementation():
@@ -180,8 +211,8 @@ def test_expected_n_eff_matches_independent_reimplementation():
     oracle_sem = float(np.std(counts)) / math.sqrt(trials)
 
     cfg = ScenarioConfig(n_vehicles=n, road_length_m=road, trials=trials, rng_seed=1)
-    stats = expected_n_eff(cfg, [threshold])
-    assert abs(stats[0].mean - oracle_mean) <= 3.0 * oracle_sem * 1.5
+    mean = expected_n_eff(cfg, [threshold])[0]
+    assert abs(mean - oracle_mean) <= 3.0 * oracle_sem * 1.5
 
 
 def test_trials_order_independent():
