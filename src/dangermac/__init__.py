@@ -22,10 +22,8 @@ from .markov import (
     FixedPointSolution,
     StationaryDistribution,
     build_transition_matrix,
-    couple,
     oracle_stationary,
     solve_fixed_point,
-    stationary_b00,
     stationary_distribution,
     tau_from_distribution,
 )
@@ -62,11 +60,11 @@ __all__ = [
     "ScenarioConfig", "SimStats", "SlotOutcome", "StationState",
     "StationaryDistribution", "ThroughputReport", "access_probabilities",
     "apply_threshold", "assess_danger", "build_transition_matrix",
-    "config_to_dict", "couple", "delay_state_probabilities",
+    "config_to_dict", "delay_state_probabilities",
     "derive_durations", "evaluate_point", "expected_n_eff", "frame_times",
     "geometry_from", "init_stations", "load_config", "metric_value",
     "n_eff_samples", "oracle_stationary", "pdr", "place_vehicles", "run",
-    "solve_fixed_point", "stationary_b00", "stationary_distribution",
+    "solve_fixed_point", "stationary_distribution",
     "step_slot", "tau_from_distribution", "throughput", "total_delay",
     "trial_rng",
 ]

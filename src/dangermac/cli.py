@@ -18,7 +18,7 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .charts import line_chart
@@ -86,35 +86,22 @@ def _write_svg(args, filename: str, text: str) -> None:
     (out_dir / filename).write_text(text)
 
 
+# Every config field is a flag of the same name; values stay strings here
+# and are parsed and checked by ``config.load_config``.
+_CONFIG_FIELDS = [f.name for f in fields(MacTimings) + fields(ScenarioConfig)]
+_CHOICES = {"model_mode": MODEL_MODES, "throughput_mode": THROUGHPUT_MODES,
+            "danger_metric": DANGER_METRICS}
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("configuration")
     group.add_argument("--config", metavar="PATH", help="JSON config file")
-    group.add_argument("--seed", "--rng-seed", dest="rng_seed", type=int,
-                       help="seed for every random draw")
-    for flag, kind in [
-        ("difs-us", float), ("sifs-us", float), ("slot-us", float),
-        ("prop-delay-us", float), ("payload-bytes", int),
-        ("data-rate-mbps", float), ("header-bytes", int), ("ack-us", float),
-        ("rts-us", float), ("cts-us", float), ("cw-min", int),
-        ("max-stage", int), ("n-vehicles", int), ("road-length-m", float),
-        ("threshold-m", float), ("trials", int),
-    ]:
-        dest = flag.replace("-", "_")
-        group.add_argument(f"--{flag}", type=kind, dest=dest,
-                           help=f"override config key {dest}")
-    group.add_argument("--model-mode", choices=MODEL_MODES, dest="model_mode")
-    group.add_argument("--throughput-mode", choices=THROUGHPUT_MODES,
-                       dest="throughput_mode")
-    group.add_argument("--danger-metric", choices=DANGER_METRICS,
-                       dest="danger_metric")
-
-
-_CONFIG_KEYS = [
-    "difs_us", "sifs_us", "slot_us", "prop_delay_us", "payload_bytes",
-    "data_rate_mbps", "header_bytes", "ack_us", "rts_us", "cts_us",
-    "cw_min", "max_stage", "n_vehicles", "road_length_m", "threshold_m",
-    "trials", "rng_seed", "model_mode", "throughput_mode", "danger_metric",
-]
+    for key in _CONFIG_FIELDS:
+        flags = ["--" + key.replace("_", "-")]
+        if key == "rng_seed":
+            flags.insert(0, "--seed")
+        group.add_argument(*flags, dest=key, choices=_CHOICES.get(key),
+                           help=f"override config key {key}")
 
 
 def _build_config(args) -> tuple[MacTimings, ScenarioConfig]:
@@ -122,7 +109,7 @@ def _build_config(args) -> tuple[MacTimings, ScenarioConfig]:
     if args.config:
         text = Path(args.config).read_text()
     overrides = {}
-    for key in _CONFIG_KEYS:
+    for key in _CONFIG_FIELDS:
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value

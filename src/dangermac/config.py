@@ -94,6 +94,12 @@ def validate_timings(t: MacTimings) -> None:
     _require(t.cts_us >= 0, f"cts_us must be >= 0 (got {t.cts_us})")
     _require(t.cw_min >= 1, f"cw_min must be >= 1 (got {t.cw_min})")
     _require(t.max_stage >= 0, f"max_stage must be >= 0 (got {t.max_stage})")
+    # testing max_stage first keeps a huge exponent from building a huge int
+    _require(
+        t.max_stage <= 32 and t.w0 << t.max_stage <= 2**32,
+        f"the largest window (cw_min + 1) * 2**max_stage must be <= 2**32 "
+        f"(got cw_min {t.cw_min}, max_stage {t.max_stage})",
+    )
 
 
 def validate_scenario(s: ScenarioConfig) -> None:

@@ -13,8 +13,8 @@ destination window either way.
 The closed-form stationary distribution is validated against a brute-force
 power iteration of the explicit transition matrix; both are exposed here.
 The per-slot transmission probability ``tau`` is the stationary mass of the
-counter-zero states, and the model is closed over ``n`` contenders through
-``couple`` plus a damped fixed-point iteration.
+counter-zero states, and the model is closed over ``n`` contenders by a
+bracketed solve of tau = T(tau).
 """
 
 from __future__ import annotations
@@ -124,19 +124,13 @@ def _stage_coefficients(inputs: ChainInputs, g: ChainGeometry) -> list[float]:
     return coeffs
 
 
-def _stage_totals(inputs: ChainInputs, g: ChainGeometry) -> tuple[list[float], list[float]]:
-    """Per-stage (transmission mass, whole-stage mass), relative to b00.
+def _whole_stage_masses(coeffs: list[float], p_b: float, g: ChainGeometry) -> list[float]:
+    """Whole-stage masses for the given per-stage transmission masses.
 
     Within stage i the counter states carry b_{i,0} * (1 - k/W_i) scaled by
     the busy-loop factor 1 / (1 - p_b/W_i); their sum over k >= 1 is
     (W_i - 1) / 2 times that factor.
     """
-    coeffs = _stage_coefficients(inputs, g)
-    return coeffs, _whole_stage_masses(coeffs, inputs.p_b, g)
-
-
-def _whole_stage_masses(coeffs: list[float], p_b: float, g: ChainGeometry) -> list[float]:
-    """Whole-stage masses for the given per-stage transmission masses."""
     totals = []
     for i, c in enumerate(coeffs):
         w = g.window(i)
@@ -145,16 +139,10 @@ def _whole_stage_masses(coeffs: list[float], p_b: float, g: ChainGeometry) -> li
     return totals
 
 
-def stationary_b00(inputs: ChainInputs, g: ChainGeometry) -> float:
-    """Probability of the stage-0, counter-0 state after normalization."""
-    _, totals = _stage_totals(inputs, g)
-    return 1.0 / sum(totals)
-
-
 def stationary_distribution(inputs: ChainInputs, g: ChainGeometry) -> StationaryDistribution:
     """Closed-form stationary distribution, normalized over all states."""
-    coeffs, totals = _stage_totals(inputs, g)
-    b00 = 1.0 / sum(totals)
+    coeffs = _stage_coefficients(inputs, g)
+    b00 = 1.0 / sum(_whole_stage_masses(coeffs, inputs.p_b, g))
     stages = []
     for i, c in enumerate(coeffs):
         w = g.window(i)
@@ -176,12 +164,18 @@ def _coupled_map(
 ) -> tuple[float, float, float, float]:
     """One step of the fixed-point map: ``(T(tau), p_c, p_b, b00)``.
 
-    The same chain as :func:`_stage_totals`, closed over ``n`` contenders
-    as in :func:`couple`, but with every stage coefficient multiplied by
-    ``1 - p_c``: ``[p_c**i (1 - p_c)]_{i<m} + [p_c**m]``. The ratio tau is
-    unchanged, and ``p_c = 1``, which ``1 - (1 - tau)^(n-1)`` reaches in
-    floating point from about 150 contenders, becomes a finite limit
-    (only the top stage transmits) instead of a division by zero.
+    The chain of :func:`stationary_distribution`, closed over ``n``
+    contenders: both the collision and the busy event are "at least one of
+    the other n - 1 stations transmits in the slot", and ``classic`` mode
+    drops the busy feedback (p_b = 0), recovering plain binary exponential
+    backoff. ``n`` may be fractional (a population average); below one
+    contender there is nobody else to collide with.
+
+    Every stage coefficient is multiplied by ``1 - p_c``:
+    ``[p_c**i (1 - p_c)]_{i<m} + [p_c**m]``. The ratio tau is unchanged,
+    and ``p_c = 1``, which ``1 - (1 - tau)^(n-1)`` reaches in floating
+    point from about 150 contenders, becomes a finite limit (only the top
+    stage transmits) instead of a division by zero.
     """
     p = -math.expm1(max(n - 1.0, 0.0) * math.log1p(-tau))
     p_b = p if mode == "busy_aware" else 0.0
@@ -195,72 +189,61 @@ def _coupled_map(
     return sum(coeffs) / total, p, p_b, scale / total
 
 
-def couple(tau: float, n: float, mode: str = "busy_aware") -> ChainInputs:
-    """Close the chain over ``n`` contenders at transmission probability tau.
-
-    Both the collision and the busy event are "at least one of the other
-    n - 1 stations transmits in the slot". ``classic`` mode drops the busy
-    feedback (p_b = 0), recovering the plain binary-exponential-backoff
-    baseline. ``n`` may be fractional (a population average); below one
-    contender there is nobody else to collide with.
-    """
-    if mode not in MODEL_MODES:
-        raise ValueError(f"mode must be one of {MODEL_MODES} (got {mode!r})")
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must be in [0, 1] (got {tau})")
-    if n < 0:
-        raise ValueError(f"n must be >= 0 (got {n})")
-    others = max(n - 1.0, 0.0)
-    p = 1.0 - (1.0 - tau) ** others
-    if mode == "busy_aware":
-        return ChainInputs(p_c=p, p_b=p)
-    return ChainInputs(p_c=p, p_b=0.0)
+# The solve stops once its bracket is this narrow relative to its upper
+# end: a few ulps, below which the secant and midpoint steps are rounding.
+_BRACKET_REL_WIDTH = 1e-15
 
 
-def solve_fixed_point(
-    n: float,
-    g: ChainGeometry,
-    mode: str = "busy_aware",
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-) -> FixedPointSolution:
-    """Solve tau = tau(couple(tau, n)) by damped (averaged) iteration.
+def solve_fixed_point(n: float, g: ChainGeometry, mode: str = "busy_aware") -> FixedPointSolution:
+    """Solve tau = T(tau) for ``n`` contenders by Illinois regula falsi.
 
-    The undamped map can oscillate between a high- and a low-contention
-    branch at large n, so each step moves to the midpoint of the current
-    iterate and the map output. Convergence is declared when the raw map
-    residual drops below ``tol``. Deterministic: same inputs, same bits.
+    f(tau) = tau - T(tau) is negative at 0, where T = 2 / (w0 + 1), and
+    non-negative at 2 / (w0 + 1), the most T can be, so the root lies in
+    that bracket (exactly at its upper end for n <= 1). Each step replaces
+    one end by the secant point (the midpoint when the secant point is not
+    strictly inside), halving the kept end's f when the same end is kept
+    twice (Dowell & Jarratt, BIT 11, 1971). The solve ends when the
+    bracket is a few ulps wide or the midpoint cannot split it, and
+    returns the end with the smaller |f|. ``iterations`` counts map
+    calls; ``residual`` is |T(tau) - tau| at the returned tau.
+    Deterministic: same inputs, same bits.
     """
     if mode not in MODEL_MODES:
         raise ValueError(f"mode must be one of {MODEL_MODES} (got {mode!r})")
     if n <= 0:
         raise ValueError(f"n must be > 0 (got {n})")
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0 (got {tol})")
-    tau = 2.0 / (g.w0 + 1.0)  # zero-coupling value, exact for n = 1
-    residual = float("inf")
-    for iteration in range(1, max_iter + 1):
-        tau_next = _coupled_map(tau, n, g, mode)[0]
-        residual = abs(tau_next - tau)
-        if residual < tol:
-            _, p_c, p_b, b00 = _coupled_map(tau_next, n, g, mode)
-            return FixedPointSolution(
-                tau=tau_next,
-                p_c=p_c,
-                p_b=p_b,
-                b00=b00,
-                iterations=iteration,
-                residual=residual,
-                mode=mode,
-            )
-        tau = 0.5 * (tau + tau_next)
-    raise ConvergenceError(
-        f"fixed point did not converge after {max_iter} iterations "
-        f"(last tau {tau:.12g}, residual {residual:.3g})",
-        last=tau,
-        residual=residual,
-        iterations=max_iter,
-    )
+    hi = 2.0 / (g.w0 + 1.0)
+    hi_map = _coupled_map(hi, n, g, mode)
+    f_hi = hi - hi_map[0]
+    lo, f_lo, lo_map = 0.0, -hi, None
+    weight_lo, weight_hi, kept = f_lo, f_hi, None
+    calls = 1
+    while f_hi > 0.0:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi or hi - lo <= _BRACKET_REL_WIDTH * hi:
+            break
+        tau = hi - weight_hi * (hi - lo) / (weight_hi - weight_lo)
+        if not lo < tau < hi:
+            tau = mid
+        out = _coupled_map(tau, n, g, mode)
+        calls += 1
+        f = tau - out[0]
+        if f >= 0.0:
+            hi, f_hi, hi_map, weight_hi = tau, f, out, f
+            if kept == "lo":
+                weight_lo *= 0.5
+            kept = "lo"
+        else:
+            lo, f_lo, lo_map, weight_lo = tau, f, out, f
+            if kept == "hi":
+                weight_hi *= 0.5
+            kept = "hi"
+    if lo_map is not None and -f_lo < f_hi:
+        tau, f, (_, p_c, p_b, b00) = lo, f_lo, lo_map
+    else:
+        tau, f, (_, p_c, p_b, b00) = hi, f_hi, hi_map
+    return FixedPointSolution(tau=tau, p_c=p_c, p_b=p_b, b00=b00,
+                              iterations=calls, residual=abs(f), mode=mode)
 
 
 def state_index(g: ChainGeometry, stage: int, counter: int) -> int:

@@ -2,13 +2,14 @@
 
 ``evaluate_point`` turns an effective contender count into the complete
 performance report used by every CLI command. The contender count may be
-a Monte Carlo mean, hence fractional; zero contenders short-circuits to a
-silent-network report.
+an expected value, hence fractional; zero contenders skip the solve and
+give a silent-network report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .config import MacTimings, derive_durations
 from .markov import ChainGeometry, solve_fixed_point
@@ -50,40 +51,24 @@ def evaluate_point(
     n_eff: float,
     model_mode: str = "busy_aware",
     throughput_mode: str = "slot_scaled",
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
 ) -> PerfReport:
     """Full analytic report for ``n_eff`` contenders."""
+    if n_eff > 0:
+        s = solve_fixed_point(n_eff, geometry_from(timings), model_mode)
+        tau, p_c, p_b, iterations, residual = s.tau, s.p_c, s.p_b, s.iterations, s.residual
+    else:
+        tau, p_c, p_b, iterations, residual = 0.0, 0.0, 0.0, 0, 0.0
     d = derive_durations(timings)
     t_s, t_c = frame_times(d, timings)
-    if n_eff <= 0:
-        access = access_probabilities(0.0, 0.0)
-        states = delay_state_probabilities(0.0, 0.0)
-        return PerfReport(
-            n_eff=n_eff,
-            tau=0.0,
-            p_c=0.0,
-            p_b=0.0,
-            iterations=0,
-            residual=0.0,
-            access=access,
-            pdr=pdr(access),
-            throughput=throughput(access, t_s, t_c, d.payload_us, d.t_slot_us,
-                                  throughput_mode),
-            states=states,
-            delay=total_delay(states, access.p_tr, 0.0, timings, d),
-        )
-    solution = solve_fixed_point(n_eff, geometry_from(timings), model_mode,
-                                 tol=tol, max_iter=max_iter)
-    access = access_probabilities(solution.tau, n_eff)
-    states = delay_state_probabilities(solution.tau, n_eff)
+    access = access_probabilities(tau, n_eff)
+    states = delay_state_probabilities(tau, n_eff)
     return PerfReport(
         n_eff=n_eff,
-        tau=solution.tau,
-        p_c=solution.p_c,
-        p_b=solution.p_b,
-        iterations=solution.iterations,
-        residual=solution.residual,
+        tau=tau,
+        p_c=p_c,
+        p_b=p_b,
+        iterations=iterations,
+        residual=residual,
         access=access,
         pdr=pdr(access),
         throughput=throughput(access, t_s, t_c, d.payload_us, d.t_slot_us,
@@ -94,7 +79,16 @@ def evaluate_point(
 
 
 # Metric names accepted by the sweep command, in canonical order.
-SWEEP_METRICS = ("pdr", "throughput", "total_delay", "p_bus", "p_col", "n_eff", "tau")
+_METRIC_GETTERS = {
+    "pdr": attrgetter("pdr"),
+    "throughput": attrgetter("throughput.s"),
+    "total_delay": attrgetter("delay.t_td_us"),
+    "p_bus": attrgetter("p_b"),
+    "p_col": attrgetter("p_c"),
+    "n_eff": attrgetter("n_eff"),
+    "tau": attrgetter("tau"),
+}
+SWEEP_METRICS = tuple(_METRIC_GETTERS)
 
 
 def metric_value(report: PerfReport, metric: str) -> float:
@@ -105,18 +99,8 @@ def metric_value(report: PerfReport, metric: str) -> float:
     to thinning the contender population); the tagged-station slot-state
     probabilities live in ``report.states``.
     """
-    if metric == "pdr":
-        return report.pdr
-    if metric == "throughput":
-        return report.throughput.s
-    if metric == "total_delay":
-        return report.delay.t_td_us
-    if metric == "p_bus":
-        return report.p_b
-    if metric == "p_col":
-        return report.p_c
-    if metric == "n_eff":
-        return report.n_eff
-    if metric == "tau":
-        return report.tau
-    raise ValueError(f"unknown metric: {metric!r}")
+    try:
+        getter = _METRIC_GETTERS[metric]
+    except KeyError:
+        raise ValueError(f"unknown metric: {metric!r}") from None
+    return getter(report)

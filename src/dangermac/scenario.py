@@ -68,7 +68,7 @@ def assess_danger(positions: np.ndarray, metric: str = "min_gap") -> np.ndarray:
 
 def apply_threshold(danger: np.ndarray, threshold_m: float) -> FilterOutcome:
     """Grant transmission to vehicles strictly inside the danger threshold."""
-    if threshold_m < 0:
+    if not threshold_m >= 0:  # also rejects NaN
         raise ValueError(f"threshold_m must be >= 0 (got {threshold_m})")
     grants = danger < threshold_m
     return FilterOutcome(grants=grants, n_eff=int(grants.sum()))

@@ -315,3 +315,29 @@ def test_python_dash_m_entry_points():
                                 timeout=60)
         assert result.returncode == 0, result.stderr
         assert "usage: dangermac" in result.stdout
+
+
+def test_point_solves_deep_backoff_stages(capsys):
+    # the damped iteration this solve replaced stalled on both configurations
+    for argv in (["--max-stage", "8"], ["--max-stage", "12", "--n-vehicles", "149"],
+                 ["--max-stage", "16"]):
+        code, out, err = run_cli(capsys, "point", *argv)
+        assert code == 0, (argv, err)
+        header, rows = parse_csv(out)
+        assert 0 < float(dict(zip(header, rows[0]))["tau"]) < 2 / 9
+
+
+def test_window_cap_rejected(capsys):
+    for argv in (["--max-stage", "2000"], ["--max-stage", "70"],
+                 ["--cw-min", str(10**12)]):
+        code, out, err = run_cli(capsys, "point", *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert "cw_min" in err and "max_stage" in err
+
+
+def test_scenario_nan_threshold_rejected(capsys):
+    code, out, err = run_cli(capsys, "scenario", "--trials", "2", "--thresholds", "nan")
+    assert code == 1
+    assert out == ""
+    assert "threshold_m" in err

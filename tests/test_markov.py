@@ -4,12 +4,10 @@ import pytest
 from dangermac.markov import (
     ChainGeometry,
     ChainInputs,
-    ConvergenceError,
+    _coupled_map,
     build_transition_matrix,
-    couple,
     oracle_stationary,
     solve_fixed_point,
-    stationary_b00,
     stationary_distribution,
     tau_from_distribution,
 )
@@ -48,7 +46,7 @@ def test_inputs_validation():
 def test_b00_zero_coupling():
     # with no collisions and no busy slots only stage 0 is occupied and its
     # counter masses are 1, (w-1)/w, ..., 1/w, so b00 = 2 / (w0 + 1)
-    b00 = stationary_b00(ChainInputs(0.0, 0.0), ChainGeometry(5, 8))
+    b00 = stationary_distribution(ChainInputs(0.0, 0.0), ChainGeometry(5, 8)).probability(0, 0)
     assert b00 == pytest.approx(2 / 9, abs=1e-15)
 
 
@@ -57,7 +55,7 @@ def test_b00_bounds():
     for _ in range(200):
         inputs = ChainInputs(rng.uniform(0, 0.95), rng.uniform(0, 0.95))
         g = ChainGeometry(int(rng.integers(0, 6)), int(2 ** rng.integers(1, 5)))
-        b00 = stationary_b00(inputs, g)
+        b00 = stationary_distribution(inputs, g).probability(0, 0)
         assert 0.0 < b00 <= 1.0
 
 
@@ -118,7 +116,11 @@ def test_reference_point_against_oracle():
     o = oracle_stationary(build_transition_matrix(inputs, g), g)
     assert abs(d.probability(0, 0) - o.probability(0, 0)) <= 1e-9
     assert abs(tau_from_distribution(d) - tau_from_distribution(o)) <= 1e-9
-    assert stationary_b00(inputs, g) == pytest.approx(d.probability(0, 0), abs=1e-15)
+    # b00 = 1 / sum_i c_i (1 + (W_i - 1) / 2 / (1 - p_b / W_i)), W = 4, 8, 16,
+    # c = 1, p_c, p_c^2 / (1 - p_c)
+    stage_masses = [1 + 1.5 / 0.95, 0.3 * (1 + 3.5 / 0.975),
+                    0.09 / 0.7 * (1 + 7.5 / 0.9875)]
+    assert d.probability(0, 0) == pytest.approx(1 / sum(stage_masses), rel=1e-14)
 
 
 def test_matrix_is_row_stochastic():
@@ -162,18 +164,6 @@ def test_tau_single_stage():
     assert tau_from_distribution(d) == pytest.approx(d.probability(0, 0), abs=1e-15)
 
 
-def test_couple():
-    assert couple(0.7, 1, "busy_aware") == ChainInputs(0.0, 0.0)
-    assert couple(0.5, 2, "busy_aware") == ChainInputs(0.5, 0.5)
-    classic = couple(0.1, 11, "classic")
-    assert classic.p_c == pytest.approx(1 - 0.9**10, abs=1e-15)
-    assert classic.p_b == 0.0
-    with pytest.raises(ValueError):
-        couple(1.5, 2)
-    with pytest.raises(ValueError):
-        couple(0.5, 2, "bogus")
-
-
 def test_fixed_point_single_station_exact():
     for mode in ("busy_aware", "classic"):
         solution = solve_fixed_point(1, ChainGeometry(5, 8), mode)
@@ -198,18 +188,9 @@ def test_fixed_point_deterministic():
 
 
 def test_fixed_point_residual_below_tolerance():
-    solution = solve_fixed_point(50, ChainGeometry(5, 8), "busy_aware", tol=1e-10)
-    assert solution.residual < 1e-10
+    solution = solve_fixed_point(50, ChainGeometry(5, 8), "busy_aware")
+    assert solution.residual <= 1e-15
     assert 0 < solution.tau < 1
-
-
-def test_fixed_point_nonconvergence_reports_state():
-    with pytest.raises(ConvergenceError) as info:
-        solve_fixed_point(50, ChainGeometry(5, 8), "busy_aware",
-                          tol=1e-15, max_iter=2)
-    assert info.value.iterations == 2
-    assert 0 < info.value.last < 1
-    assert info.value.residual > 0
 
 
 def test_fixed_point_fractional_population():
@@ -245,3 +226,48 @@ def test_fixed_point_saturated_limit():
 def test_fixed_point_rejects_unknown_mode():
     with pytest.raises(ValueError, match="mode"):
         solve_fixed_point(5, ChainGeometry(5, 8), "bogus")
+
+
+def _bisection_root(n, g, mode):
+    """tau = T(tau) by plain bisection on [0, 2 / (w0 + 1)], run until the
+    midpoint stops moving; the end with the smaller |tau - T(tau)|."""
+    def f(tau):
+        return tau - _coupled_map(tau, n, g, mode)[0]
+
+    lo, hi = 0.0, 2.0 / (g.w0 + 1.0)
+    if f(hi) <= 0:
+        return hi
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if f(mid) >= 0:
+            hi = mid
+        else:
+            lo = mid
+    return min(lo, hi, key=lambda tau: abs(f(tau)))
+
+
+@pytest.mark.parametrize("w0", [2, 8, 1024])
+def test_fixed_point_matches_bisection(w0):
+    for max_stage in range(17):
+        g = ChainGeometry(max_stage, w0)
+        for n in (0.4, 1, 1.5, 2, 50, 149, 150, 1e4, 1e6):
+            for mode in ("busy_aware", "classic"):
+                solution = solve_fixed_point(n, g, mode)
+                reference = _bisection_root(n, g, mode)
+                assert solution.tau == pytest.approx(reference, rel=1e-12, abs=0), \
+                    (max_stage, n, mode)
+                assert solution.residual <= 1e-15, (max_stage, n, mode)
+
+
+def test_fixed_point_matches_stationary_distribution():
+    # p_c = 1 - (1 - tau)^(n-1), p_b = p_c busy-aware and 0 classic, and
+    # b00 and tau are those of the closed-form chain at (p_c, p_b)
+    g = ChainGeometry(5, 8)
+    for n in (2, 50, 149):
+        for mode in ("busy_aware", "classic"):
+            solution = solve_fixed_point(n, g, mode)
+            assert solution.p_c == pytest.approx(1 - (1 - solution.tau) ** (n - 1), rel=1e-12)
+            assert solution.p_b == (solution.p_c if mode == "busy_aware" else 0.0)
+            d = stationary_distribution(ChainInputs(solution.p_c, solution.p_b), g)
+            assert solution.b00 == pytest.approx(d.probability(0, 0), rel=1e-12)
+            assert solution.tau == pytest.approx(tau_from_distribution(d), rel=1e-12)
