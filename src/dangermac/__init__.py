@@ -49,22 +49,22 @@ from .scenario import (
     place_vehicles,
     trial_rng,
 )
-from .slotsim import SimStats, SlotOutcome, StationState, init_stations, run, step_slot
+from .slotsim import SimStats, run
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "AccessProbabilities", "ChainGeometry", "ChainInputs", "ConfigError",
     "ConvergenceError", "DelayBreakdown", "DelayStates", "FilterOutcome",
     "FixedPointSolution", "FrameDurations", "MacTimings", "PerfReport",
-    "ScenarioConfig", "SimStats", "SlotOutcome", "StationState",
-    "StationaryDistribution", "ThroughputReport", "access_probabilities",
+    "ScenarioConfig", "SimStats", "StationaryDistribution",
+    "ThroughputReport", "access_probabilities",
     "apply_threshold", "assess_danger", "build_transition_matrix",
     "config_to_dict", "delay_state_probabilities",
     "derive_durations", "evaluate_point", "expected_n_eff", "frame_times",
-    "geometry_from", "init_stations", "load_config", "metric_value",
+    "geometry_from", "load_config", "metric_value",
     "n_eff_samples", "oracle_stationary", "pdr", "place_vehicles", "run",
     "solve_fixed_point", "stationary_distribution",
-    "step_slot", "tau_from_distribution", "throughput", "total_delay",
+    "tau_from_distribution", "throughput", "total_delay",
     "trial_rng",
 ]

@@ -183,6 +183,8 @@ def cmd_sweep(args) -> int:
                 f"unknown metric {metric!r} (choose from {', '.join(SWEEP_METRICS)})")
     if args.svg and not args.out:
         raise _UsageError("--svg requires --out")
+    if args.compare_sim and args.sim_slots < 1:
+        raise _UsageError("--sim-slots must be >= 1")
 
     # Each x gets one filtered count per curve, evaluated separately, and
     # a benchmark curve of its whole population, evaluated once per size.
@@ -221,14 +223,17 @@ def cmd_sweep(args) -> int:
     if args.compare_sim:
         header += _SIM_COLUMNS
         geometry = geometry_from(timings)
+        # a run depends only on its station count here, so rows that round
+        # to the same count share one
+        sim_columns = {0: [0.0, 1.0, 0.0]}
         for row in rows:
             n_sim = int(round(row[2]))  # n_eff_mean column
-            if n_sim >= 1:
+            if n_sim not in sim_columns:
                 stats = run_sim(n_sim, args.sim_slots, geometry, cfg.rng_seed,
                                 timings)
-                row += [stats.tau_hat, stats.p_su_hat, stats.payload_time_fraction]
-            else:
-                row += [0.0, 1.0, 0.0]
+                sim_columns[n_sim] = [stats.tau_hat, stats.p_su_hat,
+                                      stats.payload_time_fraction]
+            row += sim_columns[n_sim]
 
     _emit(args, "sweep.csv", _csv_text(header, rows))
 
@@ -249,6 +254,8 @@ def cmd_compare(args) -> int:
     timings, cfg = _build_config(args)
     n_list = (_parse_numbers(args.n_list, int, "--n-list")
               if args.n_list else [cfg.n_vehicles])
+    if n_list[0] < 1:
+        raise _UsageError("--n-list values must all be >= 1")
     seeds = (_parse_numbers(args.seeds, int, "--seeds")
              if args.seeds else [cfg.rng_seed])
     if args.slots < 1:

@@ -15,6 +15,8 @@ window. ``run`` is deterministic given its seed.
 
 from __future__ import annotations
 
+import heapq
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,22 +25,7 @@ from .config import MacTimings, derive_durations
 from .markov import ChainGeometry
 from .metrics import frame_times
 
-
-@dataclass
-class StationState:
-    stage: int
-    counter: int
-
-
-@dataclass(frozen=True)
-class SlotOutcome:
-    transmitters: tuple[int, ...]
-    success: bool
-    collision: bool
-
-    @property
-    def idle(self) -> bool:
-        return not self.transmitters
+BLOCK = 4096  # uniforms drawn per numpy call
 
 
 @dataclass(frozen=True)
@@ -54,33 +41,14 @@ class SimStats:
     payload_time_fraction: float
 
 
-def init_stations(n: int, g: ChainGeometry, rng: np.random.Generator) -> list[StationState]:
-    """Fresh stations at stage 0 with uniform counters over the base window."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1 (got {n})")
-    return [StationState(stage=0, counter=int(rng.integers(0, g.w0))) for _ in range(n)]
+def _uniforms(rng: np.random.Generator) -> Iterator[float]:
+    """Endless U[0, 1) doubles, drawn ``BLOCK`` at a time.
 
-
-def step_slot(
-    stations: list[StationState],
-    g: ChainGeometry,
-    rng: np.random.Generator,
-) -> SlotOutcome:
-    """Advance every station by one slot, mutating ``stations`` in place."""
-    transmitters = tuple(j for j, s in enumerate(stations) if s.counter == 0)
-    success = len(transmitters) == 1
-    for j, s in enumerate(stations):
-        if s.counter > 0:
-            s.counter -= 1
-    for j in transmitters:
-        s = stations[j]
-        s.stage = 0 if success else min(s.stage + 1, g.max_stage)
-        s.counter = int(rng.integers(0, g.window(s.stage)))
-    return SlotOutcome(
-        transmitters=transmitters,
-        success=success,
-        collision=len(transmitters) > 1,
-    )
+    Block draws yield the same doubles, in the same order, as one scalar
+    ``rng.random()`` call per value.
+    """
+    while True:
+        yield from rng.random(BLOCK).tolist()
 
 
 def run(
@@ -92,19 +60,40 @@ def run(
 ) -> SimStats:
     """Simulate ``slots`` slots after discarding a 1% warm-up stretch.
 
-    Implemented event to event: with every counter ticking each slot, a
-    station holding counter c transmits exactly c slots later, so idle
-    runs are skipped in one jump. The trajectory and random-draw order
-    are identical to stepping slot by slot.
+    Implemented event to event over a calendar queue: with every counter
+    ticking each slot, a station drawing counter c in slot t transmits
+    next in slot t + 1 + c. A heap holds the distinct future transmission
+    slots and a dict maps each to the stations due in it, so idle runs
+    are skipped in one jump and no slot scans all n stations. A counter
+    is ``floor(u * window)`` of the next uniform; the stations start in
+    index order and a slot's transmitters redraw in index order, which
+    fixes the draw order a slot-by-slot replay must follow.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1 (got {n})")
     if slots < 1:
         raise ValueError(f"slots must be >= 1 (got {slots})")
     timings = timings or MacTimings()
-    rng = np.random.default_rng(seed)
-    stages = np.zeros(n, dtype=np.int64)
-    next_tx = np.empty(n, dtype=np.int64)
+    uniforms = _uniforms(np.random.default_rng(seed))
+    windows = [g.window(i) for i in range(g.max_stage + 1)]
+    top = g.max_stage
+    stages = [0] * n
+    calendar: dict[int, list[int]] = {}
+    heap: list[int] = []
+
+    def schedule(j: int, start: int, window: int) -> None:
+        # station j draws a counter and is due that many slots after start
+        c = int(next(uniforms) * window)
+        t = start + (c if c < window else window - 1)
+        due = calendar.get(t)
+        if due is None:
+            calendar[t] = [j]
+            heapq.heappush(heap, t)
+        else:
+            due.append(j)
+
     for j in range(n):
-        next_tx[j] = int(rng.integers(0, g.w0))
+        schedule(j, 0, windows[0])
 
     warmup = slots // 100
     horizon = warmup + slots
@@ -113,22 +102,26 @@ def run(
     success_slots = 0
     tagged_pair_slots = 0
 
-    t = int(next_tx.min())
-    while t < horizon:
-        active = np.flatnonzero(next_tx == t)
-        k = active.size
-        success = k == 1
+    # every station is always on the calendar, so the heap never empties
+    while heap[0] < horizon:
+        t = heapq.heappop(heap)
+        due = calendar.pop(t)
+        k = len(due)
+        if k == 1:
+            stages[due[0]] = 0
+            schedule(due[0], t + 1, windows[0])
+        else:
+            due.sort()
+            for j in due:
+                stage = stages[j] = min(stages[j] + 1, top)
+                schedule(j, t + 1, windows[stage])
         if t >= warmup:
             attempts += k
             tx_slots += 1
-            if success:
+            if k == 1:
                 success_slots += 1
-            elif k == 2 and active[0] == 0:
+            elif k == 2 and due[0] == 0:
                 tagged_pair_slots += 1
-        for j in active:
-            stages[j] = 0 if success else min(stages[j] + 1, g.max_stage)
-            next_tx[j] = t + 1 + int(rng.integers(0, g.window(int(stages[j]))))
-        t = int(next_tx.min())
 
     collision_slots = tx_slots - success_slots
     idle_slots = slots - tx_slots

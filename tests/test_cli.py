@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from dangermac.cli import main
 
 
@@ -341,3 +343,50 @@ def test_scenario_nan_threshold_rejected(capsys):
     assert code == 1
     assert out == ""
     assert "threshold_m" in err
+
+
+def test_compare_rejects_empty_population(capsys):
+    code, _, err = run_cli(capsys, "compare", "--n-list", "0", "--slots", "100")
+    assert code == 1
+    assert "--n-list" in err and "zero-size" not in err
+
+
+def test_sweep_rejects_zero_sim_slots(capsys):
+    code, _, err = run_cli(capsys, "sweep", "--values", "2", "--compare-sim",
+                           "--sim-slots", "0")
+    assert code == 1
+    assert "--sim-slots must be >= 1" in err
+
+
+def test_sweep_compare_sim_runs_once_per_station_count(capsys, monkeypatch):
+    import dangermac.cli as cli_module
+    from dangermac.config import MacTimings
+    from dangermac.pipeline import geometry_from
+    from dangermac.slotsim import run
+
+    argv = ["sweep", "--values", "1..6", "--compare-sim", "--sim-slots", "3000",
+            "--seed", "7"]
+    calls = []
+
+    def counting_run(n, *args):
+        calls.append(n)
+        return run(n, *args)
+
+    monkeypatch.setattr(cli_module, "run_sim", counting_run)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    header, rows = parse_csv(out)
+    n_sims = [int(round(float(row[2]))) for row in rows]
+    assert sorted(calls) == sorted(set(n_sims) - {0})
+    assert len(calls) < len(rows)
+
+    # every row holds exactly the bytes its own run would have written
+    timings = MacTimings()
+    geometry = geometry_from(timings)
+    for row, n_sim in zip(rows, n_sims):
+        if n_sim == 0:
+            expected = [0.0, 1.0, 0.0]
+        else:
+            stats = run(n_sim, 3000, geometry, 7, timings)
+            expected = [stats.tau_hat, stats.p_su_hat, stats.payload_time_fraction]
+        assert row[-3:] == [format(v, ".9g") for v in expected]

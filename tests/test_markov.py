@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dangermac.config import MODEL_MODES
 from dangermac.markov import (
     ChainGeometry,
     ChainInputs,
@@ -257,6 +260,26 @@ def test_fixed_point_matches_bisection(w0):
                 assert solution.tau == pytest.approx(reference, rel=1e-12, abs=0), \
                     (max_stage, n, mode)
                 assert solution.residual <= 1e-15, (max_stage, n, mode)
+
+
+@st.composite
+def _capped_geometries(draw):
+    # the configuration's window cap: w0 * 2**max_stage <= 2**32
+    w0 = draw(st.integers(2, 2**16))
+    max_stage = draw(st.integers(0, 32 - (w0 - 1).bit_length()))
+    return ChainGeometry(max_stage, w0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.floats(min_value=1e-3, max_value=1e6, allow_nan=False),
+    g=_capped_geometries(),
+    mode=st.sampled_from(MODEL_MODES),
+)
+def test_fixed_point_property(n, g, mode):
+    solution = solve_fixed_point(n, g, mode)
+    assert solution.residual <= 1e-15
+    assert 0.0 <= solution.tau <= 2.0 / (g.w0 + 1.0)
 
 
 def test_fixed_point_matches_stationary_distribution():

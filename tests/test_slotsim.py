@@ -1,12 +1,64 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from dangermac import slotsim
 from dangermac.config import MacTimings
 from dangermac.markov import ChainGeometry, solve_fixed_point
 from dangermac.metrics import access_probabilities
-from dangermac.slotsim import SimStats, init_stations, run, step_slot
+from dangermac.slotsim import SimStats, run
 
 G = ChainGeometry(5, 8)
+
+
+# Slot-by-slot reference model: the oracle that ``run``'s calendar queue
+# must replay exactly. It draws one scalar uniform per counter, floored by
+# the window, in station-index order, which is the same stream ``run``
+# reads in blocks.
+
+@dataclass
+class StationState:
+    stage: int
+    counter: int
+
+
+@dataclass(frozen=True)
+class SlotOutcome:
+    transmitters: tuple[int, ...]
+    success: bool
+    collision: bool
+
+
+def _counter(rng: np.random.Generator, window: int) -> int:
+    return min(int(rng.random() * window), window - 1)
+
+
+def init_stations(n: int, g: ChainGeometry, rng: np.random.Generator) -> list[StationState]:
+    """Fresh stations at stage 0 with uniform counters over the base window."""
+    return [StationState(stage=0, counter=_counter(rng, g.w0)) for _ in range(n)]
+
+
+def step_slot(
+    stations: list[StationState],
+    g: ChainGeometry,
+    rng: np.random.Generator,
+) -> SlotOutcome:
+    """Advance every station by one slot, mutating ``stations`` in place."""
+    transmitters = tuple(j for j, s in enumerate(stations) if s.counter == 0)
+    success = len(transmitters) == 1
+    for s in stations:
+        if s.counter > 0:
+            s.counter -= 1
+    for j in transmitters:
+        s = stations[j]
+        s.stage = 0 if success else min(s.stage + 1, g.max_stage)
+        s.counter = _counter(rng, g.window(s.stage))
+    return SlotOutcome(
+        transmitters=transmitters,
+        success=success,
+        collision=len(transmitters) > 1,
+    )
 
 
 def test_init_stations_stage_zero_uniform_window():
@@ -45,7 +97,6 @@ def test_step_single_station_never_collides():
 
 
 def test_step_two_at_zero_collide_and_escalate():
-    from dangermac.slotsim import StationState
     rng = np.random.default_rng(3)
     stations = [StationState(0, 0), StationState(0, 0), StationState(2, 4)]
     outcome = step_slot(stations, G, rng)
@@ -58,7 +109,6 @@ def test_step_two_at_zero_collide_and_escalate():
 
 
 def test_step_success_resets_stage():
-    from dangermac.slotsim import StationState
     rng = np.random.default_rng(4)
     stations = [StationState(4, 0), StationState(1, 7)]
     outcome = step_slot(stations, G, rng)
@@ -113,9 +163,11 @@ def _reference_run(n: int, slots: int, g: ChainGeometry, seed: int,
 
 def test_run_matches_slot_by_slot_reference():
     timings = MacTimings()
-    for n, seed in [(1, 0), (3, 1), (8, 2)]:
-        fast = run(n, 5000, G, seed, timings)
-        slow = _reference_run(n, 5000, G, seed, timings)
+    # the tiny windows make most slots collide and pin stations at the top stage
+    cases = [(G, 1, 0), (G, 3, 1), (G, 8, 2), (ChainGeometry(2, 2), 8, 3)]
+    for g, n, seed in cases:
+        fast = run(n, 5000, g, seed, timings)
+        slow = _reference_run(n, 5000, g, seed, timings)
         assert fast == slow
 
 
@@ -182,7 +234,52 @@ def test_fewer_contenders_succeed_more_often():
 
 
 def test_invalid_arguments():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="slots must be >= 1"):
         run(5, 0, G, 1)
-    with pytest.raises(ValueError):
-        init_stations(0, G, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        run(0, 100, G, 1)
+
+
+@pytest.mark.parametrize("window", [2**32, 2**32 - 1, 3 * 2**30, 2**31 + 1])
+def test_counter_stays_below_window_at_largest_uniform(window):
+    u = float(np.nextafter(1.0, 0.0))
+    assert int(u * window) == window - 1
+
+
+class _FixedUniforms:
+    """Stands in for a numpy Generator: ``random`` hands out ``values``
+    in order, then ``fill``."""
+
+    def __init__(self, values, fill):
+        self.values = list(values)
+        self.fill = fill
+
+    def random(self, size):
+        head, self.values = self.values[:size], self.values[size:]
+        return np.array(head + [self.fill] * (size - len(head)))
+
+
+def _run_with_uniforms(monkeypatch, values, fill, n, slots, g):
+    fake = _FixedUniforms(values, fill)
+    monkeypatch.setattr(slotsim.np.random, "default_rng", lambda seed: fake)
+    return run(n, slots, g, 0)
+
+
+def test_largest_uniform_draws_top_counter(monkeypatch):
+    # Every counter is window - 1: two stations at w0 = 2 both draw 1 and
+    # collide every other slot, in slots 1, 3, 5, 7, 9.
+    stats = _run_with_uniforms(monkeypatch, [], float(np.nextafter(1.0, 0.0)),
+                               2, 10, ChainGeometry(0, 2))
+    assert (stats.tx_slots, stats.collision_slots) == (5, 5)
+    assert stats.p_col_tagged_hat == 5 / 10
+
+
+def test_tagged_pair_counted_when_station_zero_is_listed_last(monkeypatch):
+    # w0 = 8. Station 0 draws 2 and station 1 draws 0. Station 1 succeeds
+    # in slot 0 and draws 4; station 0 succeeds in slot 2 and draws 2. Both
+    # are then due in slot 5, station 1 booked first, so the calendar's
+    # list for slot 5 reads [1, 0].
+    stats = _run_with_uniforms(monkeypatch, [0.3, 0.0, 0.6, 0.3], 0.99,
+                               2, 6, ChainGeometry(3, 8))
+    assert (stats.tx_slots, stats.success_slots, stats.collision_slots) == (3, 2, 1)
+    assert stats.p_col_tagged_hat == 1 / 6
