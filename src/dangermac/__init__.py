@@ -17,15 +17,9 @@ from .config import (
 )
 from .markov import (
     ChainGeometry,
-    ChainInputs,
     ConvergenceError,
     FixedPointSolution,
-    StationaryDistribution,
-    build_transition_matrix,
-    oracle_stationary,
     solve_fixed_point,
-    stationary_distribution,
-    tau_from_distribution,
 )
 from .metrics import (
     AccessProbabilities,
@@ -51,20 +45,16 @@ from .scenario import (
 )
 from .slotsim import SimStats, run
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
-    "AccessProbabilities", "ChainGeometry", "ChainInputs", "ConfigError",
+    "AccessProbabilities", "ChainGeometry", "ConfigError",
     "ConvergenceError", "DelayBreakdown", "DelayStates", "FilterOutcome",
     "FixedPointSolution", "FrameDurations", "MacTimings", "PerfReport",
-    "ScenarioConfig", "SimStats", "StationaryDistribution",
-    "ThroughputReport", "access_probabilities",
-    "apply_threshold", "assess_danger", "build_transition_matrix",
-    "config_to_dict", "delay_state_probabilities",
-    "derive_durations", "evaluate_point", "expected_n_eff", "frame_times",
-    "geometry_from", "load_config", "metric_value",
-    "n_eff_samples", "oracle_stationary", "pdr", "place_vehicles", "run",
-    "solve_fixed_point", "stationary_distribution",
-    "tau_from_distribution", "throughput", "total_delay",
-    "trial_rng",
+    "ScenarioConfig", "SimStats", "ThroughputReport", "access_probabilities",
+    "apply_threshold", "assess_danger", "config_to_dict",
+    "delay_state_probabilities", "derive_durations", "evaluate_point",
+    "expected_n_eff", "frame_times", "geometry_from", "load_config",
+    "metric_value", "n_eff_samples", "pdr", "place_vehicles", "run",
+    "solve_fixed_point", "throughput", "total_delay", "trial_rng",
 ]

@@ -80,12 +80,6 @@ def _emit(args, filename: str, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _write_svg(args, filename: str, text: str) -> None:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / filename).write_text(text)
-
-
 # Every config field is a flag of the same name; values stay strings here
 # and are parsed and checked by ``config.load_config``.
 _CONFIG_FIELDS = [f.name for f in fields(MacTimings) + fields(ScenarioConfig)]
@@ -245,8 +239,7 @@ def cmd_sweep(args) -> int:
                 series.append((label, [float(x) for x in xs], ys))
             x_label = ("number of vehicles" if args.x_axis == "n_vehicles"
                        else "danger threshold (m)")
-            _write_svg(args, f"{metric}.svg",
-                       line_chart(metric, x_label, metric, series))
+            _emit(args, f"{metric}.svg", line_chart(metric, x_label, metric, series))
     return 0
 
 
@@ -258,6 +251,8 @@ def cmd_compare(args) -> int:
         raise _UsageError("--n-list values must all be >= 1")
     seeds = (_parse_numbers(args.seeds, int, "--seeds")
              if args.seeds else [cfg.rng_seed])
+    if seeds[0] < 0:
+        raise _UsageError("--seeds values must all be >= 0")
     if args.slots < 1:
         raise _UsageError("--slots must be >= 1")
     geometry = geometry_from(timings)

@@ -61,11 +61,6 @@ class DelayStates:
 
 @dataclass(frozen=True)
 class DelayBreakdown:
-    p_emp: float
-    p_suc: float
-    p_own: float
-    p_col: float
-    p_bus: float
     n_transmission: float
     n_collision: float
     t_tt_us: float       # time spent in (attempted) transmissions
@@ -193,11 +188,6 @@ def total_delay(
     cw_star = t.cw_min * t.slot_us / 2.0
     t_emp = t.slot_us * states.p_emp * n_transmitter
     return DelayBreakdown(
-        p_emp=states.p_emp,
-        p_suc=states.p_suc,
-        p_own=states.p_own,
-        p_col=states.p_col,
-        p_bus=states.p_bus,
         n_transmission=n_transmission,
         n_collision=n_collision,
         t_tt_us=t_tt,

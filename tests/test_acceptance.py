@@ -12,14 +12,7 @@ import numpy as np
 
 from dangermac.cli import main
 from dangermac.config import MacTimings, derive_durations
-from dangermac.markov import (
-    ChainGeometry,
-    ChainInputs,
-    build_transition_matrix,
-    oracle_stationary,
-    solve_fixed_point,
-    stationary_distribution,
-)
+from dangermac.markov import ChainGeometry, _stationary_tau, solve_fixed_point
 from dangermac.metrics import (
     access_probabilities,
     delay_state_probabilities,
@@ -28,6 +21,7 @@ from dangermac.metrics import (
 from dangermac.pipeline import evaluate_point
 from dangermac.scenario import apply_threshold, assess_danger, n_eff_samples, place_vehicles, trial_rng
 from dangermac.slotsim import run as run_sim
+from test_markov import balance_states, oracle_tau_b00
 
 GRID_GEOMETRIES = [(1, 2), (2, 4), (3, 8), (5, 8)]
 GRID_PROBS = [0.0, 0.2, 0.5, 0.8]
@@ -43,8 +37,8 @@ def test_c01_stationary_normalization_grid():
         g = ChainGeometry(m, w0)
         for p_c in GRID_PROBS:
             for p_b in GRID_PROBS:
-                d = stationary_distribution(ChainInputs(p_c, p_b), g)
-                assert abs(d.total() - 1.0) <= 1e-12
+                stages = balance_states(p_c, p_b, g)
+                assert abs(sum(s.sum() for s in stages) - 1.0) <= 1e-12
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
     _report(1, "stationary distribution normalizes on the full grid", started)
@@ -56,10 +50,10 @@ def test_c02_closed_form_equals_power_iteration_oracle():
         g = ChainGeometry(m, w0)
         for p_c in GRID_PROBS:
             for p_b in GRID_PROBS:
-                inputs = ChainInputs(p_c, p_b)
-                closed = stationary_distribution(inputs, g).flat()
-                oracle = oracle_stationary(build_transition_matrix(inputs, g), g).flat()
-                assert float(np.abs(closed - oracle).max()) <= 1e-9
+                tau, b00 = _stationary_tau(p_c, p_b, g)
+                oracle_tau, oracle_b00 = oracle_tau_b00(p_c, p_b, g)
+                assert abs(tau - oracle_tau) <= 1e-9
+                assert abs(b00 - oracle_b00) <= 1e-9
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
     _report(2, "closed form matches transition-matrix oracle to 1e-9", started)

@@ -351,6 +351,14 @@ def test_compare_rejects_empty_population(capsys):
     assert "--n-list" in err and "zero-size" not in err
 
 
+def test_compare_rejects_negative_seed(capsys):
+    code, out, err = run_cli(capsys, "compare", "--n-list", "5", "--slots", "100",
+                             "--seeds", "-1")
+    assert code == 1
+    assert out == ""
+    assert "--seeds values must all be >= 0" in err
+
+
 def test_sweep_rejects_zero_sim_slots(capsys):
     code, _, err = run_cli(capsys, "sweep", "--values", "2", "--compare-sim",
                            "--sim-slots", "0")

@@ -6,17 +6,114 @@ from hypothesis import strategies as st
 from dangermac.config import MODEL_MODES
 from dangermac.markov import (
     ChainGeometry,
-    ChainInputs,
+    ConvergenceError,
     _coupled_map,
-    build_transition_matrix,
-    oracle_stationary,
+    _stationary_tau,
     solve_fixed_point,
-    stationary_distribution,
-    tau_from_distribution,
 )
 
 GRID_GEOMETRIES = [(1, 2), (2, 4), (3, 8), (5, 8)]
 GRID_PROBS = [0.0, 0.2, 0.5, 0.8]
+# the oracle also checks the saturated limits p_c = 1 and p_b = 1
+ORACLE_PROBS = GRID_PROBS + [1.0]
+
+
+# Reference implementations of the chain, independent of the closed form:
+# the explicit transition matrix built from the one-step rules, and its
+# stationary vector by power iteration.
+
+def state_index(g: ChainGeometry, stage: int, counter: int) -> int:
+    """Flat index of (stage, counter) in transition-matrix ordering."""
+    offset = sum(g.window(i) for i in range(stage))
+    return offset + counter
+
+
+def build_transition_matrix(p_c: float, p_b: float, g: ChainGeometry) -> np.ndarray:
+    """Explicit row-stochastic matrix over all (stage, counter) states.
+
+    Counting-down states (counter >= 1) self-loop with probability
+    p_b / W_i and step down otherwise. Transmission states (counter 0)
+    scatter uniformly over stage 0 on success and over the next stage
+    (capped at the top, which re-enters itself) on collision.
+    """
+    m = g.max_stage
+    size = sum(g.window(i) for i in range(m + 1))
+    p = np.zeros((size, size))
+    for i in range(m + 1):
+        w = g.window(i)
+        hold = p_b / w
+        for k in range(1, w):
+            idx = state_index(g, i, k)
+            p[idx, idx] = hold
+            p[idx, state_index(g, i, k - 1)] = 1.0 - hold
+        tx = state_index(g, i, 0)
+        w_succ = g.window(0)
+        for k in range(w_succ):
+            p[tx, state_index(g, 0, k)] += (1.0 - p_c) / w_succ
+        nxt = min(i + 1, m)
+        w_coll = g.window(nxt)
+        for k in range(w_coll):
+            p[tx, state_index(g, nxt, k)] += p_c / w_coll
+    row_err = np.abs(p.sum(axis=1) - 1.0).max()
+    assert row_err <= 1e-12, f"row sums off by {row_err:.3g}"
+    return p
+
+
+def oracle_stationary(
+    matrix: np.ndarray,
+    g: ChainGeometry,
+    residual_tol: float = 1e-12,
+    max_iter: int = 2_000_000,
+) -> tuple[np.ndarray, ...]:
+    """Stationary vector by power iteration, split into per-stage arrays."""
+    size = matrix.shape[0]
+    v = np.full(size, 1.0 / size)
+    for _ in range(max_iter):
+        v_next = v @ matrix
+        if np.abs(v_next - v).max() <= residual_tol:
+            v = v_next
+            break
+        v = v_next
+    else:
+        raise ConvergenceError(
+            f"power iteration did not converge after {max_iter} iterations",
+            last=float("nan"),
+            residual=float(np.abs(v @ matrix - v).max()),
+            iterations=max_iter,
+        )
+    v = v / v.sum()
+    stages = []
+    offset = 0
+    for i in range(g.max_stage + 1):
+        w = g.window(i)
+        stages.append(v[offset:offset + w].copy())
+        offset += w
+    return tuple(stages)
+
+
+def oracle_tau_b00(p_c: float, p_b: float, g: ChainGeometry) -> tuple[float, float]:
+    """The oracle's tau (mass of the counter-zero states) and b00."""
+    stages = oracle_stationary(build_transition_matrix(p_c, p_b, g), g)
+    return float(sum(s[0] for s in stages)), float(stages[0][0])
+
+
+def balance_states(p_c: float, p_b: float, g: ChainGeometry) -> list[np.ndarray]:
+    """Every state's mass from the closed form's b00 by the balance equations.
+
+    b_{i,0} = p_c**i b00 below the top stage and p_c**m b00 / (1 - p_c) at
+    it (b00 alone for a single stage); b_{i,k} = b_{i,0} (1 - k/W_i) /
+    (1 - p_b/W_i) for k >= 1. Needs p_c < 1 and p_b < 1.
+    """
+    _, b00 = _stationary_tau(p_c, p_b, g)
+    m = g.max_stage
+    stages = []
+    for i in range(m + 1):
+        w = g.window(i)
+        b_i0 = b00 if m == 0 else b00 * p_c**i / (1.0 - p_c if i == m else 1.0)
+        b = b_i0 * (1.0 - np.arange(w) / w) / (1.0 - p_b / w)
+        b[0] = b_i0
+        stages.append(b)
+    return stages
 
 
 def test_window_size():
@@ -37,48 +134,42 @@ def test_geometry_validation():
         ChainGeometry(2, 1)
 
 
-def test_inputs_validation():
-    with pytest.raises(ValueError):
-        ChainInputs(1.0, 0.0)
-    with pytest.raises(ValueError):
-        ChainInputs(0.0, 1.0)
-    with pytest.raises(ValueError):
-        ChainInputs(-0.1, 0.0)
-
-
 def test_b00_zero_coupling():
     # with no collisions and no busy slots only stage 0 is occupied and its
     # counter masses are 1, (w-1)/w, ..., 1/w, so b00 = 2 / (w0 + 1)
-    b00 = stationary_distribution(ChainInputs(0.0, 0.0), ChainGeometry(5, 8)).probability(0, 0)
+    _, b00 = _stationary_tau(0.0, 0.0, ChainGeometry(5, 8))
     assert b00 == pytest.approx(2 / 9, abs=1e-15)
 
 
 def test_b00_bounds():
     rng = np.random.default_rng(7)
     for _ in range(200):
-        inputs = ChainInputs(rng.uniform(0, 0.95), rng.uniform(0, 0.95))
+        p_c, p_b = rng.uniform(0, 0.95), rng.uniform(0, 0.95)
         g = ChainGeometry(int(rng.integers(0, 6)), int(2 ** rng.integers(1, 5)))
-        b00 = stationary_distribution(inputs, g).probability(0, 0)
+        _, b00 = _stationary_tau(p_c, p_b, g)
         assert 0.0 < b00 <= 1.0
 
 
 def test_stationary_hand_case():
     # two stages, windows 2 and 4, collisions half the time, never busy:
     # six states solvable by hand from the balance equations
-    d = stationary_distribution(ChainInputs(0.5, 0.0), ChainGeometry(1, 2))
+    g = ChainGeometry(1, 2)
+    tau, b00 = _stationary_tau(0.5, 0.0, g)
+    assert tau == pytest.approx(0.5, abs=1e-15)
+    assert b00 == pytest.approx(0.25, abs=1e-15)
     expected = {
         (0, 0): 0.25, (0, 1): 0.125,
         (1, 0): 0.25, (1, 1): 0.1875, (1, 2): 0.125, (1, 3): 0.0625,
     }
+    stages = oracle_stationary(build_transition_matrix(0.5, 0.0, g), g)
     for (i, k), value in expected.items():
-        assert d.probability(i, k) == pytest.approx(value, abs=1e-15)
-    assert tau_from_distribution(d) == pytest.approx(0.5, abs=1e-15)
+        assert stages[i][k] == pytest.approx(value, abs=1e-9)
 
 
 def test_stationary_no_collisions_empties_upper_stages():
-    d = stationary_distribution(ChainInputs(0.0, 0.3), ChainGeometry(3, 4))
-    for i in range(1, 4):
-        assert d.stages[i].sum() == 0.0
+    # only stage 0 transmits, so its transmission state is all of tau
+    tau, b00 = _stationary_tau(0.0, 0.3, ChainGeometry(3, 4))
+    assert tau == b00
 
 
 def test_normalization_grid():
@@ -86,57 +177,58 @@ def test_normalization_grid():
         g = ChainGeometry(m, w0)
         for p_c in GRID_PROBS:
             for p_b in GRID_PROBS:
-                d = stationary_distribution(ChainInputs(p_c, p_b), g)
-                assert d.total() == pytest.approx(1.0, abs=1e-12)
-                assert all((s >= 0).all() for s in d.stages)
+                stages = balance_states(p_c, p_b, g)
+                assert sum(s.sum() for s in stages) == pytest.approx(1.0, abs=1e-12)
+                assert all((s >= 0).all() for s in stages)
+                tau, _ = _stationary_tau(p_c, p_b, g)
+                assert tau == pytest.approx(sum(s[0] for s in stages), abs=1e-12)
 
 
 def test_closed_form_matches_matrix_oracle():
     for m, w0 in [(1, 2), (2, 4), (3, 8)]:
         g = ChainGeometry(m, w0)
-        for p_c in GRID_PROBS:
-            for p_b in GRID_PROBS:
-                inputs = ChainInputs(p_c, p_b)
-                closed = stationary_distribution(inputs, g).flat()
-                oracle = oracle_stationary(build_transition_matrix(inputs, g), g).flat()
-                assert np.abs(closed - oracle).max() <= 1e-9
+        for p_c in ORACLE_PROBS:
+            for p_b in ORACLE_PROBS:
+                tau, b00 = _stationary_tau(p_c, p_b, g)
+                oracle_tau, oracle_b00 = oracle_tau_b00(p_c, p_b, g)
+                assert abs(tau - oracle_tau) <= 1e-9, (m, w0, p_c, p_b)
+                assert abs(b00 - oracle_b00) <= 1e-9, (m, w0, p_c, p_b)
 
 
 def test_closed_form_matches_oracle_single_stage():
     # the degenerate one-stage chain loops back regardless of outcome
     g = ChainGeometry(0, 8)
-    for p_c in (0.0, 0.5):
-        inputs = ChainInputs(p_c, 0.3)
-        closed = stationary_distribution(inputs, g).flat()
-        oracle = oracle_stationary(build_transition_matrix(inputs, g), g).flat()
-        assert np.abs(closed - oracle).max() <= 1e-9
+    for p_c in (0.0, 0.5, 1.0):
+        for p_b in (0.3, 1.0):
+            tau, b00 = _stationary_tau(p_c, p_b, g)
+            oracle_tau, oracle_b00 = oracle_tau_b00(p_c, p_b, g)
+            assert abs(tau - oracle_tau) <= 1e-9
+            assert abs(b00 - oracle_b00) <= 1e-9
 
 
 def test_reference_point_against_oracle():
     g = ChainGeometry(2, 4)
-    inputs = ChainInputs(0.3, 0.2)
-    d = stationary_distribution(inputs, g)
-    o = oracle_stationary(build_transition_matrix(inputs, g), g)
-    assert abs(d.probability(0, 0) - o.probability(0, 0)) <= 1e-9
-    assert abs(tau_from_distribution(d) - tau_from_distribution(o)) <= 1e-9
+    tau, b00 = _stationary_tau(0.3, 0.2, g)
+    oracle_tau, oracle_b00 = oracle_tau_b00(0.3, 0.2, g)
+    assert abs(b00 - oracle_b00) <= 1e-9
+    assert abs(tau - oracle_tau) <= 1e-9
     # b00 = 1 / sum_i c_i (1 + (W_i - 1) / 2 / (1 - p_b / W_i)), W = 4, 8, 16,
     # c = 1, p_c, p_c^2 / (1 - p_c)
     stage_masses = [1 + 1.5 / 0.95, 0.3 * (1 + 3.5 / 0.975),
                     0.09 / 0.7 * (1 + 7.5 / 0.9875)]
-    assert d.probability(0, 0) == pytest.approx(1 / sum(stage_masses), rel=1e-14)
+    assert b00 == pytest.approx(1 / sum(stage_masses), rel=1e-14)
 
 
 def test_matrix_is_row_stochastic():
     for m, w0 in GRID_GEOMETRIES:
         g = ChainGeometry(m, w0)
-        p = build_transition_matrix(ChainInputs(0.4, 0.6), g)
+        p = build_transition_matrix(0.4, 0.6, g)
         assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 def test_matrix_no_self_loops_when_never_busy():
     g = ChainGeometry(2, 4)
-    p = build_transition_matrix(ChainInputs(0.2, 0.0), g)
-    from dangermac.markov import state_index
+    p = build_transition_matrix(0.2, 0.0, g)
     for i in range(3):
         for k in range(1, g.window(i)):
             assert p[state_index(g, i, k), state_index(g, i, k)] == 0.0
@@ -145,26 +237,26 @@ def test_matrix_no_self_loops_when_never_busy():
 def test_oracle_uniform_on_symmetric_two_state_chain():
     g = ChainGeometry(0, 2)
     matrix = np.array([[0.5, 0.5], [0.5, 0.5]])
-    d = oracle_stationary(matrix, g)
-    assert d.stages[0] == pytest.approx([0.5, 0.5], abs=1e-12)
+    stages = oracle_stationary(matrix, g)
+    assert stages[0] == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
 def test_oracle_fixed_point_residual():
     g = ChainGeometry(2, 4)
-    matrix = build_transition_matrix(ChainInputs(0.3, 0.2), g)
-    v = oracle_stationary(matrix, g).flat()
+    matrix = build_transition_matrix(0.3, 0.2, g)
+    v = np.concatenate(oracle_stationary(matrix, g))
     assert np.abs(v @ matrix - v).max() <= 1e-12
 
 
 def test_tau_zero_coupling_reduction():
     for w0 in (2, 4, 8, 16):
-        d = stationary_distribution(ChainInputs(0.0, 0.0), ChainGeometry(5, w0))
-        assert tau_from_distribution(d) == pytest.approx(2 / (w0 + 1), abs=1e-14)
+        tau, _ = _stationary_tau(0.0, 0.0, ChainGeometry(5, w0))
+        assert tau == pytest.approx(2 / (w0 + 1), abs=1e-14)
 
 
 def test_tau_single_stage():
-    d = stationary_distribution(ChainInputs(0.4, 0.1), ChainGeometry(0, 8))
-    assert tau_from_distribution(d) == pytest.approx(d.probability(0, 0), abs=1e-15)
+    tau, b00 = _stationary_tau(0.4, 0.1, ChainGeometry(0, 8))
+    assert tau == pytest.approx(b00, abs=1e-15)
 
 
 def test_fixed_point_single_station_exact():
@@ -291,6 +383,6 @@ def test_fixed_point_matches_stationary_distribution():
             solution = solve_fixed_point(n, g, mode)
             assert solution.p_c == pytest.approx(1 - (1 - solution.tau) ** (n - 1), rel=1e-12)
             assert solution.p_b == (solution.p_c if mode == "busy_aware" else 0.0)
-            d = stationary_distribution(ChainInputs(solution.p_c, solution.p_b), g)
-            assert solution.b00 == pytest.approx(d.probability(0, 0), rel=1e-12)
-            assert solution.tau == pytest.approx(tau_from_distribution(d), rel=1e-12)
+            tau, b00 = _stationary_tau(solution.p_c, solution.p_b, g)
+            assert solution.b00 == pytest.approx(b00, rel=1e-12)
+            assert solution.tau == pytest.approx(tau, rel=1e-12)
