@@ -17,7 +17,6 @@ from .config import (
 )
 from .markov import (
     ChainGeometry,
-    ConvergenceError,
     FixedPointSolution,
     solve_fixed_point,
 )
@@ -25,7 +24,6 @@ from .metrics import (
     AccessProbabilities,
     DelayBreakdown,
     DelayStates,
-    ThroughputReport,
     access_probabilities,
     delay_state_probabilities,
     frame_times,
@@ -33,7 +31,7 @@ from .metrics import (
     throughput,
     total_delay,
 )
-from .pipeline import PerfReport, evaluate_point, geometry_from, metric_value
+from .pipeline import PerfReport, evaluate_point, evaluate_points, geometry_from, metric_value
 from .scenario import (
     FilterOutcome,
     apply_threshold,
@@ -45,16 +43,16 @@ from .scenario import (
 )
 from .slotsim import SimStats, run
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
-    "AccessProbabilities", "ChainGeometry", "ConfigError",
-    "ConvergenceError", "DelayBreakdown", "DelayStates", "FilterOutcome",
-    "FixedPointSolution", "FrameDurations", "MacTimings", "PerfReport",
-    "ScenarioConfig", "SimStats", "ThroughputReport", "access_probabilities",
-    "apply_threshold", "assess_danger", "config_to_dict",
-    "delay_state_probabilities", "derive_durations", "evaluate_point",
-    "expected_n_eff", "frame_times", "geometry_from", "load_config",
-    "metric_value", "n_eff_samples", "pdr", "place_vehicles", "run",
-    "solve_fixed_point", "throughput", "total_delay", "trial_rng",
+    "AccessProbabilities", "ChainGeometry", "ConfigError", "DelayBreakdown",
+    "DelayStates", "FilterOutcome", "FixedPointSolution", "FrameDurations",
+    "MacTimings", "PerfReport", "ScenarioConfig", "SimStats",
+    "access_probabilities", "apply_threshold", "assess_danger",
+    "config_to_dict", "delay_state_probabilities", "derive_durations",
+    "evaluate_point", "evaluate_points", "expected_n_eff", "frame_times",
+    "geometry_from", "load_config", "metric_value", "n_eff_samples", "pdr",
+    "place_vehicles", "run", "solve_fixed_point", "throughput", "total_delay",
+    "trial_rng",
 ]

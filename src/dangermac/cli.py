@@ -9,7 +9,7 @@ Commands::
 
 All commands are deterministic for a given seed and emit CSV with floats
 printed at 9 significant digits. Exit codes: 0 success, 1 usage or
-validation error, 2 solver non-convergence, 3 I/O failure.
+validation error, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from .config import (
     ScenarioConfig,
     load_config,
 )
-from .markov import ConvergenceError
-from .pipeline import SWEEP_METRICS, PerfReport, evaluate_point, geometry_from, metric_value
+from .pipeline import SWEEP_METRICS, PerfReport, evaluate_points, geometry_from, metric_value
 from .scenario import expected_n_eff, n_eff_samples
 from .slotsim import run as run_sim
 
@@ -140,7 +139,7 @@ def _report_fields(report: PerfReport, cfg: ScenarioConfig) -> list:
         report.access.p_tr,
         report.access.p_su,
         report.pdr,
-        report.throughput.s,
+        report.throughput,
         report.states.p_emp,
         report.states.p_suc,
         report.states.p_own,
@@ -160,7 +159,7 @@ def cmd_point(args) -> int:
     else:
         label = _fmt(cfg.threshold_m)
         n_eff = expected_n_eff(cfg)[0]
-    report = evaluate_point(timings, n_eff, cfg.model_mode, cfg.throughput_mode)
+    [report] = evaluate_points(timings, [n_eff], cfg.model_mode, cfg.throughput_mode)
     row = [cfg.n_vehicles, label] + _report_fields(report, cfg)
     _emit(args, "point.csv", _csv_text(_POINT_COLUMNS, [row]))
     return 0
@@ -180,38 +179,30 @@ def cmd_sweep(args) -> int:
     if args.compare_sim and args.sim_slots < 1:
         raise _UsageError("--sim-slots must be >= 1")
 
-    # Each x gets one filtered count per curve, evaluated separately, and
-    # a benchmark curve of its whole population, evaluated once per size.
+    # Rows run x-major: each x has one count per curve, the benchmark curve
+    # (its whole population) last.
     if args.x_axis == "n_vehicles":
         xs = _parse_numbers(args.values, int, "--values")
-        if xs[0] < 1:
-            raise _UsageError("--values must all be >= 1 for the n_vehicles axis")
+        if xs[0] < 1 or xs[-1] > sys.float_info.max:
+            raise _UsageError(
+                "--values must all be >= 1 and fit in a float for the n_vehicles axis")
         thresholds = _parse_numbers(args.thresholds, float, "--thresholds")
-        curves = [_fmt(t) for t in thresholds]
-        populations = xs
-        n_effs = [expected_n_eff(replace(cfg, n_vehicles=x), thresholds) for x in xs]
+        curves = [_fmt(t) for t in thresholds] + ["benchmark"]
+        labels = curves * len(xs)
+        n_effs = [n for x in xs
+                  for n in expected_n_eff(replace(cfg, n_vehicles=x), thresholds) + [float(x)]]
     else:
         xs = _parse_numbers(args.values, float, "--values")
         if xs[0] < 0:
             raise _UsageError("--values must all be >= 0 for the threshold_m axis")
-        curves = ["filtered"]
-        populations = [cfg.n_vehicles] * len(xs)
-        n_effs = [[mean] for mean in expected_n_eff(cfg, xs)]
-
-    def evaluate(n_eff: float) -> PerfReport:
-        return evaluate_point(timings, n_eff, cfg.model_mode, cfg.throughput_mode)
-
-    benchmarks = {n: evaluate(float(n)) for n in sorted(set(populations))}
-    rows = []
-    reports: dict[tuple, PerfReport] = {}
-    for x, n, means in zip(xs, populations, n_effs):
-        row_labels = curves if args.x_axis == "n_vehicles" else [_fmt(x)]
-        for curve, row_label, mean in zip(curves, row_labels, means):
-            report = reports[(x, curve)] = evaluate(mean)
-            rows.append([x, row_label] + _report_fields(report, cfg))
-        reports[(x, "benchmark")] = benchmarks[n]
-        rows.append([x, "benchmark"] + _report_fields(benchmarks[n], cfg))
-    curve_labels = curves + ["benchmark"]
+        curves = ["filtered", "benchmark"]
+        labels = [label for x in xs for label in (_fmt(x), "benchmark")]
+        n_effs = [n for mean in expected_n_eff(cfg, xs)
+                  for n in (mean, float(cfg.n_vehicles))]
+    reports = evaluate_points(timings, n_effs, cfg.model_mode, cfg.throughput_mode)
+    width = len(curves)
+    rows = [[xs[i // width], label] + _report_fields(report, cfg)
+            for i, (label, report) in enumerate(zip(labels, reports))]
 
     header = list(_SWEEP_COLUMNS)
     if args.compare_sim:
@@ -232,11 +223,10 @@ def cmd_sweep(args) -> int:
     _emit(args, "sweep.csv", _csv_text(header, rows))
 
     if args.svg:
+        x_values = [float(x) for x in xs]
         for metric in metrics:
-            series = []
-            for label in curve_labels:
-                ys = [metric_value(reports[(x, label)], metric) for x in xs]
-                series.append((label, [float(x) for x in xs], ys))
+            series = [(curve, x_values, [metric_value(r, metric) for r in reports[j::width]])
+                      for j, curve in enumerate(curves)]
             x_label = ("number of vehicles" if args.x_axis == "n_vehicles"
                        else "danger threshold (m)")
             _emit(args, f"{metric}.svg", line_chart(metric, x_label, metric, series))
@@ -247,8 +237,8 @@ def cmd_compare(args) -> int:
     timings, cfg = _build_config(args)
     n_list = (_parse_numbers(args.n_list, int, "--n-list")
               if args.n_list else [cfg.n_vehicles])
-    if n_list[0] < 1:
-        raise _UsageError("--n-list values must all be >= 1")
+    if n_list[0] < 1 or n_list[-1] > sys.float_info.max:
+        raise _UsageError("--n-list values must all be >= 1 and fit in a float")
     seeds = (_parse_numbers(args.seeds, int, "--seeds")
              if args.seeds else [cfg.rng_seed])
     if seeds[0] < 0:
@@ -264,10 +254,11 @@ def cmd_compare(args) -> int:
             return float("inf")
         return abs(analytic - simulated) / abs(simulated)
 
+    counts = [float(n) for n in n_list]
     rows = []
-    for n in n_list:
-        classic = evaluate_point(timings, float(n), "classic", "slot_scaled")
-        busy = evaluate_point(timings, float(n), "busy_aware", "slot_scaled")
+    for n, classic, busy in zip(n_list,
+                                evaluate_points(timings, counts, "classic", "slot_scaled"),
+                                evaluate_points(timings, counts, "busy_aware", "slot_scaled")):
         for seed in seeds:
             sim = run_sim(n, args.slots, geometry, seed, timings)
             sim_col_frac = (sim.collision_slots / sim.tx_slots
@@ -276,7 +267,7 @@ def cmd_compare(args) -> int:
             for a_cl, a_bu, s in [
                 (classic.tau, busy.tau, sim.tau_hat),
                 (classic.access.p_su, busy.access.p_su, sim.p_su_hat),
-                (classic.throughput.s, busy.throughput.s, sim.payload_time_fraction),
+                (classic.throughput, busy.throughput, sim.payload_time_fraction),
                 (1.0 - classic.access.p_su, 1.0 - busy.access.p_su, sim_col_frac),
             ]:
                 row += [a_cl, a_bu, s, rel_err(a_cl, s), rel_err(a_bu, s)]
@@ -353,9 +344,6 @@ def main(argv=None) -> int:
     except (_UsageError, ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ConvergenceError as exc:
-        print(f"error: solver did not converge: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 
 MODEL_MODES = ("busy_aware", "classic")
@@ -100,10 +101,26 @@ def validate_timings(t: MacTimings) -> None:
         f"the largest window (cw_min + 1) * 2**max_stage must be <= 2**32 "
         f"(got cw_min {t.cw_min}, max_stage {t.max_stage})",
     )
+    # Each frame and exchange duration the metrics use sums some of these
+    # non-negative terms, so a finite total keeps them all finite.
+    try:
+        d = derive_durations(t)
+    except OverflowError:  # a byte count too large for a float
+        frames_us = math.inf
+    else:
+        frames_us = d.payload_us + d.header_us
+    _require(
+        math.isfinite(frames_us + t.rts_us + t.cts_us + 3.0 * t.sifs_us + t.ack_us
+                      + t.difs_us + 2.0 * t.prop_delay_us),
+        "the air times derived from payload_bytes, header_bytes, data_rate_mbps, "
+        "rts_us, cts_us, sifs_us, ack_us, difs_us and prop_delay_us must be finite",
+    )
 
 
 def validate_scenario(s: ScenarioConfig) -> None:
     _require(s.n_vehicles >= 1, f"n_vehicles must be >= 1 (got {s.n_vehicles})")
+    _require(s.n_vehicles <= sys.float_info.max,
+             f"n_vehicles must fit in a float (at most {sys.float_info.max:.4g})")
     _require(s.road_length_m > 0, f"road_length_m must be > 0 (got {s.road_length_m})")
     if s.threshold_m is not None:
         _require(s.threshold_m >= 0, f"threshold_m must be >= 0 (got {s.threshold_m})")

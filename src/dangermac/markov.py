@@ -24,16 +24,6 @@ from dataclasses import dataclass
 from .config import MODEL_MODES
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative solve stopped before reaching its tolerance."""
-
-    def __init__(self, message: str, last: float, residual: float, iterations: int):
-        super().__init__(message)
-        self.last = last
-        self.residual = residual
-        self.iterations = iterations
-
-
 @dataclass(frozen=True)
 class ChainGeometry:
     """Backoff-stage structure: ``max_stage + 1`` stages, windows ``2^i * w0``."""

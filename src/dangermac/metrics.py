@@ -27,15 +27,6 @@ class AccessProbabilities:
 
     p_tr: float
     p_su: float
-    n: float
-
-
-@dataclass(frozen=True)
-class ThroughputReport:
-    s: float       # payload-time fraction, dimensionless
-    t_s_us: float
-    t_c_us: float
-    mode: str
 
 
 @dataclass(frozen=True)
@@ -91,7 +82,7 @@ def access_probabilities(tau: float, n: float) -> AccessProbabilities:
         p_su = 0.0
     else:
         p_su = min(1.0, n * tau * _pow(q, n - 1.0) / p_tr)
-    return AccessProbabilities(p_tr=p_tr, p_su=p_su, n=n)
+    return AccessProbabilities(p_tr=p_tr, p_su=p_su)
 
 
 def pdr(ap: AccessProbabilities) -> float:
@@ -118,7 +109,7 @@ def throughput(
     payload_us: float,
     t_slot_us: float,
     mode: str = "slot_scaled",
-) -> ThroughputReport:
+) -> float:
     """Normalized saturation throughput: payload air time per channel time.
 
     ``slot_scaled`` (default) charges an empty slot its real duration.
@@ -132,8 +123,7 @@ def throughput(
     if mode == "slot_scaled":
         idle *= t_slot_us
     denom = idle + ap.p_tr * ap.p_su * t_s_us + ap.p_tr * (1.0 - ap.p_su) * t_c_us
-    s = 0.0 if ap.p_tr == 0.0 else ap.p_su * ap.p_tr * payload_us / denom
-    return ThroughputReport(s=s, t_s_us=t_s_us, t_c_us=t_c_us, mode=mode)
+    return 0.0 if ap.p_tr == 0.0 else ap.p_su * ap.p_tr * payload_us / denom
 
 
 def delay_state_probabilities(tau: float, n: float) -> DelayStates:

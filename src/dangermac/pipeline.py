@@ -1,9 +1,10 @@
 """Glue between the chain solver, the danger filter, and the metric set.
 
 ``evaluate_point`` turns an effective contender count into the complete
-performance report used by every CLI command. The contender count may be
-an expected value, hence fractional; zero contenders skip the solve and
-give a silent-network report.
+performance report; ``evaluate_points``, the path every CLI command takes,
+does so for a list of counts and evaluates each distinct count once. A
+contender count may be an expected value, hence fractional; zero
+contenders skip the solve and give a silent-network report.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .metrics import (
     AccessProbabilities,
     DelayBreakdown,
     DelayStates,
-    ThroughputReport,
     access_probabilities,
     delay_state_probabilities,
     frame_times,
@@ -37,7 +37,7 @@ class PerfReport:
     residual: float
     access: AccessProbabilities
     pdr: float
-    throughput: ThroughputReport
+    throughput: float  # payload-time fraction, dimensionless
     states: DelayStates
     delay: DelayBreakdown
 
@@ -78,10 +78,26 @@ def evaluate_point(
     )
 
 
+def evaluate_points(
+    timings: MacTimings,
+    n_effs: list[float],
+    model_mode: str,
+    throughput_mode: str,
+) -> list[PerfReport]:
+    """One report per count in ``n_effs``, in order; equal counts share one.
+
+    ``evaluate_point`` is pure, so each distinct count is evaluated once.
+    The reports are kept only for this call: nothing is cached across calls.
+    """
+    reports = {n_eff: evaluate_point(timings, n_eff, model_mode, throughput_mode)
+               for n_eff in dict.fromkeys(n_effs)}
+    return [reports[n_eff] for n_eff in n_effs]
+
+
 # Metric names accepted by the sweep command, in canonical order.
 _METRIC_GETTERS = {
     "pdr": attrgetter("pdr"),
-    "throughput": attrgetter("throughput.s"),
+    "throughput": attrgetter("throughput"),
     "total_delay": attrgetter("delay.t_td_us"),
     "p_bus": attrgetter("p_b"),
     "p_col": attrgetter("p_c"),

@@ -175,19 +175,6 @@ def test_sweep_compare_sim_appends_columns(capsys):
     assert all(len(r) == len(header) for r in rows)
 
 
-def test_solver_failure_exit_code(capsys, monkeypatch):
-    import dangermac.cli as cli_module
-    from dangermac.markov import ConvergenceError
-
-    def explode(*args, **kwargs):
-        raise ConvergenceError("no", last=0.1, residual=1.0, iterations=1)
-
-    monkeypatch.setattr(cli_module, "evaluate_point", explode)
-    code, _, err = run_cli(capsys, "point", "--trials", "5")
-    assert code == 2
-    assert "converge" in err
-
-
 def test_io_failure_exit_code(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("x")
@@ -398,3 +385,53 @@ def test_sweep_compare_sim_runs_once_per_station_count(capsys, monkeypatch):
             stats = run(n_sim, 3000, geometry, 7, timings)
             expected = [stats.tau_hat, stats.p_su_hat, stats.payload_time_fraction]
         assert row[-3:] == [format(v, ".9g") for v in expected]
+
+
+def test_threshold_sweep_solves_each_distinct_count_once(capsys, monkeypatch):
+    # 1,001 thresholds plus the benchmark, but only 472 distinct non-zero
+    # counts: from 493 m on the expected count rounds to exactly 50
+    import dangermac.pipeline as pipeline
+
+    solve = pipeline.solve_fixed_point
+    solved = []
+
+    def counting_solve(n, *args):
+        solved.append(n)
+        return solve(n, *args)
+
+    monkeypatch.setattr(pipeline, "solve_fixed_point", counting_solve)
+    code, out, _ = run_cli(capsys, "sweep", "--x-axis", "threshold_m",
+                           "--values", "0..1000", "--n-vehicles", "50")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert len(rows) == 2 * 1001
+    assert len(solved) == len(set(solved)) == 472
+
+
+_TOO_LARGE_FOR_A_FLOAT = "9" * 400
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["point", "--payload-bytes", _TOO_LARGE_FOR_A_FLOAT], "payload_bytes"),
+    (["point", "--header-bytes", _TOO_LARGE_FOR_A_FLOAT], "header_bytes"),
+    (["point", "--n-vehicles", _TOO_LARGE_FOR_A_FLOAT], "n_vehicles"),
+    (["compare", "--n-list", "5," + _TOO_LARGE_FOR_A_FLOAT, "--slots", "100"],
+     "--n-list"),
+    (["sweep", "--values", "1," + _TOO_LARGE_FOR_A_FLOAT], "--values"),
+], ids=["payload-bytes", "header-bytes", "n-vehicles", "n-list", "values"])
+def test_integer_too_large_for_a_float_rejected(capsys, argv, name):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert name in err
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["--data-rate-mbps", "1e-320"], ["data_rate_mbps", "payload_bytes"]),
+    (["--rts-us", "1e308", "--cts-us", "1e308"], ["rts_us", "cts_us"]),
+], ids=["data-rate", "rts-cts"])
+def test_non_finite_air_times_rejected(capsys, argv, names):
+    code, out, err = run_cli(capsys, "point", *argv)
+    assert code == 1
+    assert out == ""
+    assert all(name in err for name in names)

@@ -79,16 +79,16 @@ def test_throughput_limits():
     d = derive_durations(t)
     t_s, t_c = frame_times(d, t)
     silent = throughput(access_probabilities(0.0, 5), t_s, t_c, d.payload_us, 13.0)
-    assert silent.s == 0.0
+    assert silent == 0.0
     lone = throughput(access_probabilities(1.0, 1), t_s, t_c, d.payload_us, 13.0)
-    assert lone.s == pytest.approx(d.payload_us / t_s, abs=1e-12)
+    assert lone == pytest.approx(d.payload_us / t_s, abs=1e-12)
 
 
 def test_throughput_mode_coincide_at_unit_slot():
     ap = access_probabilities(0.1, 10)
     a = throughput(ap, 1500.0, 1400.0, 1364.0, 1.0, "slot_scaled")
     b = throughput(ap, 1500.0, 1400.0, 1364.0, 1.0, "unscaled")
-    assert a.s == b.s
+    assert a == b
 
 
 def test_throughput_bounded_by_payload_share():
@@ -98,8 +98,8 @@ def test_throughput_bounded_by_payload_share():
     rng = np.random.default_rng(11)
     for _ in range(300):
         ap = access_probabilities(rng.uniform(0, 1), int(rng.integers(1, 60)))
-        report = throughput(ap, t_s, t_c, d.payload_us, t.slot_us)
-        assert 0.0 <= report.s <= d.payload_us / t_s + 1e-12
+        s = throughput(ap, t_s, t_c, d.payload_us, t.slot_us)
+        assert 0.0 <= s <= d.payload_us / t_s + 1e-12
 
 
 def test_throughput_rejects_unknown_mode():
@@ -184,6 +184,6 @@ def test_metrics_track_solved_chain_monotonically():
         tau = solve_fixed_point(n, g, "busy_aware").tau
         ap = access_probabilities(tau, n)
         pdrs.append(pdr(ap))
-        rates.append(throughput(ap, t_s, t_c, d.payload_us, t.slot_us).s)
+        rates.append(throughput(ap, t_s, t_c, d.payload_us, t.slot_us))
     assert all(a >= b for a, b in zip(pdrs, pdrs[1:]))
     assert all(a >= b for a, b in zip(rates, rates[1:]))

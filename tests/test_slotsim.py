@@ -208,7 +208,7 @@ def test_dense_network_matches_classic_chain_and_throughput():
     assert stats.tau_hat == pytest.approx(solution.tau, rel=0.05)
     from dangermac.pipeline import evaluate_point
     report = evaluate_point(timings, 50.0, "classic", "slot_scaled")
-    assert stats.payload_time_fraction == pytest.approx(report.throughput.s, rel=0.10)
+    assert stats.payload_time_fraction == pytest.approx(report.throughput, rel=0.10)
 
 
 def test_success_ratio_matches_product_form_at_observed_rate():
