@@ -8,11 +8,9 @@ slot-level simulator that cross-checks the analytic chain.
 
 from .config import (
     ConfigError,
-    FrameDurations,
     MacTimings,
     ScenarioConfig,
     config_to_dict,
-    derive_durations,
     load_config,
 )
 from .markov import (
@@ -43,16 +41,15 @@ from .scenario import (
 )
 from .slotsim import SimStats, run
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "AccessProbabilities", "ChainGeometry", "ConfigError", "DelayBreakdown",
-    "DelayStates", "FilterOutcome", "FixedPointSolution", "FrameDurations",
-    "MacTimings", "PerfReport", "ScenarioConfig", "SimStats",
-    "access_probabilities", "apply_threshold", "assess_danger",
-    "config_to_dict", "delay_state_probabilities", "derive_durations",
-    "evaluate_point", "evaluate_points", "expected_n_eff", "frame_times",
-    "geometry_from", "load_config", "metric_value", "n_eff_samples", "pdr",
-    "place_vehicles", "run", "solve_fixed_point", "throughput", "total_delay",
-    "trial_rng",
+    "DelayStates", "FilterOutcome", "FixedPointSolution", "MacTimings",
+    "PerfReport", "ScenarioConfig", "SimStats", "access_probabilities",
+    "apply_threshold", "assess_danger", "config_to_dict",
+    "delay_state_probabilities", "evaluate_point", "evaluate_points",
+    "expected_n_eff", "frame_times", "geometry_from", "load_config",
+    "metric_value", "n_eff_samples", "pdr", "place_vehicles", "run",
+    "solve_fixed_point", "throughput", "total_delay", "trial_rng",
 ]

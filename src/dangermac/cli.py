@@ -22,24 +22,13 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .charts import line_chart
-from .config import (
-    ConfigError,
-    DANGER_METRICS,
-    MODEL_MODES,
-    THROUGHPUT_MODES,
-    MacTimings,
-    ScenarioConfig,
-    load_config,
-)
-from .pipeline import SWEEP_METRICS, PerfReport, evaluate_points, geometry_from, metric_value
+from .config import CHOICES, ConfigError, MacTimings, ScenarioConfig, load_config
+from .pipeline import REPORT_COLUMNS, SWEEP_METRICS, evaluate_points, geometry_from, metric_value
 from .scenario import expected_n_eff, n_eff_samples
 from .slotsim import run as run_sim
 
-_POINT_COLUMNS = [
-    "n_vehicles", "threshold_m", "n_eff_mean", "tau", "p_tr", "p_su", "pdr",
-    "throughput", "p_emp", "p_suc", "p_own", "p_col", "p_bus", "t_td_us",
-    "model_mode", "throughput_mode",
-]
+_POINT_COLUMNS = ["n_vehicles", "threshold_m", *REPORT_COLUMNS,
+                  "model_mode", "throughput_mode"]
 _SWEEP_COLUMNS = ["x"] + _POINT_COLUMNS[1:]
 _SIM_COLUMNS = ["sim_tau", "sim_p_su", "sim_payload_fraction"]
 _SCENARIO_COLUMNS = ["trial", "threshold_m", "n_eff"]
@@ -82,8 +71,6 @@ def _emit(args, filename: str, text: str) -> None:
 # Every config field is a flag of the same name; values stay strings here
 # and are parsed and checked by ``config.load_config``.
 _CONFIG_FIELDS = [f.name for f in fields(MacTimings) + fields(ScenarioConfig)]
-_CHOICES = {"model_mode": MODEL_MODES, "throughput_mode": THROUGHPUT_MODES,
-            "danger_metric": DANGER_METRICS}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -93,7 +80,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         flags = ["--" + key.replace("_", "-")]
         if key == "rng_seed":
             flags.insert(0, "--seed")
-        group.add_argument(*flags, dest=key, choices=_CHOICES.get(key),
+        group.add_argument(*flags, dest=key, choices=CHOICES.get(key),
                            help=f"override config key {key}")
 
 
@@ -132,25 +119,6 @@ def _parse_numbers(text: str, kind, what: str) -> list:
     return values
 
 
-def _report_fields(report: PerfReport, cfg: ScenarioConfig) -> list:
-    return [
-        report.n_eff,
-        report.tau,
-        report.access.p_tr,
-        report.access.p_su,
-        report.pdr,
-        report.throughput,
-        report.states.p_emp,
-        report.states.p_suc,
-        report.states.p_own,
-        report.p_c,
-        report.p_b,
-        report.delay.t_td_us,
-        cfg.model_mode,
-        cfg.throughput_mode,
-    ]
-
-
 def cmd_point(args) -> int:
     timings, cfg = _build_config(args)
     if cfg.threshold_m is None:
@@ -160,7 +128,8 @@ def cmd_point(args) -> int:
         label = _fmt(cfg.threshold_m)
         n_eff = expected_n_eff(cfg)[0]
     [report] = evaluate_points(timings, [n_eff], cfg.model_mode, cfg.throughput_mode)
-    row = [cfg.n_vehicles, label] + _report_fields(report, cfg)
+    row = [cfg.n_vehicles, label, *[get(report) for get in REPORT_COLUMNS.values()],
+           cfg.model_mode, cfg.throughput_mode]
     _emit(args, "point.csv", _csv_text(_POINT_COLUMNS, [row]))
     return 0
 
@@ -201,7 +170,8 @@ def cmd_sweep(args) -> int:
                   for n in (mean, float(cfg.n_vehicles))]
     reports = evaluate_points(timings, n_effs, cfg.model_mode, cfg.throughput_mode)
     width = len(curves)
-    rows = [[xs[i // width], label] + _report_fields(report, cfg)
+    rows = [[xs[i // width], label, *[get(report) for get in REPORT_COLUMNS.values()],
+             cfg.model_mode, cfg.throughput_mode]
             for i, (label, report) in enumerate(zip(labels, reports))]
 
     header = list(_SWEEP_COLUMNS)

@@ -10,11 +10,14 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import Field, asdict, dataclass, fields
 
 MODEL_MODES = ("busy_aware", "classic")
 THROUGHPUT_MODES = ("slot_scaled", "unscaled")
 DANGER_METRICS = ("min_gap", "front_gap_only")
+# the allowed values of each string key
+CHOICES = {"model_mode": MODEL_MODES, "throughput_mode": THROUGHPUT_MODES,
+           "danger_metric": DANGER_METRICS}
 
 
 class ConfigError(ValueError):
@@ -49,6 +52,16 @@ class MacTimings:
         """Stage-0 window size in slots (number of counter values)."""
         return self.cw_min + 1
 
+    @property
+    def payload_us(self) -> float:
+        """Payload air time at the data rate."""
+        return self.payload_bytes * 8.0 / self.data_rate_mbps
+
+    @property
+    def header_us(self) -> float:
+        """Header air time at the data rate."""
+        return self.header_bytes * 8.0 / self.data_rate_mbps
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -66,15 +79,6 @@ class ScenarioConfig:
     model_mode: str = "busy_aware"
     throughput_mode: str = "slot_scaled"
     danger_metric: str = "min_gap"
-
-
-@dataclass(frozen=True)
-class FrameDurations:
-    """Serialization times derived from sizes and data rate, in us."""
-
-    payload_us: float
-    header_us: float
-    t_slot_us: float
 
 
 def _require(cond: bool, message: str) -> None:
@@ -104,11 +108,9 @@ def validate_timings(t: MacTimings) -> None:
     # Each frame and exchange duration the metrics use sums some of these
     # non-negative terms, so a finite total keeps them all finite.
     try:
-        d = derive_durations(t)
+        frames_us = t.payload_us + t.header_us
     except OverflowError:  # a byte count too large for a float
         frames_us = math.inf
-    else:
-        frames_us = d.payload_us + d.header_us
     _require(
         math.isfinite(frames_us + t.rts_us + t.cts_us + 3.0 * t.sifs_us + t.ack_us
                       + t.difs_us + 2.0 * t.prop_delay_us),
@@ -126,41 +128,33 @@ def validate_scenario(s: ScenarioConfig) -> None:
         _require(s.threshold_m >= 0, f"threshold_m must be >= 0 (got {s.threshold_m})")
     _require(s.trials >= 1, f"trials must be >= 1 (got {s.trials})")
     _require(s.rng_seed >= 0, f"rng_seed must be >= 0 (got {s.rng_seed})")
-    _require(
-        s.model_mode in MODEL_MODES,
-        f"model_mode must be one of {MODEL_MODES} (got {s.model_mode!r})",
-    )
-    _require(
-        s.throughput_mode in THROUGHPUT_MODES,
-        f"throughput_mode must be one of {THROUGHPUT_MODES} (got {s.throughput_mode!r})",
-    )
-    _require(
-        s.danger_metric in DANGER_METRICS,
-        f"danger_metric must be one of {DANGER_METRICS} (got {s.danger_metric!r})",
-    )
+    for key, choices in CHOICES.items():
+        value = getattr(s, key)
+        _require(value in choices, f"{key} must be one of {choices} (got {value!r})")
 
 
 _TIMING_FIELDS = {f.name: f for f in fields(MacTimings)}
 _SCENARIO_FIELDS = {f.name: f for f in fields(ScenarioConfig)}
-_INT_FIELDS = {"payload_bytes", "header_bytes", "cw_min", "max_stage",
-               "n_vehicles", "trials", "rng_seed"}
 
 
-def _coerce(key: str, value):
+def _coerce(field: Field, value):
+    # the kind of a key is its field's annotation: "int", "float",
+    # "float | None" or "str" (annotations stay strings, see the import)
+    key = field.name
     if value is None:
-        if key == "threshold_m":
+        if field.type == "float | None":
             return None
         raise ConfigError(f"{key} must not be null")
     if isinstance(value, bool):
         raise ConfigError(f"{key} must be a number or string, not a boolean")
-    if key in _INT_FIELDS:
+    if field.type == "int":
         if isinstance(value, float) and not value.is_integer():
             raise ConfigError(f"{key} must be an integer (got {value})")
         try:
             return int(value)
         except (TypeError, ValueError):
             raise ConfigError(f"{key} must be an integer (got {value!r})") from None
-    if key in ("model_mode", "throughput_mode", "danger_metric"):
+    if field.type == "str":
         if not isinstance(value, str):
             raise ConfigError(f"{key} must be a string (got {value!r})")
         return value
@@ -200,9 +194,9 @@ def load_config(
     scenario_kwargs: dict = {}
     for key, value in merged.items():
         if key in _TIMING_FIELDS:
-            timing_kwargs[key] = _coerce(key, value)
+            timing_kwargs[key] = _coerce(_TIMING_FIELDS[key], value)
         elif key in _SCENARIO_FIELDS:
-            scenario_kwargs[key] = _coerce(key, value)
+            scenario_kwargs[key] = _coerce(_SCENARIO_FIELDS[key], value)
         else:
             raise ConfigError(f"unknown config key: {key!r}")
 
@@ -215,18 +209,4 @@ def load_config(
 
 def config_to_dict(timings: MacTimings, scenario: ScenarioConfig) -> dict:
     """Flatten both configs into one JSON-serializable dict (round-trips)."""
-    out: dict = {}
-    for f in fields(MacTimings):
-        out[f.name] = getattr(timings, f.name)
-    for f in fields(ScenarioConfig):
-        out[f.name] = getattr(scenario, f.name)
-    return out
-
-
-def derive_durations(t: MacTimings) -> FrameDurations:
-    """Convert payload/header byte counts into air time at the data rate."""
-    return FrameDurations(
-        payload_us=t.payload_bytes * 8.0 / t.data_rate_mbps,
-        header_us=t.header_bytes * 8.0 / t.data_rate_mbps,
-        t_slot_us=t.slot_us,
-    )
+    return asdict(timings) | asdict(scenario)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import THROUGHPUT_MODES, FrameDurations, MacTimings
+from .config import THROUGHPUT_MODES, MacTimings
 
 
 @dataclass(frozen=True)
@@ -90,15 +90,15 @@ def pdr(ap: AccessProbabilities) -> float:
     return ap.p_su
 
 
-def frame_times(d: FrameDurations, t: MacTimings) -> tuple[float, float]:
+def frame_times(t: MacTimings) -> tuple[float, float]:
     """(successful-exchange time, collision time) in us.
 
     A success occupies header + payload + SIFS + ACK + DIFS plus two
     propagation crossings; a collision is discovered without the ACK leg.
     """
-    t_s = (d.header_us + d.payload_us + t.sifs_us + t.prop_delay_us
+    t_s = (t.header_us + t.payload_us + t.sifs_us + t.prop_delay_us
            + t.ack_us + t.difs_us + t.prop_delay_us)
-    t_c = d.header_us + d.payload_us + t.difs_us + t.prop_delay_us
+    t_c = t.header_us + t.payload_us + t.difs_us + t.prop_delay_us
     return t_s, t_c
 
 
@@ -157,7 +157,6 @@ def total_delay(
     p_tr: float,
     n_transmitter: float,
     t: MacTimings,
-    d: FrameDurations,
 ) -> DelayBreakdown:
     """Aggregate delay decomposition across ``n_transmitter`` stations.
 
@@ -170,7 +169,7 @@ def total_delay(
         raise ValueError(f"n_transmitter must be >= 0 (got {n_transmitter})")
     n_transmission = p_tr * n_transmitter
     n_collision = states.p_col * n_transmitter
-    t_single_tx = (t.rts_us + t.cts_us + 3.0 * t.sifs_us + d.payload_us
+    t_single_tx = (t.rts_us + t.cts_us + 3.0 * t.sifs_us + t.payload_us
                    + t.ack_us + t.difs_us)
     t_single_coll = t.rts_us + t.difs_us
     t_tt = t_single_tx * n_transmission

@@ -9,10 +9,11 @@ contenders skip the solve and give a silent-network report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .config import MacTimings, derive_durations
+from .config import MacTimings
 from .markov import ChainGeometry, solve_fixed_point
 from .metrics import (
     AccessProbabilities,
@@ -52,17 +53,20 @@ def evaluate_point(
     model_mode: str = "busy_aware",
     throughput_mode: str = "slot_scaled",
 ) -> PerfReport:
-    """Full analytic report for ``n_eff`` contenders."""
+    """Full analytic report for ``n_eff`` contenders.
+
+    Raises ValueError when the report's delay or throughput is not finite,
+    as when the population or the timings are too large for a float.
+    """
     if n_eff > 0:
         s = solve_fixed_point(n_eff, geometry_from(timings), model_mode)
         tau, p_c, p_b, iterations, residual = s.tau, s.p_c, s.p_b, s.iterations, s.residual
     else:
         tau, p_c, p_b, iterations, residual = 0.0, 0.0, 0.0, 0, 0.0
-    d = derive_durations(timings)
-    t_s, t_c = frame_times(d, timings)
+    t_s, t_c = frame_times(timings)
     access = access_probabilities(tau, n_eff)
     states = delay_state_probabilities(tau, n_eff)
-    return PerfReport(
+    report = PerfReport(
         n_eff=n_eff,
         tau=tau,
         p_c=p_c,
@@ -71,11 +75,17 @@ def evaluate_point(
         residual=residual,
         access=access,
         pdr=pdr(access),
-        throughput=throughput(access, t_s, t_c, d.payload_us, d.t_slot_us,
+        throughput=throughput(access, t_s, t_c, timings.payload_us, timings.slot_us,
                               throughput_mode),
         states=states,
-        delay=total_delay(states, access.p_tr, n_eff, timings, d),
+        delay=total_delay(states, access.p_tr, n_eff, timings),
     )
+    if not math.isfinite(report.delay.t_td_us + report.throughput):
+        raise ValueError(
+            f"the delay or throughput at n_eff {n_eff:g} is not finite "
+            f"(t_td_us {report.delay.t_td_us:g}, throughput {report.throughput:g}); "
+            "the population or the timings are too large")
+    return report
 
 
 def evaluate_points(
@@ -94,17 +104,34 @@ def evaluate_points(
     return [reports[n_eff] for n_eff in n_effs]
 
 
-# Metric names accepted by the sweep command, in canonical order.
-_METRIC_GETTERS = {
+# The report's CSV columns, in order, and the value each one holds.
+REPORT_COLUMNS = {
+    "n_eff_mean": attrgetter("n_eff"),
+    "tau": attrgetter("tau"),
+    "p_tr": attrgetter("access.p_tr"),
+    "p_su": attrgetter("access.p_su"),
     "pdr": attrgetter("pdr"),
     "throughput": attrgetter("throughput"),
-    "total_delay": attrgetter("delay.t_td_us"),
-    "p_bus": attrgetter("p_b"),
+    "p_emp": attrgetter("states.p_emp"),
+    "p_suc": attrgetter("states.p_suc"),
+    "p_own": attrgetter("states.p_own"),
     "p_col": attrgetter("p_c"),
-    "n_eff": attrgetter("n_eff"),
-    "tau": attrgetter("tau"),
+    "p_bus": attrgetter("p_b"),
+    "t_td_us": attrgetter("delay.t_td_us"),
 }
-SWEEP_METRICS = tuple(_METRIC_GETTERS)
+
+# Metric names accepted by the sweep command, in canonical order, and the
+# report column each one plots.
+_METRIC_COLUMNS = {
+    "pdr": "pdr",
+    "throughput": "throughput",
+    "total_delay": "t_td_us",
+    "p_bus": "p_bus",
+    "p_col": "p_col",
+    "n_eff": "n_eff_mean",
+    "tau": "tau",
+}
+SWEEP_METRICS = tuple(_METRIC_COLUMNS)
 
 
 def metric_value(report: PerfReport, metric: str) -> float:
@@ -116,7 +143,7 @@ def metric_value(report: PerfReport, metric: str) -> float:
     probabilities live in ``report.states``.
     """
     try:
-        getter = _METRIC_GETTERS[metric]
+        column = _METRIC_COLUMNS[metric]
     except KeyError:
         raise ValueError(f"unknown metric: {metric!r}") from None
-    return getter(report)
+    return REPORT_COLUMNS[column](report)

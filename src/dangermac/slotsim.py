@@ -16,12 +16,13 @@ window. ``run`` is deterministic given its seed.
 from __future__ import annotations
 
 import heapq
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MacTimings, derive_durations
+from .config import MacTimings
 from .markov import ChainGeometry
 from .metrics import frame_times
 
@@ -71,6 +72,8 @@ def run(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1 (got {n})")
+    if n > sys.maxsize:  # the station list could not be built
+        raise ValueError(f"n must be <= {sys.maxsize}")
     if slots < 1:
         raise ValueError(f"slots must be >= 1 (got {slots})")
     timings = timings or MacTimings()
@@ -125,8 +128,7 @@ def run(
 
     collision_slots = tx_slots - success_slots
     idle_slots = slots - tx_slots
-    d = derive_durations(timings)
-    t_s, t_c = frame_times(d, timings)
+    t_s, t_c = frame_times(timings)
     busy_time = success_slots * t_s + collision_slots * t_c
     total_time = idle_slots * timings.slot_us + busy_time
     return SimStats(
@@ -138,5 +140,5 @@ def run(
         tau_hat=attempts / (n * slots),
         p_su_hat=success_slots / tx_slots if tx_slots else 1.0,
         p_col_tagged_hat=tagged_pair_slots / slots,
-        payload_time_fraction=success_slots * d.payload_us / total_time,
+        payload_time_fraction=success_slots * timings.payload_us / total_time,
     )

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from dangermac.cli import main
-from dangermac.config import MacTimings, derive_durations
+from dangermac.config import MacTimings
 from dangermac.markov import ChainGeometry, _stationary_tau, solve_fixed_point
 from dangermac.metrics import (
     access_probabilities,
@@ -75,9 +75,8 @@ def test_c03_single_station_fixed_point_is_exact():
 def test_c04_reference_timing_anchors():
     started = time.perf_counter()
     t = MacTimings()  # cw_min 7, slot 13 us, difs 64 us, rts 0
-    d = derive_durations(t)
     states = delay_state_probabilities(0.1, 10)
-    breakdown = total_delay(states, p_tr=0.5, n_transmitter=10, t=t, d=d)
+    breakdown = total_delay(states, p_tr=0.5, n_transmitter=10, t=t)
     assert breakdown.cw_star_us == 45.5
     single_collision_cost = breakdown.t_tc_us / breakdown.n_collision
     assert single_collision_cost == 64.0
@@ -88,7 +87,6 @@ def test_c05_simulation_validates_classic_chain():
     started = time.perf_counter()
     g = ChainGeometry(5, 8)
     timings = MacTimings()
-    d = derive_durations(timings)
     for n in (5, 10, 20):
         stats = run_sim(n, 1_000_000, g, seed=1234, timings=timings)
         report = evaluate_point(timings, float(n), "classic", "slot_scaled")

@@ -429,9 +429,24 @@ def test_integer_too_large_for_a_float_rejected(capsys, argv, name):
 @pytest.mark.parametrize("argv, names", [
     (["--data-rate-mbps", "1e-320"], ["data_rate_mbps", "payload_bytes"]),
     (["--rts-us", "1e308", "--cts-us", "1e308"], ["rts_us", "cts_us"]),
-], ids=["data-rate", "rts-cts"])
+    # finite inputs whose delay total overflows
+    (["--n-vehicles", str(10**306)], ["n_eff", "not finite"]),
+    (["--slot-us", "1e308"], ["n_eff", "not finite"]),
+], ids=["data-rate", "rts-cts", "n-vehicles", "slot-us"])
 def test_non_finite_air_times_rejected(capsys, argv, names):
     code, out, err = run_cli(capsys, "point", *argv)
     assert code == 1
     assert out == ""
     assert all(name in err for name in names)
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--n-list", "1," + str(10**300), "--slots", "1"],
+    ["sweep", "--values", "1," + str(10**300), "--compare-sim", "--sim-slots", "1"],
+], ids=["compare", "sweep-compare-sim"])
+def test_simulator_rejects_population_too_large_for_a_list(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "n must be <=" in err
+

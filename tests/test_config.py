@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -8,7 +9,6 @@ from dangermac.config import (
     MacTimings,
     ScenarioConfig,
     config_to_dict,
-    derive_durations,
     load_config,
 )
 
@@ -111,24 +111,47 @@ def test_round_trip():
     assert (t3, s3) == load_config()
 
 
-def test_derive_durations_reference_values():
-    d = derive_durations(MacTimings())
-    assert d.payload_us == pytest.approx(1023 * 8 / 6, abs=1e-12)  # 1364 us
-    assert d.payload_us == 1364.0
-    assert d.t_slot_us == 13.0
-    small = derive_durations(MacTimings(payload_bytes=6))
+_FIELDS = fields(MacTimings) + fields(ScenarioConfig)
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=lambda field: field.name)
+def test_string_value_parses_as_the_declared_type(field):
+    # the CLI passes every value as a string; a key whose kind is read
+    # wrongly comes back with another type, or is rejected
+    value = 300.0 if field.default is None else field.default  # threshold_m
+    got = config_to_dict(*load_config(None, {field.name: str(value)}))[field.name]
+    assert got == value
+    assert type(got) is type(value)
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=lambda field: field.name)
+def test_null_accepted_for_threshold_m_only(field):
+    text = json.dumps({field.name: None})
+    if field.name == "threshold_m":
+        assert load_config(text) == load_config()
+    else:
+        with pytest.raises(ConfigError, match=f"{field.name} must not be null"):
+            load_config(text)
+
+
+def test_air_times_reference_values():
+    t = MacTimings()
+    assert t.payload_us == pytest.approx(1023 * 8 / 6, abs=1e-12)  # 1364 us
+    assert t.payload_us == 1364.0
+    assert t.slot_us == 13.0
+    small = MacTimings(payload_bytes=6)
     assert small.payload_us == 8.0
-    headerless = derive_durations(MacTimings(header_bytes=0))
+    headerless = MacTimings(header_bytes=0)
     assert headerless.header_us == 0.0
 
 
-def test_derive_durations_scales_linearly():
-    base = derive_durations(MacTimings(payload_bytes=100)).payload_us
+def test_air_times_scale_linearly():
+    base = MacTimings(payload_bytes=100).payload_us
     for factor in (2, 3, 7):
-        scaled = derive_durations(MacTimings(payload_bytes=100 * factor)).payload_us
+        scaled = MacTimings(payload_bytes=100 * factor).payload_us
         assert scaled == pytest.approx(base * factor, rel=1e-12)
     for rate in (2.0, 3.0, 12.0):
-        at_rate = derive_durations(MacTimings(data_rate_mbps=rate)).payload_us
+        at_rate = MacTimings(data_rate_mbps=rate).payload_us
         assert at_rate == pytest.approx(1023 * 8 / rate, rel=1e-12)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dangermac.config import MacTimings, derive_durations
+from dangermac.config import MacTimings
 from dangermac.markov import ChainGeometry, solve_fixed_point
 from dangermac.metrics import (
     access_probabilities,
@@ -59,8 +59,7 @@ def test_pdr_is_success_probability():
 
 def test_frame_times_reference_values():
     t = MacTimings()
-    d = derive_durations(t)
-    t_s, t_c = frame_times(d, t)
+    t_s, t_c = frame_times(t)
     header_us = 50 * 8 / 6
     assert t_s == pytest.approx(header_us + 1364 + 32 + 1 + 44 + 64 + 1, abs=1e-9)
     assert t_c == pytest.approx(header_us + 1364 + 64 + 1, abs=1e-9)
@@ -70,18 +69,17 @@ def test_frame_times_reference_values():
 
 def test_frame_times_gap_is_sifs_when_ack_free():
     t = MacTimings(header_bytes=0, ack_us=0.0, prop_delay_us=0.0)
-    t_s, t_c = frame_times(derive_durations(t), t)
+    t_s, t_c = frame_times(t)
     assert t_s - t_c == pytest.approx(t.sifs_us, abs=1e-12)
 
 
 def test_throughput_limits():
     t = MacTimings()
-    d = derive_durations(t)
-    t_s, t_c = frame_times(d, t)
-    silent = throughput(access_probabilities(0.0, 5), t_s, t_c, d.payload_us, 13.0)
+    t_s, t_c = frame_times(t)
+    silent = throughput(access_probabilities(0.0, 5), t_s, t_c, t.payload_us, 13.0)
     assert silent == 0.0
-    lone = throughput(access_probabilities(1.0, 1), t_s, t_c, d.payload_us, 13.0)
-    assert lone == pytest.approx(d.payload_us / t_s, abs=1e-12)
+    lone = throughput(access_probabilities(1.0, 1), t_s, t_c, t.payload_us, 13.0)
+    assert lone == pytest.approx(t.payload_us / t_s, abs=1e-12)
 
 
 def test_throughput_mode_coincide_at_unit_slot():
@@ -93,13 +91,12 @@ def test_throughput_mode_coincide_at_unit_slot():
 
 def test_throughput_bounded_by_payload_share():
     t = MacTimings()
-    d = derive_durations(t)
-    t_s, t_c = frame_times(d, t)
+    t_s, t_c = frame_times(t)
     rng = np.random.default_rng(11)
     for _ in range(300):
         ap = access_probabilities(rng.uniform(0, 1), int(rng.integers(1, 60)))
-        s = throughput(ap, t_s, t_c, d.payload_us, t.slot_us)
-        assert 0.0 <= s <= d.payload_us / t_s + 1e-12
+        s = throughput(ap, t_s, t_c, t.payload_us, t.slot_us)
+        assert 0.0 <= s <= t.payload_us / t_s + 1e-12
 
 
 def test_throughput_rejects_unknown_mode():
@@ -141,9 +138,8 @@ def test_delay_states_close_exactly():
 
 def test_total_delay_reference_values():
     t = MacTimings()
-    d = derive_durations(t)
     states = delay_state_probabilities(0.1, 10)
-    breakdown = total_delay(states, p_tr=0.6, n_transmitter=10, t=t, d=d)
+    breakdown = total_delay(states, p_tr=0.6, n_transmitter=10, t=t)
     assert breakdown.cw_star_us == 7 * 13 / 2 == 45.5
     assert breakdown.n_transmission == pytest.approx(6.0, abs=1e-12)
     assert breakdown.n_collision == pytest.approx(states.p_col * 10, abs=1e-12)
@@ -155,35 +151,32 @@ def test_total_delay_reference_values():
 
 def test_total_delay_collision_leg_is_difs_without_handshake():
     t = MacTimings(rts_us=0.0)
-    d = derive_durations(t)
     states = delay_state_probabilities(0.2, 5)
-    breakdown = total_delay(states, p_tr=0.5, n_transmitter=1, t=t, d=d)
+    breakdown = total_delay(states, p_tr=0.5, n_transmitter=1, t=t)
     assert breakdown.t_tc_us == pytest.approx(64.0 * states.p_col, abs=1e-12)
 
 
 def test_total_delay_additivity_exact():
     t = MacTimings(rts_us=30.0, cts_us=24.0)
-    d = derive_durations(t)
     rng = np.random.default_rng(9)
     for _ in range(200):
         states = delay_state_probabilities(rng.uniform(0, 0.9),
                                            int(rng.integers(1, 60)))
         n = float(rng.integers(1, 60))
-        b = total_delay(states, rng.uniform(0, 1), n, t, d)
+        b = total_delay(states, rng.uniform(0, 1), n, t)
         assert b.t_td_us == b.t_tt_us + b.t_tc_us + b.cw_star_us + b.t_emp_us
         assert b.t_tt_us >= 0 and b.t_tc_us >= 0 and b.t_emp_us >= 0
 
 
 def test_metrics_track_solved_chain_monotonically():
     t = MacTimings()
-    d = derive_durations(t)
-    t_s, t_c = frame_times(d, t)
+    t_s, t_c = frame_times(t)
     g = ChainGeometry(5, 8)
     pdrs, rates = [], []
     for n in range(1, 101, 3):
         tau = solve_fixed_point(n, g, "busy_aware").tau
         ap = access_probabilities(tau, n)
         pdrs.append(pdr(ap))
-        rates.append(throughput(ap, t_s, t_c, d.payload_us, t.slot_us))
+        rates.append(throughput(ap, t_s, t_c, t.payload_us, t.slot_us))
     assert all(a >= b for a, b in zip(pdrs, pdrs[1:]))
     assert all(a >= b for a, b in zip(rates, rates[1:]))

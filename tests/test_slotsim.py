@@ -130,7 +130,6 @@ def test_stage_never_exceeds_cap():
 def _reference_run(n: int, slots: int, g: ChainGeometry, seed: int,
                    timings: MacTimings) -> SimStats:
     # same statistics gathered the slow way, one step_slot call per slot
-    from dangermac.config import derive_durations
     from dangermac.metrics import frame_times
 
     rng = np.random.default_rng(seed)
@@ -149,15 +148,14 @@ def _reference_run(n: int, slots: int, g: ChainGeometry, seed: int,
                 tagged_pairs += 1
     coll = tx - succ
     idle = slots - tx
-    d = derive_durations(timings)
-    t_s, t_c = frame_times(d, timings)
+    t_s, t_c = frame_times(timings)
     total = idle * timings.slot_us + succ * t_s + coll * t_c
     return SimStats(
         slots=slots, tx_slots=tx, success_slots=succ, collision_slots=coll,
         idle_slots=idle, tau_hat=attempts / (n * slots),
         p_su_hat=succ / tx if tx else 1.0,
         p_col_tagged_hat=tagged_pairs / slots,
-        payload_time_fraction=succ * d.payload_us / total,
+        payload_time_fraction=succ * timings.payload_us / total,
     )
 
 
