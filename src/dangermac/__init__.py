@@ -41,7 +41,7 @@ from .scenario import (
 )
 from .slotsim import SimStats, run
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "AccessProbabilities", "ChainGeometry", "ConfigError", "DelayBreakdown",

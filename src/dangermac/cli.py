@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -112,6 +113,8 @@ def _parse_numbers(text: str, kind, what: str) -> list:
             values = [kind(part) for part in text.split(",")]
         except ValueError:
             raise _UsageError(f"bad value list for {what}: {text!r}") from None
+        if any(abs(v) == math.inf for v in values):
+            raise _UsageError(f"{what} values must be finite (got {text!r})")
     if not values:
         raise _UsageError(f"{what} must not be empty")
     if any(b <= a for a, b in zip(values, values[1:])):

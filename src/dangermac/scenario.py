@@ -118,25 +118,22 @@ def expected_n_eff(
 
     ``thresholds`` defaults to the config's single threshold. The powers
     are taken of clipped bases, so d = 0 gives exactly 0 and d >= L gives
-    exactly n (n - 1 for ``front_gap_only``) without numpy warnings.
+    exactly n (n - 1 for ``front_gap_only``).
     """
     if thresholds is None:
         if cfg.threshold_m is None:
             raise ValueError("no threshold configured and none given")
         thresholds = [cfg.threshold_m]
-    d = np.asarray(thresholds, dtype=np.float64)
-    if not (d >= 0).all():
+    if not all(d >= 0 for d in thresholds):  # also rejects NaN
         raise ValueError("thresholds must all be >= 0")
     n = cfg.n_vehicles
-    a = d / cfg.road_length_m
-    one_gap = 1.0 - np.maximum(1.0 - a, 0.0) ** n
+    a = [d / cfg.road_length_m for d in thresholds]
+    one_gap = [1.0 - max(1.0 - x, 0.0) ** n for x in a]
     if n == 1:
-        means = np.zeros_like(a)
-    elif cfg.danger_metric == "front_gap_only":
-        means = (n - 1) * one_gap
-    elif cfg.danger_metric == "min_gap":
-        two_gaps = 1.0 - np.maximum(1.0 - 2.0 * a, 0.0) ** n
-        means = 2.0 * one_gap + (n - 2) * two_gaps
-    else:
-        raise ValueError(f"unknown danger metric: {cfg.danger_metric!r}")
-    return [float(m) for m in means]
+        return [0.0] * len(a)
+    if cfg.danger_metric == "front_gap_only":
+        return [(n - 1) * g for g in one_gap]
+    if cfg.danger_metric == "min_gap":
+        return [2.0 * g + (n - 2) * (1.0 - max(1.0 - 2.0 * x, 0.0) ** n)
+                for g, x in zip(one_gap, a)]
+    raise ValueError(f"unknown danger metric: {cfg.danger_metric!r}")

@@ -17,16 +17,12 @@ from __future__ import annotations
 
 import heapq
 import sys
-from collections.abc import Iterator
 from dataclasses import dataclass
-
-import numpy as np
+from random import Random
 
 from .config import MacTimings
 from .markov import ChainGeometry
 from .metrics import frame_times
-
-BLOCK = 4096  # uniforms drawn per numpy call
 
 
 @dataclass(frozen=True)
@@ -40,16 +36,6 @@ class SimStats:
     p_su_hat: float              # successes per transmission slot
     p_col_tagged_hat: float      # station 0 colliding with exactly one other, per slot
     payload_time_fraction: float
-
-
-def _uniforms(rng: np.random.Generator) -> Iterator[float]:
-    """Endless U[0, 1) doubles, drawn ``BLOCK`` at a time.
-
-    Block draws yield the same doubles, in the same order, as one scalar
-    ``rng.random()`` call per value.
-    """
-    while True:
-        yield from rng.random(BLOCK).tolist()
 
 
 def run(
@@ -66,9 +52,10 @@ def run(
     next in slot t + 1 + c. A heap holds the distinct future transmission
     slots and a dict maps each to the stations due in it, so idle runs
     are skipped in one jump and no slot scans all n stations. A counter
-    is ``floor(u * window)`` of the next uniform; the stations start in
-    index order and a slot's transmitters redraw in index order, which
-    fixes the draw order a slot-by-slot replay must follow.
+    is ``floor(u * window)`` of the next ``Random(seed).random()``
+    uniform; the stations start in index order and a slot's transmitters
+    redraw in index order, which fixes the draw order a slot-by-slot
+    replay must follow.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1 (got {n})")
@@ -76,8 +63,10 @@ def run(
         raise ValueError(f"n must be <= {sys.maxsize}")
     if slots < 1:
         raise ValueError(f"slots must be >= 1 (got {slots})")
+    if seed < 0:  # Random(-s) would silently replay Random(s)
+        raise ValueError(f"seed must be >= 0 (got {seed})")
     timings = timings or MacTimings()
-    uniforms = _uniforms(np.random.default_rng(seed))
+    draw = Random(seed).random
     windows = [g.window(i) for i in range(g.max_stage + 1)]
     top = g.max_stage
     stages = [0] * n
@@ -86,7 +75,7 @@ def run(
 
     def schedule(j: int, start: int, window: int) -> None:
         # station j draws a counter and is due that many slots after start
-        c = int(next(uniforms) * window)
+        c = int(draw() * window)
         t = start + (c if c < window else window - 1)
         due = calendar.get(t)
         if due is None:

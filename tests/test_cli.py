@@ -332,6 +332,27 @@ def test_scenario_nan_threshold_rejected(capsys):
     assert "threshold_m" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--x-axis", "threshold_m", "--values", "0,inf"],
+    ["sweep", "--values", "2,3", "--thresholds", "300,inf"],
+    ["scenario", "--trials", "2", "--thresholds", "300,inf"],
+])
+def test_infinite_list_value_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert argv[-2] in err and "finite" in err
+
+
+def test_extreme_threshold_over_tiny_road_counts_everyone(capsys):
+    # d / L overflows to inf; the clipped bases must keep that silent
+    code, out, err = run_cli(capsys, "point", "--threshold-m", "1e308",
+                             "--road-length-m", "1e-300")
+    assert code == 0, err
+    header, rows = parse_csv(out)
+    assert dict(zip(header, rows[0]))["n_eff_mean"] == "50"
+
+
 def test_compare_rejects_empty_population(capsys):
     code, _, err = run_cli(capsys, "compare", "--n-list", "0", "--slots", "100")
     assert code == 1

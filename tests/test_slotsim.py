@@ -1,3 +1,4 @@
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,8 +15,12 @@ G = ChainGeometry(5, 8)
 
 # Slot-by-slot reference model: the oracle that ``run``'s calendar queue
 # must replay exactly. It draws one scalar uniform per counter, floored by
-# the window, in station-index order, which is the same stream ``run``
-# reads in blocks.
+# the window, in station-index order, which is the order ``run`` reads
+# its ``random.Random(seed)`` stream in. Any generator with a scalar
+# ``random()`` method serves.
+
+Uniforms = random.Random | np.random.Generator
+
 
 @dataclass
 class StationState:
@@ -30,11 +35,11 @@ class SlotOutcome:
     collision: bool
 
 
-def _counter(rng: np.random.Generator, window: int) -> int:
+def _counter(rng: Uniforms, window: int) -> int:
     return min(int(rng.random() * window), window - 1)
 
 
-def init_stations(n: int, g: ChainGeometry, rng: np.random.Generator) -> list[StationState]:
+def init_stations(n: int, g: ChainGeometry, rng: Uniforms) -> list[StationState]:
     """Fresh stations at stage 0 with uniform counters over the base window."""
     return [StationState(stage=0, counter=_counter(rng, g.w0)) for _ in range(n)]
 
@@ -42,7 +47,7 @@ def init_stations(n: int, g: ChainGeometry, rng: np.random.Generator) -> list[St
 def step_slot(
     stations: list[StationState],
     g: ChainGeometry,
-    rng: np.random.Generator,
+    rng: Uniforms,
 ) -> SlotOutcome:
     """Advance every station by one slot, mutating ``stations`` in place."""
     transmitters = tuple(j for j, s in enumerate(stations) if s.counter == 0)
@@ -132,7 +137,7 @@ def _reference_run(n: int, slots: int, g: ChainGeometry, seed: int,
     # same statistics gathered the slow way, one step_slot call per slot
     from dangermac.metrics import frame_times
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     stations = init_stations(n, g, rng)
     warmup = slots // 100
     attempts = tx = succ = tagged_pairs = 0
@@ -236,6 +241,8 @@ def test_invalid_arguments():
         run(5, 0, G, 1)
     with pytest.raises(ValueError, match="n must be >= 1"):
         run(0, 100, G, 1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        run(5, 100, G, -1)
 
 
 @pytest.mark.parametrize("window", [2**32, 2**32 - 1, 3 * 2**30, 2**31 + 1])
@@ -245,21 +252,20 @@ def test_counter_stays_below_window_at_largest_uniform(window):
 
 
 class _FixedUniforms:
-    """Stands in for a numpy Generator: ``random`` hands out ``values``
-    in order, then ``fill``."""
+    """Stands in for ``random.Random``: ``random`` hands out ``values`` in
+    order, then ``fill``."""
 
     def __init__(self, values, fill):
         self.values = list(values)
         self.fill = fill
 
-    def random(self, size):
-        head, self.values = self.values[:size], self.values[size:]
-        return np.array(head + [self.fill] * (size - len(head)))
+    def random(self):
+        return self.values.pop(0) if self.values else self.fill
 
 
 def _run_with_uniforms(monkeypatch, values, fill, n, slots, g):
     fake = _FixedUniforms(values, fill)
-    monkeypatch.setattr(slotsim.np.random, "default_rng", lambda seed: fake)
+    monkeypatch.setattr(slotsim, "Random", lambda seed: fake)
     return run(n, slots, g, 0)
 
 
