@@ -9,7 +9,7 @@ Commands::
 
 All commands are deterministic for a given seed and emit CSV with floats
 printed at 9 significant digits. Exit codes: 0 success, 1 usage or
-validation error, 3 I/O failure.
+validation error or a run too large for memory, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -209,11 +209,11 @@ def cmd_sweep(args) -> int:
 def cmd_compare(args) -> int:
     timings, cfg = _build_config(args)
     n_list = (_parse_numbers(args.n_list, int, "--n-list")
-              if args.n_list else [cfg.n_vehicles])
+              if args.n_list is not None else [cfg.n_vehicles])
     if n_list[0] < 1 or n_list[-1] > sys.float_info.max:
         raise _UsageError("--n-list values must all be >= 1 and fit in a float")
     seeds = (_parse_numbers(args.seeds, int, "--seeds")
-             if args.seeds else [cfg.rng_seed])
+             if args.seeds is not None else [cfg.rng_seed])
     if seeds[0] < 0:
         raise _UsageError("--seeds values must all be >= 0")
     if args.slots < 1:
@@ -316,6 +316,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (_UsageError, ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'not enough memory'}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,14 +7,14 @@ opportunity only when that distance falls strictly below the threshold.
 Trials draw their random stream from (seed, trial index), so results do
 not depend on evaluation order. The mean granted count, which is all the
 analytic chain consumes, has a closed form and needs no trials at all.
+Only the sampling functions import numpy, inside their bodies, so the
+analytic path and the command line start without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .config import ScenarioConfig
 
@@ -27,6 +27,8 @@ class FilterOutcome:
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent per-trial stream; order-insensitive across trials."""
+    import numpy as np
+
     return np.random.default_rng([seed, trial])
 
 
@@ -51,6 +53,8 @@ def assess_danger(positions: np.ndarray, metric: str = "min_gap") -> np.ndarray:
     ``front_gap_only``: gap to the next vehicle up the road only; the last
     vehicle has no one ahead and gets +inf.
     """
+    import numpy as np
+
     n = len(positions)
     if n == 1:
         return np.array([math.inf])
@@ -87,6 +91,8 @@ def n_eff_samples(
     All thresholds are evaluated on the same placement within a trial, so
     per-trial counts are exactly nondecreasing along increasing thresholds.
     """
+    import numpy as np
+
     if trials < 1:
         raise ValueError(f"trials must be >= 1 (got {trials})")
     out = np.empty((trials, len(thresholds)), dtype=np.int64)

@@ -306,6 +306,46 @@ def test_python_dash_m_entry_points():
         assert "usage: dangermac" in result.stdout
 
 
+# Runs the command line once in a fresh interpreter, then reports on stderr
+# whether numpy got imported.
+_RUN_AND_REPORT_NUMPY = """
+import sys
+from dangermac.cli import main
+code = main(sys.argv[1:])
+print("numpy" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def run_fresh(*argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT_NUMPY, *argv],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True, timeout=60)
+    return result.returncode, result.stdout, result.stderr.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize("argv", [
+    ["point"],
+    ["sweep"],
+    ["compare", "--n-list", "5", "--slots", "2000"],
+], ids=["point", "sweep", "compare"])
+def test_analytic_commands_start_without_numpy(argv):
+    code, out, numpy_loaded = run_fresh(*argv)
+    assert code == 0
+    assert out.count("\n") >= 2  # header and at least one row
+    assert not numpy_loaded
+
+
+def test_scenario_loads_numpy_and_writes_the_same_bytes(capsys):
+    # the fresh interpreter imports numpy on the first sample; this one has
+    # it already
+    code, out, numpy_loaded = run_fresh("scenario", "--trials", "20")
+    assert code == 0
+    assert numpy_loaded
+    assert run_cli(capsys, "scenario", "--trials", "20") == (0, out, "")
+
+
 def test_point_solves_deep_backoff_stages(capsys):
     # the damped iteration this solve replaced stalled on both configurations
     for argv in (["--max-stage", "8"], ["--max-stage", "12", "--n-vehicles", "149"],
@@ -357,6 +397,31 @@ def test_compare_rejects_empty_population(capsys):
     code, _, err = run_cli(capsys, "compare", "--n-list", "0", "--slots", "100")
     assert code == 1
     assert "--n-list" in err and "zero-size" not in err
+
+
+@pytest.mark.parametrize("flag", ["--n-list", "--seeds"])
+def test_compare_rejects_empty_list_flag(capsys, flag):
+    code, out, err = run_cli(capsys, "compare", "--slots", "10", flag, "")
+    assert code == 1
+    assert out == ""
+    assert f"{flag} must not be empty" in err
+
+
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 745. GiB for an array with shape (100000000000, 1)", ""],
+    ids=["numpy", "bare"])
+def test_allocation_too_large_exits_one(capsys, monkeypatch, message):
+    import dangermac.cli as cli_module
+
+    def out_of_memory(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli_module, "n_eff_samples", out_of_memory)
+    code, out, err = run_cli(capsys, "scenario", "--trials", "100000000000",
+                             "--thresholds", "1")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message or 'not enough memory'}\n"
 
 
 def test_compare_rejects_negative_seed(capsys):
