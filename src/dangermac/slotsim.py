@@ -11,6 +11,10 @@ empirical check on tau, the success probability, and throughput.
 A successful station redraws at stage 0; every station involved in a
 collision advances one stage (capped at the top) and redraws over its new
 window. ``run`` is deterministic given its seed.
+
+The calendar is one binary heap holding one int key per station,
+``(due slot << bits) | station``, so stepping from one transmission slot
+to the next skips idle stretches and never scans all n stations.
 """
 
 from __future__ import annotations
@@ -49,10 +53,14 @@ def run(
 
     Implemented event to event over a calendar queue: with every counter
     ticking each slot, a station drawing counter c in slot t transmits
-    next in slot t + 1 + c. A heap holds the distinct future transmission
-    slots and a dict maps each to the stations due in it, so idle runs
-    are skipped in one jump and no slot scans all n stations. A counter
-    is ``floor(u * window)`` of the next ``Random(seed).random()``
+    next in slot t + 1 + c. The calendar is one binary heap of n keys
+    ``(due slot << bits) | station`` with ``bits = n.bit_length()``, so a
+    slot's transmitters leave it in index order. The second-smallest key
+    is a child of the root, so a success is seen by reading ``heap[1]``
+    and ``heap[2]`` and costs one ``heapreplace``; each station in a
+    collision is ``heapreplace``d too, to a slot past t. Two padding keys
+    past the horizon keep both children present for n = 1 and 2. A
+    counter is ``floor(u * window)`` of the next ``Random(seed).random()``
     uniform; the stations start in index order and a slot's transmitters
     redraw in index order, which fixes the draw order a slot-by-slot
     replay must follow.
@@ -68,54 +76,58 @@ def run(
     timings = timings or MacTimings()
     draw = Random(seed).random
     windows = [g.window(i) for i in range(g.max_stage + 1)]
+    w0 = windows[0]
     top = g.max_stage
     stages = [0] * n
-    calendar: dict[int, list[int]] = {}
-    heap: list[int] = []
-
-    def schedule(j: int, start: int, window: int) -> None:
-        # station j draws a counter and is due that many slots after start
-        c = int(draw() * window)
-        t = start + (c if c < window else window - 1)
-        due = calendar.get(t)
-        if due is None:
-            calendar[t] = [j]
-            heapq.heappush(heap, t)
-        else:
-            due.append(j)
-
-    for j in range(n):
-        schedule(j, 0, windows[0])
-
+    bits = n.bit_length()
+    mask = (1 << bits) - 1
     warmup = slots // 100
     horizon = warmup + slots
-    attempts = 0
-    tx_slots = 0
-    success_slots = 0
-    tagged_pair_slots = 0
 
-    # every station is always on the calendar, so the heap never empties
-    while heap[0] < horizon:
-        t = heapq.heappop(heap)
-        due = calendar.pop(t)
-        k = len(due)
-        if k == 1:
-            stages[due[0]] = 0
-            schedule(due[0], t + 1, windows[0])
-        else:
-            due.sort()
-            for j in due:
-                stage = stages[j] = min(stages[j] + 1, top)
-                schedule(j, t + 1, windows[stage])
-        if t >= warmup:
-            attempts += k
-            tx_slots += 1
-            if k == 1:
+    # the two padding keys lie past the horizon and keep heap[1] and
+    # heap[2] valid for n = 1 and 2
+    heap = [horizon << bits] * 2
+    for j in range(n):
+        c = int(draw() * w0)
+        heap.append(((c if c < w0 else w0 - 1) << bits) | j)
+    heapq.heapify(heap)
+    replace = heapq.heapreplace
+
+    # run the warm-up, then the measured slots, with the counts reset between
+    for end in (warmup, horizon):
+        success_slots = collision_slots = collided = tagged_pair_slots = 0
+        limit = end << bits
+        while (key := heap[0]) < limit:
+            # keys below nxt are due in this slot
+            nxt = (key | mask) + 1
+            if heap[1] >= nxt and heap[2] >= nxt:
+                # the second-smallest key is a child of the root: one due
+                stages[key & mask] = 0
+                c = int(draw() * w0)
+                replace(heap, key + (((c if c < w0 else w0 - 1) + 1) << bits))
                 success_slots += 1
-            elif k == 2 and due[0] == 0:
+                continue
+            first = key & mask
+            k = 0
+            while key < nxt:
+                j = key & mask
+                stage = stages[j] + 1
+                if stage > top:  # min() here made run about 20% slower
+                    stage = top
+                stages[j] = stage
+                w = windows[stage]
+                c = int(draw() * w)
+                # the new slot is a later one, so j is not popped again here
+                replace(heap, key + (((c if c < w else w - 1) + 1) << bits))
+                k += 1
+                key = heap[0]
+            collision_slots += 1
+            collided += k
+            if k == 2 and first == 0:
                 tagged_pair_slots += 1
 
-    collision_slots = tx_slots - success_slots
+    tx_slots = success_slots + collision_slots
+    attempts = success_slots + collided
     idle_slots = slots - tx_slots
     t_s, t_c = frame_times(timings)
     busy_time = success_slots * t_s + collision_slots * t_c

@@ -13,7 +13,7 @@ from dangermac.slotsim import SimStats, run
 G = ChainGeometry(5, 8)
 
 
-# Slot-by-slot reference model: the oracle that ``run``'s calendar queue
+# Slot-by-slot reference model: the oracle that ``run``'s one-heap calendar
 # must replay exactly. It draws one scalar uniform per counter, floored by
 # the window, in station-index order, which is the order ``run`` reads
 # its ``random.Random(seed)`` stream in. Any generator with a scalar
@@ -168,10 +168,29 @@ def test_run_matches_slot_by_slot_reference():
     timings = MacTimings()
     # the tiny windows make most slots collide and pin stations at the top stage
     cases = [(G, 1, 0), (G, 3, 1), (G, 8, 2), (ChainGeometry(2, 2), 8, 3)]
+    # either side of each power of two, where the key's index field widens
+    cases += [(G, n, 4 + i) for i, n in enumerate((2, 4, 7, 9, 16, 17))]
+    # a window that never grows, and a wide one with ten stages
+    cases += [(ChainGeometry(0, 2), 5, 10), (ChainGeometry(10, 8), 9, 11)]
     for g, n, seed in cases:
         fast = run(n, 5000, g, seed, timings)
         slow = _reference_run(n, 5000, g, seed, timings)
         assert fast == slow
+
+
+@pytest.mark.parametrize("n, tx, success, collision, tagged_pairs, attempts", [
+    (5, 22116, 17361, 4755, 1763, 27482),
+    (50, 36606, 18117, 18489, 476, 64092),
+])
+def test_benchmark_stream_is_pinned(n, tx, success, collision, tagged_pairs, attempts):
+    # compare_sim's simulator runs; the small-n replay above cannot see a
+    # change to the stream at n = 50, these counts can
+    slots = 50_000
+    stats = run(n, slots, G, 1)
+    assert (stats.tx_slots, stats.success_slots, stats.collision_slots) == (
+        tx, success, collision)
+    assert round(stats.p_col_tagged_hat * slots) == tagged_pairs
+    assert round(stats.tau_hat * n * slots) == attempts
 
 
 def test_run_deterministic():
@@ -281,8 +300,8 @@ def test_largest_uniform_draws_top_counter(monkeypatch):
 def test_tagged_pair_counted_when_station_zero_is_listed_last(monkeypatch):
     # w0 = 8. Station 0 draws 2 and station 1 draws 0. Station 1 succeeds
     # in slot 0 and draws 4; station 0 succeeds in slot 2 and draws 2. Both
-    # are then due in slot 5, station 1 booked first, so the calendar's
-    # list for slot 5 reads [1, 0].
+    # are then due in slot 5, station 1 booked first; the heap keys sort by
+    # index within a slot, so station 0 still comes out first.
     stats = _run_with_uniforms(monkeypatch, [0.3, 0.0, 0.6, 0.3], 0.99,
                                2, 6, ChainGeometry(3, 8))
     assert (stats.tx_slots, stats.success_slots, stats.collision_slots) == (3, 2, 1)
