@@ -11,9 +11,14 @@ advances one stage (capped) on collision, drawing uniformly over the
 destination window either way.
 
 The per-slot transmission probability ``tau`` is the stationary mass of the
-counter-zero states. ``_stationary_tau`` is its one closed form; the tests
-check it against a power iteration of the explicit transition matrix. The
-model is closed over ``n`` contenders by a bracketed solve of tau = T(tau).
+counter-zero states: one attempt per D slots, T = 1 / D(p_c, p_b), where D
+is the mean number of slots per attempt. D sums each stage's mean
+occupancy per attempt weighted by the share of attempts made from that
+stage; those stage coefficients sum to exactly 1. ``_slots_per_attempt``
+is its one closed form, evaluated by Horner's rule over a per-solve tuple
+of ``(W_i, (W_i - 1) / 2)``; the tests check it against the per-stage
+form and a power iteration of the explicit transition matrix. The model
+is closed over ``n`` contenders by a bracketed solve of tau = T(tau).
 """
 
 from __future__ import annotations
@@ -54,56 +59,64 @@ class FixedPointSolution:
     residual: float
 
 
-def _stationary_tau(p_c: float, p_b: float, g: ChainGeometry) -> tuple[float, float]:
-    """Closed-form ``(tau, b00)`` of the chain at coupling ``(p_c, p_b)``.
+def _stage_terms(g: ChainGeometry) -> tuple[tuple[int, float], ...]:
+    """``(W_i, (W_i - 1) / 2)`` for each stage, top stage first."""
+    stages = []
+    w = g.window(g.max_stage)
+    while w >= g.w0:
+        stages.append((w, (w - 1) / 2))
+        w >>= 1
+    return tuple(stages)
+
+
+def _slots_per_attempt(p_c: float, p_b: float, stages: tuple[tuple[int, float], ...]) -> float:
+    """D(p_c, p_b), the mean number of slots per transmission attempt.
 
     Stage i < max receives collision inflow from stage i-1 only, so its
     transmission state carries p_c**i times b00. The top stage also feeds
     itself on collision, which sums the geometric tail into
-    p_c**m / (1 - p_c); a single-stage chain (max_stage 0) loops every
-    outcome back to stage 0, so its coefficient is 1 regardless of p_c.
-    Every coefficient is multiplied by ``1 - p_c``:
-    ``[p_c**i (1 - p_c)]_{i<m} + [p_c**m]``. The ratios are unchanged, and
-    ``p_c = 1`` becomes a finite limit (only the top stage transmits)
-    instead of a division by zero.
-
-    Within stage i the counter states carry b_{i,0} * (1 - k/W_i) scaled by
-    the busy-loop factor 1 / (1 - p_b/W_i), so the whole stage holds
-    1 + (W_i - 1) / 2 times that factor of its transmission mass. tau is
-    the counter-zero mass over the total, b00 the mass of state (0, 0).
+    p_c**m / (1 - p_c). Scaled by ``1 - p_c``, the stage coefficients are
+    c_i = p_c**i (1 - p_c) below the top and c_m = p_c**m. They sum to
+    exactly 1, as c_i is the share of attempts made from stage i. A
+    stage-i attempt spends k_i = 1 + h_i / (1 - p_b/W_i) slots in its
+    stage: h_i = (W_i - 1) / 2 is the mean counter, and 1 / (1 - p_b/W_i)
+    the busy self-loop's stretch of each counter value. So D = sum c_i k_i,
+    which Horner's rule gives from the top stage down (``stages`` order) as
+    d <- d p_c + (1 - p_c) k_i, starting from d = k_m. At ``p_c = 1`` it is
+    the finite limit k_m (only the top stage transmits) rather than a
+    division by zero; a single stage (max_stage 0) gives k_0 whatever p_c.
     """
-    m = g.max_stage
-    if m == 0:
-        scale, coeffs = 1.0, [1.0]
-    else:
-        scale = 1.0 - p_c
-        coeffs = [p_c**i * scale for i in range(m)] + [p_c**m]
-    total = 0.0
-    for i, c in enumerate(coeffs):
-        w = g.window(i)
-        hold = 1.0 / (1.0 - p_b / w)
-        total += c * (1.0 + hold * (w - 1) / 2.0)
-    return sum(coeffs) / total, scale / total
+    stages = iter(stages)
+    w, h = next(stages)
+    d = 1.0 + h / (1.0 - p_b / w)
+    q = 1.0 - p_c
+    for w, h in stages:
+        d = d * p_c + q * (1.0 + h / (1.0 - p_b / w))
+    return d
 
 
-def _coupled_map(
-    tau: float, n: float, g: ChainGeometry, mode: str,
-) -> tuple[float, float, float, float]:
-    """One step of the fixed-point map: ``(T(tau), p_c, p_b, b00)``.
+def _stationary_tau(
+    p_c: float, p_b: float, stages: tuple[tuple[int, float], ...],
+) -> tuple[float, float]:
+    """Closed-form ``(tau, b00)`` of the chain at coupling ``(p_c, p_b)``.
 
-    The chain of :func:`_stationary_tau`, closed over ``n`` contenders:
-    both the collision and the busy event are "at least one of the other
-    n - 1 stations transmits in the slot", and ``classic`` mode drops the
-    busy feedback (p_b = 0), recovering plain binary exponential backoff.
-    ``n`` may be fractional (a population average); below one contender
-    there is nobody else to collide with. ``1 - (1 - tau)^(n-1)`` rounds to
-    ``p_c = 1`` from about 150 contenders, which the closed form takes as
-    its finite limit.
+    tau, the mass of the counter-zero states, is one attempt per
+    :func:`_slots_per_attempt` slots: 1 / D. Stage-0 attempts are the share
+    ``1 - p_c`` of all attempts (every attempt, for a single stage), so
+    b00, the mass of state (0, 0), is that share over D.
     """
-    p = -math.expm1(max(n - 1.0, 0.0) * math.log1p(-tau))
-    p_b = p if mode == "busy_aware" else 0.0
-    tau_next, b00 = _stationary_tau(p, p_b, g)
-    return tau_next, p, p_b, b00
+    d = _slots_per_attempt(p_c, p_b, stages)
+    return 1.0 / d, (1.0 - p_c if len(stages) > 1 else 1.0) / d
+
+
+def _collision_probability(tau: float, others: float) -> float:
+    """``1 - (1 - tau)**others``: that one of ``others`` stations transmits.
+
+    ``others`` may be fractional (a population average) and is 0 below one
+    contender. The value rounds to 1 from about 150 contenders, which
+    :func:`_slots_per_attempt` takes as its finite limit.
+    """
+    return -math.expm1(others * math.log1p(-tau))
 
 
 # The solve stops once its bracket is this narrow relative to its upper
@@ -114,12 +127,20 @@ _BRACKET_REL_WIDTH = 1e-15
 def solve_fixed_point(n: float, g: ChainGeometry, mode: str = "busy_aware") -> FixedPointSolution:
     """Solve tau = T(tau) for ``n`` contenders by Illinois regula falsi.
 
-    f(tau) = tau - T(tau) is negative at 0, where T = 2 / (w0 + 1), and
-    non-negative at 2 / (w0 + 1), the most T can be, so the root lies in
-    that bracket (exactly at its upper end for n <= 1). Each step replaces
-    one end by the secant point (the midpoint when the secant point is not
-    strictly inside), halving the kept end's f when the same end is kept
-    twice (Dowell & Jarratt, BIT 11, 1971). The solve ends when the
+    T(tau) = 1 / D(p_c, p_b) closes the chain over the population: both
+    the collision and the busy event are "at least one of the other n - 1
+    stations transmits in the slot", p_c = 1 - (1 - tau)^(n-1), and
+    ``classic`` mode drops the busy feedback (p_b = 0), recovering plain
+    binary exponential backoff. The loop evaluates only the float
+    f(tau) = tau - 1/D; ``p_c``, ``p_b`` and ``b00`` are computed once, at
+    the returned tau.
+
+    f(tau) is negative at 0, where T = 2 / (w0 + 1), and non-negative at
+    2 / (w0 + 1), the most T can be, so the root lies in that bracket
+    (exactly at its upper end for n <= 1). Each step replaces one end by
+    the secant point (the midpoint when the secant point is not strictly
+    inside), halving the kept end's f when the same end is kept twice
+    (Dowell & Jarratt, BIT 11, 1971). The solve ends when the
     bracket is a few ulps wide or the midpoint cannot split it, and
     returns the end with the smaller |f|. ``iterations`` counts map
     calls; ``residual`` is |T(tau) - tau| at the returned tau.
@@ -127,12 +148,19 @@ def solve_fixed_point(n: float, g: ChainGeometry, mode: str = "busy_aware") -> F
     """
     if mode not in MODEL_MODES:
         raise ValueError(f"mode must be one of {MODEL_MODES} (got {mode!r})")
-    if n <= 0:
+    if not n > 0:
         raise ValueError(f"n must be > 0 (got {n})")
+    stages = _stage_terms(g)
+    others = max(n - 1.0, 0.0)
+    busy = mode == "busy_aware"
+
+    def f(tau: float) -> float:
+        p_c = _collision_probability(tau, others)
+        return tau - 1.0 / _slots_per_attempt(p_c, p_c if busy else 0.0, stages)
+
     hi = 2.0 / (g.w0 + 1.0)
-    hi_map = _coupled_map(hi, n, g, mode)
-    f_hi = hi - hi_map[0]
-    lo, f_lo, lo_map = 0.0, -hi, None
+    f_hi = f(hi)
+    lo, f_lo = 0.0, -hi
     weight_lo, weight_hi, kept = f_lo, f_hi, None
     calls = 1
     while f_hi > 0.0:
@@ -142,23 +170,21 @@ def solve_fixed_point(n: float, g: ChainGeometry, mode: str = "busy_aware") -> F
         tau = hi - weight_hi * (hi - lo) / (weight_hi - weight_lo)
         if not lo < tau < hi:
             tau = mid
-        out = _coupled_map(tau, n, g, mode)
+        f_tau = f(tau)
         calls += 1
-        f = tau - out[0]
-        if f >= 0.0:
-            hi, f_hi, hi_map, weight_hi = tau, f, out, f
+        if f_tau >= 0.0:
+            hi, f_hi, weight_hi = tau, f_tau, f_tau
             if kept == "lo":
                 weight_lo *= 0.5
             kept = "lo"
         else:
-            lo, f_lo, lo_map, weight_lo = tau, f, out, f
+            lo, f_lo, weight_lo = tau, f_tau, f_tau
             if kept == "hi":
                 weight_hi *= 0.5
             kept = "hi"
-    if lo_map is not None and -f_lo < f_hi:
-        tau, f, (_, p_c, p_b, b00) = lo, f_lo, lo_map
-    else:
-        tau, f, (_, p_c, p_b, b00) = hi, f_hi, hi_map
+    tau, f_tau = (lo, f_lo) if lo > 0.0 and -f_lo < f_hi else (hi, f_hi)
+    p_c = _collision_probability(tau, others)
+    p_b = p_c if busy else 0.0
+    _, b00 = _stationary_tau(p_c, p_b, stages)
     return FixedPointSolution(tau=tau, p_c=p_c, p_b=p_b, b00=b00,
-                              iterations=calls, residual=abs(f))
-
+                              iterations=calls, residual=abs(f_tau))

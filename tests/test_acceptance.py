@@ -12,7 +12,7 @@ import numpy as np
 
 from dangermac.cli import main
 from dangermac.config import MacTimings
-from dangermac.markov import ChainGeometry, _stationary_tau, solve_fixed_point
+from dangermac.markov import ChainGeometry, solve_fixed_point
 from dangermac.metrics import (
     access_probabilities,
     delay_state_probabilities,
@@ -21,7 +21,7 @@ from dangermac.metrics import (
 from dangermac.pipeline import evaluate_point
 from dangermac.scenario import apply_threshold, assess_danger, n_eff_samples, place_vehicles, trial_rng
 from dangermac.slotsim import run as run_sim
-from test_markov import balance_states, oracle_tau_b00
+from test_markov import balance_states, oracle_tau_b00, stationary_tau
 
 GRID_GEOMETRIES = [(1, 2), (2, 4), (3, 8), (5, 8)]
 GRID_PROBS = [0.0, 0.2, 0.5, 0.8]
@@ -50,7 +50,7 @@ def test_c02_closed_form_equals_power_iteration_oracle():
         g = ChainGeometry(m, w0)
         for p_c in GRID_PROBS:
             for p_b in GRID_PROBS:
-                tau, b00 = _stationary_tau(p_c, p_b, g)
+                tau, b00 = stationary_tau(p_c, p_b, g)
                 oracle_tau, oracle_b00 = oracle_tau_b00(p_c, p_b, g)
                 assert abs(tau - oracle_tau) <= 1e-9
                 assert abs(b00 - oracle_b00) <= 1e-9

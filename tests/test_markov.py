@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,9 @@ from hypothesis import strategies as st
 from dangermac.config import MODEL_MODES
 from dangermac.markov import (
     ChainGeometry,
-    _coupled_map,
+    _collision_probability,
+    _slots_per_attempt,
+    _stage_terms,
     _stationary_tau,
     solve_fixed_point,
 )
@@ -15,6 +19,11 @@ GRID_GEOMETRIES = [(1, 2), (2, 4), (3, 8), (5, 8)]
 GRID_PROBS = [0.0, 0.2, 0.5, 0.8]
 # the oracle also checks the saturated limits p_c = 1 and p_b = 1
 ORACLE_PROBS = GRID_PROBS + [1.0]
+
+
+def stationary_tau(p_c: float, p_b: float, g: ChainGeometry) -> tuple[float, float]:
+    """The closed form's ``(tau, b00)`` at coupling ``(p_c, p_b)``."""
+    return _stationary_tau(p_c, p_b, _stage_terms(g))
 
 
 # Reference implementations of the chain, independent of the closed form:
@@ -93,6 +102,27 @@ def oracle_tau_b00(p_c: float, p_b: float, g: ChainGeometry) -> tuple[float, flo
     return float(sum(s[0] for s in stages)), float(stages[0][0])
 
 
+def per_stage_tau_b00(p_c: float, p_b: float, g: ChainGeometry) -> tuple[float, float, float]:
+    """The chain's ``(tau, b00)`` stage by stage, and its coefficient sum.
+
+    Coefficients ``p_c**i (1 - p_c)`` below the top stage and ``p_c**m`` at
+    it (1 for a single stage), each stage weighted by its whole-stage mass
+    1 + (W_i - 1) / 2 / (1 - p_b/W_i); tau = sum(coeffs) / total.
+    """
+    m = g.max_stage
+    if m == 0:
+        scale, coeffs = 1.0, [1.0]
+    else:
+        scale = 1.0 - p_c
+        coeffs = [p_c**i * scale for i in range(m)] + [p_c**m]
+    total = 0.0
+    for i, c in enumerate(coeffs):
+        w = g.window(i)
+        hold = 1.0 / (1.0 - p_b / w)
+        total += c * (1.0 + hold * (w - 1) / 2.0)
+    return sum(coeffs) / total, scale / total, sum(coeffs)
+
+
 def balance_states(p_c: float, p_b: float, g: ChainGeometry) -> list[np.ndarray]:
     """Every state's mass from the closed form's b00 by the balance equations.
 
@@ -100,7 +130,7 @@ def balance_states(p_c: float, p_b: float, g: ChainGeometry) -> list[np.ndarray]
     it (b00 alone for a single stage); b_{i,k} = b_{i,0} (1 - k/W_i) /
     (1 - p_b/W_i) for k >= 1. Needs p_c < 1 and p_b < 1.
     """
-    _, b00 = _stationary_tau(p_c, p_b, g)
+    _, b00 = stationary_tau(p_c, p_b, g)
     m = g.max_stage
     stages = []
     for i in range(m + 1):
@@ -133,7 +163,7 @@ def test_geometry_validation():
 def test_b00_zero_coupling():
     # with no collisions and no busy slots only stage 0 is occupied and its
     # counter masses are 1, (w-1)/w, ..., 1/w, so b00 = 2 / (w0 + 1)
-    _, b00 = _stationary_tau(0.0, 0.0, ChainGeometry(5, 8))
+    _, b00 = stationary_tau(0.0, 0.0, ChainGeometry(5, 8))
     assert b00 == pytest.approx(2 / 9, abs=1e-15)
 
 
@@ -142,7 +172,7 @@ def test_b00_bounds():
     for _ in range(200):
         p_c, p_b = rng.uniform(0, 0.95), rng.uniform(0, 0.95)
         g = ChainGeometry(int(rng.integers(0, 6)), int(2 ** rng.integers(1, 5)))
-        _, b00 = _stationary_tau(p_c, p_b, g)
+        _, b00 = stationary_tau(p_c, p_b, g)
         assert 0.0 < b00 <= 1.0
 
 
@@ -150,7 +180,7 @@ def test_stationary_hand_case():
     # two stages, windows 2 and 4, collisions half the time, never busy:
     # six states solvable by hand from the balance equations
     g = ChainGeometry(1, 2)
-    tau, b00 = _stationary_tau(0.5, 0.0, g)
+    tau, b00 = stationary_tau(0.5, 0.0, g)
     assert tau == pytest.approx(0.5, abs=1e-15)
     assert b00 == pytest.approx(0.25, abs=1e-15)
     expected = {
@@ -164,7 +194,7 @@ def test_stationary_hand_case():
 
 def test_stationary_no_collisions_empties_upper_stages():
     # only stage 0 transmits, so its transmission state is all of tau
-    tau, b00 = _stationary_tau(0.0, 0.3, ChainGeometry(3, 4))
+    tau, b00 = stationary_tau(0.0, 0.3, ChainGeometry(3, 4))
     assert tau == b00
 
 
@@ -176,7 +206,7 @@ def test_normalization_grid():
                 stages = balance_states(p_c, p_b, g)
                 assert sum(s.sum() for s in stages) == pytest.approx(1.0, abs=1e-12)
                 assert all((s >= 0).all() for s in stages)
-                tau, _ = _stationary_tau(p_c, p_b, g)
+                tau, _ = stationary_tau(p_c, p_b, g)
                 assert tau == pytest.approx(sum(s[0] for s in stages), abs=1e-12)
 
 
@@ -185,7 +215,7 @@ def test_closed_form_matches_matrix_oracle():
         g = ChainGeometry(m, w0)
         for p_c in ORACLE_PROBS:
             for p_b in ORACLE_PROBS:
-                tau, b00 = _stationary_tau(p_c, p_b, g)
+                tau, b00 = stationary_tau(p_c, p_b, g)
                 oracle_tau, oracle_b00 = oracle_tau_b00(p_c, p_b, g)
                 assert abs(tau - oracle_tau) <= 1e-9, (m, w0, p_c, p_b)
                 assert abs(b00 - oracle_b00) <= 1e-9, (m, w0, p_c, p_b)
@@ -196,7 +226,7 @@ def test_closed_form_matches_oracle_single_stage():
     g = ChainGeometry(0, 8)
     for p_c in (0.0, 0.5, 1.0):
         for p_b in (0.3, 1.0):
-            tau, b00 = _stationary_tau(p_c, p_b, g)
+            tau, b00 = stationary_tau(p_c, p_b, g)
             oracle_tau, oracle_b00 = oracle_tau_b00(p_c, p_b, g)
             assert abs(tau - oracle_tau) <= 1e-9
             assert abs(b00 - oracle_b00) <= 1e-9
@@ -204,7 +234,7 @@ def test_closed_form_matches_oracle_single_stage():
 
 def test_reference_point_against_oracle():
     g = ChainGeometry(2, 4)
-    tau, b00 = _stationary_tau(0.3, 0.2, g)
+    tau, b00 = stationary_tau(0.3, 0.2, g)
     oracle_tau, oracle_b00 = oracle_tau_b00(0.3, 0.2, g)
     assert abs(b00 - oracle_b00) <= 1e-9
     assert abs(tau - oracle_tau) <= 1e-9
@@ -213,6 +243,26 @@ def test_reference_point_against_oracle():
     stage_masses = [1 + 1.5 / 0.95, 0.3 * (1 + 3.5 / 0.975),
                     0.09 / 0.7 * (1 + 7.5 / 0.9875)]
     assert b00 == pytest.approx(1 / sum(stage_masses), rel=1e-14)
+
+
+# Horner's rule and the per-stage sum round differently: a few ulps apart.
+PER_STAGE_REL_TOL = 4e-15
+
+
+def test_closed_form_matches_per_stage_reference():
+    rng = random.Random(11)
+    corners = [(p_c, p_b) for p_c in (0.0, 1.0) for p_b in (0.0, 1.0)]
+    for w0 in (2, 8, 1024):
+        for max_stage in range(33):
+            g = ChainGeometry(max_stage, w0)
+            interior = [(rng.random(), rng.random()) for _ in range(20)]
+            for p_c, p_b in corners + interior:
+                tau, b00 = stationary_tau(p_c, p_b, g)
+                ref_tau, ref_b00, coeff_sum = per_stage_tau_b00(p_c, p_b, g)
+                case = (w0, max_stage, p_c, p_b)
+                assert coeff_sum == pytest.approx(1.0, rel=0, abs=1e-15), case
+                assert tau == pytest.approx(ref_tau, rel=PER_STAGE_REL_TOL, abs=0), case
+                assert b00 == pytest.approx(ref_b00, rel=PER_STAGE_REL_TOL, abs=0), case
 
 
 def test_matrix_is_row_stochastic():
@@ -246,12 +296,12 @@ def test_oracle_fixed_point_residual():
 
 def test_tau_zero_coupling_reduction():
     for w0 in (2, 4, 8, 16):
-        tau, _ = _stationary_tau(0.0, 0.0, ChainGeometry(5, w0))
+        tau, _ = stationary_tau(0.0, 0.0, ChainGeometry(5, w0))
         assert tau == pytest.approx(2 / (w0 + 1), abs=1e-14)
 
 
 def test_tau_single_stage():
-    tau, b00 = _stationary_tau(0.4, 0.1, ChainGeometry(0, 8))
+    tau, b00 = stationary_tau(0.4, 0.1, ChainGeometry(0, 8))
     assert tau == pytest.approx(b00, abs=1e-15)
 
 
@@ -319,11 +369,20 @@ def test_fixed_point_rejects_unknown_mode():
         solve_fixed_point(5, ChainGeometry(5, 8), "bogus")
 
 
+@pytest.mark.parametrize("n", [0, -1.5, float("nan"), float("-inf")])
+def test_fixed_point_rejects_non_positive_population(n):
+    with pytest.raises(ValueError, match="n must be > 0"):
+        solve_fixed_point(n, ChainGeometry(5, 8))
+
+
 def _bisection_root(n, g, mode):
     """tau = T(tau) by plain bisection on [0, 2 / (w0 + 1)], run until the
     midpoint stops moving; the end with the smaller |tau - T(tau)|."""
+    stages = _stage_terms(g)
+
     def f(tau):
-        return tau - _coupled_map(tau, n, g, mode)[0]
+        p_c = _collision_probability(tau, max(n - 1.0, 0.0))
+        return tau - 1.0 / _slots_per_attempt(p_c, p_c if mode == "busy_aware" else 0.0, stages)
 
     lo, hi = 0.0, 2.0 / (g.w0 + 1.0)
     if f(hi) <= 0:
@@ -379,6 +438,6 @@ def test_fixed_point_matches_stationary_distribution():
             solution = solve_fixed_point(n, g, mode)
             assert solution.p_c == pytest.approx(1 - (1 - solution.tau) ** (n - 1), rel=1e-12)
             assert solution.p_b == (solution.p_c if mode == "busy_aware" else 0.0)
-            tau, b00 = _stationary_tau(solution.p_c, solution.p_b, g)
+            tau, b00 = stationary_tau(solution.p_c, solution.p_b, g)
             assert solution.b00 == pytest.approx(b00, rel=1e-12)
             assert solution.tau == pytest.approx(tau, rel=1e-12)
