@@ -31,7 +31,6 @@ from .metrics import (
 )
 from .pipeline import PerfReport, evaluate_point, evaluate_points, geometry_from, metric_value
 from .scenario import (
-    FilterOutcome,
     apply_threshold,
     assess_danger,
     expected_n_eff,
@@ -41,11 +40,11 @@ from .scenario import (
 )
 from .slotsim import SimStats, run
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "AccessProbabilities", "ChainGeometry", "ConfigError", "DelayBreakdown",
-    "DelayStates", "FilterOutcome", "FixedPointSolution", "MacTimings",
+    "DelayStates", "FixedPointSolution", "MacTimings",
     "PerfReport", "ScenarioConfig", "SimStats", "access_probabilities",
     "apply_threshold", "assess_danger", "config_to_dict",
     "delay_state_probabilities", "evaluate_point", "evaluate_points",

@@ -254,10 +254,9 @@ def cmd_scenario(args) -> int:
     thresholds = _parse_numbers(args.thresholds, float, "--thresholds")
     samples = n_eff_samples(cfg.n_vehicles, cfg.road_length_m, thresholds,
                             cfg.trials, cfg.rng_seed, cfg.danger_metric)
-    rows = []
-    for trial in range(cfg.trials):
-        for j, threshold in enumerate(thresholds):
-            rows.append([trial, threshold, int(samples[trial, j])])
+    rows = [[trial, threshold, count]
+            for trial, counts in enumerate(samples)
+            for threshold, count in zip(thresholds, counts)]
     _emit(args, "scenario.csv", _csv_text(_SCENARIO_COLUMNS, rows))
     return 0
 

@@ -54,7 +54,6 @@ class FixedPointSolution:
     tau: float
     p_c: float
     p_b: float
-    b00: float
     iterations: int
     residual: float
 
@@ -95,20 +94,6 @@ def _slots_per_attempt(p_c: float, p_b: float, stages: tuple[tuple[int, float], 
     return d
 
 
-def _stationary_tau(
-    p_c: float, p_b: float, stages: tuple[tuple[int, float], ...],
-) -> tuple[float, float]:
-    """Closed-form ``(tau, b00)`` of the chain at coupling ``(p_c, p_b)``.
-
-    tau, the mass of the counter-zero states, is one attempt per
-    :func:`_slots_per_attempt` slots: 1 / D. Stage-0 attempts are the share
-    ``1 - p_c`` of all attempts (every attempt, for a single stage), so
-    b00, the mass of state (0, 0), is that share over D.
-    """
-    d = _slots_per_attempt(p_c, p_b, stages)
-    return 1.0 / d, (1.0 - p_c if len(stages) > 1 else 1.0) / d
-
-
 def _collision_probability(tau: float, others: float) -> float:
     """``1 - (1 - tau)**others``: that one of ``others`` stations transmits.
 
@@ -132,8 +117,8 @@ def solve_fixed_point(n: float, g: ChainGeometry, mode: str = "busy_aware") -> F
     stations transmits in the slot", p_c = 1 - (1 - tau)^(n-1), and
     ``classic`` mode drops the busy feedback (p_b = 0), recovering plain
     binary exponential backoff. The loop evaluates only the float
-    f(tau) = tau - 1/D; ``p_c``, ``p_b`` and ``b00`` are computed once, at
-    the returned tau.
+    f(tau) = tau - 1/D; ``p_c`` and ``p_b`` are computed once, at the
+    returned tau.
 
     f(tau) is negative at 0, where T = 2 / (w0 + 1), and non-negative at
     2 / (w0 + 1), the most T can be, so the root lies in that bracket
@@ -184,7 +169,5 @@ def solve_fixed_point(n: float, g: ChainGeometry, mode: str = "busy_aware") -> F
             kept = "hi"
     tau, f_tau = (lo, f_lo) if lo > 0.0 and -f_lo < f_hi else (hi, f_hi)
     p_c = _collision_probability(tau, others)
-    p_b = p_c if busy else 0.0
-    _, b00 = _stationary_tau(p_c, p_b, stages)
-    return FixedPointSolution(tau=tau, p_c=p_c, p_b=p_b, b00=b00,
+    return FixedPointSolution(tau=tau, p_c=p_c, p_b=p_c if busy else 0.0,
                               iterations=calls, residual=abs(f_tau))

@@ -7,43 +7,45 @@ opportunity only when that distance falls strictly below the threshold.
 Trials draw their random stream from (seed, trial index), so results do
 not depend on evaluation order. The mean granted count, which is all the
 analytic chain consumes, has a closed form and needs no trials at all.
-Only the sampling functions import numpy, inside their bodies, so the
-analytic path and the command line start without it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from bisect import bisect_left
+from random import Random
 
 from .config import ScenarioConfig
 
 
-@dataclass(frozen=True)
-class FilterOutcome:
-    grants: np.ndarray  # bool per vehicle
-    n_eff: int
+def trial_rng(seed: int, trial: int) -> Random:
+    """Independent per-trial stream; order-insensitive across trials.
+
+    The stream is seeded from the text ``"seed,trial"``, so every pair of
+    integers, negative ones included, gets its own stream.
+    """
+    return Random(f"{seed},{trial}")
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent per-trial stream; order-insensitive across trials."""
-    import numpy as np
-
-    return np.random.default_rng([seed, trial])
-
-
-def place_vehicles(n: int, road_length_m: float, rng: np.random.Generator) -> np.ndarray:
+def place_vehicles(n: int, road_length_m: float, rng: Random) -> list[float]:
     """n independent uniform positions on [0, road_length], sorted ascending."""
     if n < 1:
         raise ValueError(f"n must be >= 1 (got {n})")
+    if n > sys.maxsize:  # the position list could not be built
+        raise ValueError(f"n must be <= {sys.maxsize}")
     if road_length_m <= 0:
         raise ValueError(f"road_length_m must be > 0 (got {road_length_m})")
-    positions = rng.uniform(0.0, road_length_m, size=n)
+    # allocated whole, so a placement too large for memory fails at once
+    positions = [0.0] * n
+    draw = rng.random
+    for i in range(n):
+        positions[i] = draw() * road_length_m
     positions.sort()
     return positions
 
 
-def assess_danger(positions: np.ndarray, metric: str = "min_gap") -> np.ndarray:
+def assess_danger(positions: list[float], metric: str = "min_gap") -> list[float]:
     """Danger distance per vehicle from a sorted placement.
 
     ``min_gap``: minimum of the gaps to the preceding and subsequent
@@ -53,29 +55,28 @@ def assess_danger(positions: np.ndarray, metric: str = "min_gap") -> np.ndarray:
     ``front_gap_only``: gap to the next vehicle up the road only; the last
     vehicle has no one ahead and gets +inf.
     """
-    import numpy as np
-
-    n = len(positions)
-    if n == 1:
-        return np.array([math.inf])
-    gaps = np.diff(positions)
+    gaps = [b - a for a, b in zip(positions, positions[1:])]
     if metric == "front_gap_only":
-        return np.append(gaps, math.inf)
+        return gaps + [math.inf]
     if metric != "min_gap":
         raise ValueError(f"unknown danger metric: {metric!r}")
-    danger = np.empty(n)
-    danger[0] = gaps[0]
-    danger[-1] = gaps[-1]
-    danger[1:-1] = np.minimum(gaps[:-1], gaps[1:])
-    return danger
+    # a road end is an infinite gap
+    return [a if a < b else b for a, b in zip([math.inf, *gaps], [*gaps, math.inf])]
 
 
-def apply_threshold(danger: np.ndarray, threshold_m: float) -> FilterOutcome:
-    """Grant transmission to vehicles strictly inside the danger threshold."""
-    if not threshold_m >= 0:  # also rejects NaN
-        raise ValueError(f"threshold_m must be >= 0 (got {threshold_m})")
-    grants = danger < threshold_m
-    return FilterOutcome(grants=grants, n_eff=int(grants.sum()))
+def apply_threshold(danger: list[float], thresholds: list[float]) -> list[int]:
+    """Granted count per threshold: the vehicles strictly inside it.
+
+    The distances are sorted once; each count is then the number of
+    distances strictly below the threshold, found by bisection.
+    """
+    ordered = sorted(danger)
+    counts = []
+    for threshold_m in thresholds:
+        if not threshold_m >= 0:  # also rejects NaN
+            raise ValueError(f"threshold_m must be >= 0 (got {threshold_m})")
+        counts.append(bisect_left(ordered, threshold_m))
+    return counts
 
 
 def n_eff_samples(
@@ -85,22 +86,21 @@ def n_eff_samples(
     trials: int,
     seed: int,
     metric: str = "min_gap",
-) -> np.ndarray:
-    """Granted-contender counts, shape (trials, len(thresholds)).
+) -> list[list[int]]:
+    """Granted-contender counts, one list of ``len(thresholds)`` per trial.
 
     All thresholds are evaluated on the same placement within a trial, so
     per-trial counts are exactly nondecreasing along increasing thresholds.
     """
-    import numpy as np
-
     if trials < 1:
         raise ValueError(f"trials must be >= 1 (got {trials})")
-    out = np.empty((trials, len(thresholds)), dtype=np.int64)
+    if trials > sys.maxsize:  # the result list could not be built
+        raise ValueError(f"trials must be <= {sys.maxsize}")
+    # allocated whole, so a run too large for memory fails at once
+    out = [None] * trials
     for trial in range(trials):
         positions = place_vehicles(n, road_length_m, trial_rng(seed, trial))
-        danger = assess_danger(positions, metric)
-        for j, threshold in enumerate(thresholds):
-            out[trial, j] = apply_threshold(danger, threshold).n_eff
+        out[trial] = apply_threshold(assess_danger(positions, metric), thresholds)
     return out
 
 

@@ -115,14 +115,14 @@ def test_c07_filter_properties_over_random_placements():
     thresholds = [0.0, 300.0, 500.0, 700.0, 1000.0]
     for trial in range(10_000):
         danger = assess_danger(place_vehicles(50, 1000.0, trial_rng(77, trial)))
-        previous = None
-        outcomes = [apply_threshold(danger, threshold) for threshold in thresholds]
-        for outcome in outcomes:
-            if previous is not None:
-                assert (previous.grants <= outcome.grants).all()
-            previous = outcome
-        assert outcomes[0].n_eff == 0       # zero threshold grants nobody
-        assert outcomes[-1].n_eff == 50     # road-length threshold grants all
+        grants = [{i for i, d in enumerate(danger) if d < threshold}
+                  for threshold in thresholds]
+        for smaller, larger in zip(grants, grants[1:]):
+            assert smaller <= larger
+        counts = apply_threshold(danger, thresholds)
+        assert counts == [len(g) for g in grants]
+        assert counts[0] == 0       # zero threshold grants nobody
+        assert counts[-1] == 50     # road-length threshold grants all
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
     _report(7, "grant monotonicity and extreme thresholds on 10^4 placements", started)
@@ -134,9 +134,10 @@ def test_c08_threshold_trends_match_reported_orderings():
     thresholds = [300.0, 500.0, 700.0]
     trials = 1000
     # a lone vehicle has no neighbour inside any threshold, so the filtered
-    # network is idle at one vehicle; the orderings are meaningful from two up
+    # network is idle at one vehicle; at the mean granted count the orderings
+    # hold from two up (averaged over placements they hold from four, README)
     for x in (2, 5, 10, 15, 25, 35, 50):
-        samples = n_eff_samples(x, 1000.0, thresholds, trials, seed=31)
+        samples = np.asarray(n_eff_samples(x, 1000.0, thresholds, trials, seed=31))
         means = [float(samples[:, j].mean()) for j in range(3)] + [float(x)]
         assert all(a <= b for a, b in zip(means, means[1:]))
         reports = [evaluate_point(timings, mean, "busy_aware", "slot_scaled")

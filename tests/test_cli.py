@@ -329,21 +329,30 @@ def run_fresh(*argv):
     ["point"],
     ["sweep"],
     ["compare", "--n-list", "5", "--slots", "2000"],
-], ids=["point", "sweep", "compare"])
-def test_analytic_commands_start_without_numpy(argv):
+    ["scenario", "--trials", "20"],
+], ids=["point", "sweep", "compare", "scenario"])
+def test_analytic_commands_start_without_numpy(capsys, argv):
+    # no command loads numpy, and the fresh interpreter writes the same
+    # bytes as this one, where the tests have loaded it
     code, out, numpy_loaded = run_fresh(*argv)
     assert code == 0
     assert out.count("\n") >= 2  # header and at least one row
     assert not numpy_loaded
+    assert run_cli(capsys, *argv) == (0, out, "")
 
 
-def test_scenario_loads_numpy_and_writes_the_same_bytes(capsys):
-    # the fresh interpreter imports numpy on the first sample; this one has
-    # it already
-    code, out, numpy_loaded = run_fresh("scenario", "--trials", "20")
-    assert code == 0
-    assert numpy_loaded
-    assert run_cli(capsys, "scenario", "--trials", "20") == (0, out, "")
+# Every count of these rows is pinned, so a change to the sampler's stream
+# (its seeding, draw order or scaling) shows here. The thresholds are small
+# enough that the counts differ between trials.
+@pytest.mark.parametrize("metric, rows", [
+    ("min_gap", "0,5,18 0,10,29 0,20,39 1,5,22 1,10,34 1,20,47 2,5,19 2,10,26 2,20,42"),
+    ("front_gap_only", "0,5,11 0,10,18 0,20,27 1,5,12 1,10,20 1,20,35 2,5,11 2,10,16 2,20,33"),
+])
+def test_scenario_stream_is_pinned(capsys, metric, rows):
+    code, out, err = run_cli(capsys, "scenario", "--trials", "3", "--seed", "1",
+                             "--thresholds", "5,10,20", "--danger-metric", metric)
+    assert (code, err) == (0, "")
+    assert out == "trial,threshold_m,n_eff\n" + rows.replace(" ", "\n") + "\n"
 
 
 def test_point_solves_deep_backoff_stages(capsys):
@@ -422,6 +431,29 @@ def test_allocation_too_large_exits_one(capsys, monkeypatch, message):
     assert code == 1
     assert out == ""
     assert err == f"error: {message or 'not enough memory'}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--trials", "100000000000", "--thresholds", "1"], "not enough memory"),
+    (["--n-vehicles", "1000000000000", "--trials", "1"], "not enough memory"),
+    (["--trials", str(10**20), "--thresholds", "1"], f"trials must be <= {sys.maxsize}"),
+    (["--n-vehicles", str(10**20), "--trials", "1"], f"n must be <= {sys.maxsize}"),
+], ids=["trials", "n-vehicles", "trials-past-index", "n-vehicles-past-index"])
+def test_sampler_too_large_for_memory_exits_one(argv, message):
+    # the sampler allocates its result and position lists whole, so under a
+    # capped address space the run fails at once, with a message and no
+    # traceback; the cap is set in the child only
+    resource = pytest.importorskip("resource")
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run([sys.executable, "-m", "dangermac", "scenario", *argv],
+                            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                            text=True, timeout=60, preexec_fn=cap_address_space)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == f"error: {message}\n"
 
 
 def test_compare_rejects_negative_seed(capsys):

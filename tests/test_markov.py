@@ -11,7 +11,6 @@ from dangermac.markov import (
     _collision_probability,
     _slots_per_attempt,
     _stage_terms,
-    _stationary_tau,
     solve_fixed_point,
 )
 
@@ -22,8 +21,15 @@ ORACLE_PROBS = GRID_PROBS + [1.0]
 
 
 def stationary_tau(p_c: float, p_b: float, g: ChainGeometry) -> tuple[float, float]:
-    """The closed form's ``(tau, b00)`` at coupling ``(p_c, p_b)``."""
-    return _stationary_tau(p_c, p_b, _stage_terms(g))
+    """The closed form's ``(tau, b00)`` at coupling ``(p_c, p_b)``.
+
+    tau, the mass of the counter-zero states, is one attempt per
+    ``_slots_per_attempt`` slots: 1 / D. Stage-0 attempts are the share
+    ``1 - p_c`` of all attempts (every attempt, for a single stage), so
+    b00, the mass of state (0, 0), is that share over D.
+    """
+    d = _slots_per_attempt(p_c, p_b, _stage_terms(g))
+    return 1.0 / d, (1.0 - p_c if g.max_stage > 0 else 1.0) / d
 
 
 # Reference implementations of the chain, independent of the closed form:
@@ -324,8 +330,8 @@ def test_fixed_point_deterministic():
     g = ChainGeometry(5, 8)
     a = solve_fixed_point(37, g, "busy_aware")
     b = solve_fixed_point(37, g, "busy_aware")
-    assert (a.tau, a.p_c, a.p_b, a.b00, a.iterations, a.residual) == \
-           (b.tau, b.p_c, b.p_b, b.b00, b.iterations, b.residual)
+    assert (a.tau, a.p_c, a.p_b, a.iterations, a.residual) == \
+           (b.tau, b.p_c, b.p_b, b.iterations, b.residual)
 
 
 def test_fixed_point_residual_below_tolerance():
@@ -361,7 +367,6 @@ def test_fixed_point_saturated_limit():
     assert busy.tau == pytest.approx(1 / 129, rel=1e-12)
     assert classic.p_c == busy.p_c == busy.p_b == 1.0
     assert classic.p_b == 0.0
-    assert busy.b00 == 0.0
 
 
 def test_fixed_point_rejects_unknown_mode():
@@ -431,13 +436,12 @@ def test_fixed_point_property(n, g, mode):
 
 def test_fixed_point_matches_stationary_distribution():
     # p_c = 1 - (1 - tau)^(n-1), p_b = p_c busy-aware and 0 classic, and
-    # b00 and tau are those of the closed-form chain at (p_c, p_b)
+    # tau is that of the closed-form chain at (p_c, p_b)
     g = ChainGeometry(5, 8)
     for n in (2, 50, 149):
         for mode in ("busy_aware", "classic"):
             solution = solve_fixed_point(n, g, mode)
             assert solution.p_c == pytest.approx(1 - (1 - solution.tau) ** (n - 1), rel=1e-12)
             assert solution.p_b == (solution.p_c if mode == "busy_aware" else 0.0)
-            tau, b00 = stationary_tau(solution.p_c, solution.p_b, g)
-            assert solution.b00 == pytest.approx(b00, rel=1e-12)
+            tau, _ = stationary_tau(solution.p_c, solution.p_b, g)
             assert solution.tau == pytest.approx(tau, rel=1e-12)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -18,43 +19,41 @@ from dangermac.scenario import (
 def test_place_vehicles_sorted_in_range():
     positions = place_vehicles(50, 1000.0, trial_rng(42, 0))
     assert len(positions) == 50
-    assert (positions >= 0).all() and (positions <= 1000).all()
-    assert (np.diff(positions) >= 0).all()
+    assert all(0 <= x <= 1000 for x in positions)
+    assert positions == sorted(positions)
 
 
 def test_place_vehicles_deterministic():
     a = place_vehicles(50, 1000.0, trial_rng(42, 3))
     b = place_vehicles(50, 1000.0, trial_rng(42, 3))
-    assert (a == b).all()
+    assert a == b
     c = place_vehicles(50, 1000.0, trial_rng(42, 4))
-    assert not (a == c).all()
+    assert a != c
+    assert place_vehicles(50, 1000.0, trial_rng(-42, 3)) != a
 
 
 def test_place_single_vehicle():
     positions = place_vehicles(1, 500.0, trial_rng(1, 0))
-    assert positions.shape == (1,)
+    assert len(positions) == 1
     assert 0 <= positions[0] <= 500
 
 
 def test_assess_danger_hand_case():
-    danger = assess_danger(np.array([0.0, 100.0, 900.0]))
-    assert list(danger) == [100.0, 100.0, 800.0]
+    assert assess_danger([0.0, 100.0, 900.0]) == [100.0, 100.0, 800.0]
 
 
 def test_assess_danger_equal_spacing():
-    positions = np.arange(0.0, 1000.0, 100.0)
-    assert (assess_danger(positions) == 100.0).all()
+    positions = [100.0 * i for i in range(10)]
+    assert assess_danger(positions) == [100.0] * 10
 
 
 def test_assess_danger_single_vehicle_never_dangerous():
-    assert assess_danger(np.array([400.0]))[0] == math.inf
+    assert assess_danger([400.0]) == [math.inf]
 
 
 def test_assess_danger_front_gap_only():
-    danger = assess_danger(np.array([0.0, 100.0, 900.0]), "front_gap_only")
-    assert danger[0] == 100.0
-    assert danger[1] == 800.0
-    assert danger[2] == math.inf
+    danger = assess_danger([0.0, 100.0, 900.0], "front_gap_only")
+    assert danger == [100.0, 800.0, math.inf]
 
 
 def test_assess_danger_matches_all_pairs_oracle():
@@ -73,60 +72,65 @@ def test_assess_danger_matches_all_pairs_oracle():
 def test_assess_danger_neighbour_consistency():
     positions = place_vehicles(30, 1000.0, trial_rng(5, 1))
     danger = assess_danger(positions)
-    gaps = np.diff(positions)
+    gaps = [b - a for a, b in zip(positions, positions[1:])]
     for i, gap in enumerate(gaps):
         assert danger[i] <= gap + 1e-12
         assert danger[i + 1] <= gap + 1e-12
 
 
+def granted(danger, threshold):
+    """Indices of the vehicles strictly inside the threshold, one by one."""
+    return {i for i, distance in enumerate(danger) if distance < threshold}
+
+
 def test_apply_threshold_hand_case():
-    outcome = apply_threshold(np.array([100.0, 100.0, 800.0]), 300.0)
-    assert list(outcome.grants) == [True, True, False]
-    assert outcome.n_eff == 2
+    danger = [100.0, 100.0, 800.0]
+    assert apply_threshold(danger, [300.0]) == [2]
+    assert apply_threshold(danger, [0.0, 100.0, 300.0, 800.0, 801.0]) == [0, 0, 2, 2, 3]
+    assert apply_threshold([800.0, 100.0, 100.0], [300.0]) == [2]  # any order
 
 
 def test_apply_threshold_boundary_is_strict():
-    outcome = apply_threshold(np.array([300.0, 299.999]), 300.0)
-    assert list(outcome.grants) == [False, True]
+    assert apply_threshold([300.0, 299.999], [300.0]) == [1]
+    assert apply_threshold([300.0, 299.999], [math.nextafter(300.0, math.inf)]) == [2]
 
 
 def test_apply_threshold_extremes():
     danger = assess_danger(place_vehicles(50, 1000.0, trial_rng(3, 0)))
-    assert apply_threshold(danger, 0.0).n_eff == 0
-    assert apply_threshold(danger, 1500.0).n_eff == 50
-    with pytest.raises(ValueError):
-        apply_threshold(danger, -1.0)
+    assert apply_threshold(danger, [0.0]) == [0]
+    assert apply_threshold(danger, [1500.0]) == [50]
+    assert apply_threshold(danger, []) == []
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="threshold_m must be >= 0"):
+            apply_threshold(danger, [300.0, bad])
 
 
 def test_grants_monotone_in_threshold():
+    thresholds = [0.0, 50.0, 150.0, 400.0, 1000.0]
     for trial in range(50):
         danger = assess_danger(place_vehicles(40, 1000.0, trial_rng(11, trial)))
-        previous = None
-        for threshold in (0.0, 50.0, 150.0, 400.0, 1000.0):
-            outcome = apply_threshold(danger, threshold)
-            if previous is not None:
-                assert (previous <= outcome.grants).all()  # subset property
-            previous = outcome.grants
+        grants = [granted(danger, threshold) for threshold in thresholds]
+        for smaller, larger in zip(grants, grants[1:]):
+            assert smaller <= larger  # subset property
+        assert apply_threshold(danger, thresholds) == [len(g) for g in grants]
 
 
 def test_grants_monotone_in_density():
     # adding a vehicle can only shrink danger distances of the others
     for trial in range(20):
         positions = place_vehicles(20, 1000.0, trial_rng(13, trial))
-        extra = float(place_vehicles(1, 1000.0, trial_rng(17, trial))[0])
-        grown = np.sort(np.append(positions, extra))
+        extra = place_vehicles(1, 1000.0, trial_rng(17, trial))[0]
+        grown = sorted(positions + [extra])
         danger_before = assess_danger(positions)
         danger_after_all = assess_danger(grown)
-        keep = np.searchsorted(grown, positions)
-        danger_after = danger_after_all[keep]
-        assert (danger_after <= danger_before + 1e-12).all()
-        before = apply_threshold(danger_before, 200.0).grants
-        after = apply_threshold(danger_after, 200.0).grants
-        assert (before <= after).all()
+        danger_after = [danger_after_all[bisect_left(grown, x)] for x in positions]
+        assert all(a <= b + 1e-12 for a, b in zip(danger_after, danger_before))
+        assert granted(danger_before, 200.0) <= granted(danger_after, 200.0)
+        assert apply_threshold(danger_before, [200.0]) <= apply_threshold(danger_after, [200.0])
 
 
 def test_n_eff_samples_shapes_and_bounds():
-    samples = n_eff_samples(50, 1000.0, [0.0, 300.0, 1500.0], trials=100, seed=2)
+    samples = np.asarray(n_eff_samples(50, 1000.0, [0.0, 300.0, 1500.0], trials=100, seed=2))
     assert samples.shape == (100, 3)
     assert (samples[:, 0] == 0).all()
     assert (samples[:, 2] == 50).all()
@@ -163,8 +167,8 @@ def test_expected_n_eff_matches_monte_carlo(n, metric):
     # exact mean falls short by up to 2e-5 (n = 20, d = L/2), so the bound
     # adds 1/trials, the smallest step a mean of integer counts can take
     trials = 3000
-    samples = n_eff_samples(n, 1000.0, CLOSED_FORM_THRESHOLDS, trials,
-                            seed=2024, metric=metric)
+    samples = np.asarray(n_eff_samples(n, 1000.0, CLOSED_FORM_THRESHOLDS, trials,
+                                       seed=2024, metric=metric))
     cfg = ScenarioConfig(n_vehicles=n, road_length_m=1000.0, danger_metric=metric)
     exact = np.array(expected_n_eff(cfg, CLOSED_FORM_THRESHOLDS))
     sem = samples.std(axis=0) / math.sqrt(trials)
@@ -217,8 +221,8 @@ def test_expected_n_eff_matches_independent_reimplementation():
 
 def test_trials_order_independent():
     all_at_once = n_eff_samples(30, 1000.0, [100.0], trials=20, seed=5)
-    reversed_order = np.array([
-        n_eff_samples(30, 1000.0, [100.0], trials=trial + 1, seed=5)[trial, 0]
+    reversed_order = [
+        n_eff_samples(30, 1000.0, [100.0], trials=trial + 1, seed=5)[trial]
         for trial in reversed(range(20))
-    ])[::-1]
-    assert (all_at_once[:, 0] == reversed_order).all()
+    ][::-1]
+    assert all_at_once == reversed_order
