@@ -28,8 +28,7 @@ from .pipeline import REPORT_COLUMNS, SWEEP_METRICS, evaluate_points, geometry_f
 from .scenario import expected_n_eff, n_eff_samples
 from .slotsim import run as run_sim
 
-_POINT_COLUMNS = ["n_vehicles", "threshold_m", *REPORT_COLUMNS,
-                  "model_mode", "throughput_mode"]
+_POINT_COLUMNS = ["n_vehicles", "threshold_m", *REPORT_COLUMNS, "model_mode"]
 _SWEEP_COLUMNS = ["x"] + _POINT_COLUMNS[1:]
 _SIM_COLUMNS = ["sim_tau", "sim_p_su", "sim_payload_fraction"]
 _SCENARIO_COLUMNS = ["trial", "threshold_m", "n_eff"]
@@ -130,9 +129,9 @@ def cmd_point(args) -> int:
     else:
         label = _fmt(cfg.threshold_m)
         n_eff = expected_n_eff(cfg)[0]
-    [report] = evaluate_points(timings, [n_eff], cfg.model_mode, cfg.throughput_mode)
+    [report] = evaluate_points(timings, [n_eff], cfg.model_mode)
     row = [cfg.n_vehicles, label, *[get(report) for get in REPORT_COLUMNS.values()],
-           cfg.model_mode, cfg.throughput_mode]
+           cfg.model_mode]
     _emit(args, "point.csv", _csv_text(_POINT_COLUMNS, [row]))
     return 0
 
@@ -171,10 +170,10 @@ def cmd_sweep(args) -> int:
         labels = [label for x in xs for label in (_fmt(x), "benchmark")]
         n_effs = [n for mean in expected_n_eff(cfg, xs)
                   for n in (mean, float(cfg.n_vehicles))]
-    reports = evaluate_points(timings, n_effs, cfg.model_mode, cfg.throughput_mode)
+    reports = evaluate_points(timings, n_effs, cfg.model_mode)
     width = len(curves)
     rows = [[xs[i // width], label, *[get(report) for get in REPORT_COLUMNS.values()],
-             cfg.model_mode, cfg.throughput_mode]
+             cfg.model_mode]
             for i, (label, report) in enumerate(zip(labels, reports))]
 
     header = list(_SWEEP_COLUMNS)
@@ -230,8 +229,8 @@ def cmd_compare(args) -> int:
     counts = [float(n) for n in n_list]
     rows = []
     for n, classic, busy in zip(n_list,
-                                evaluate_points(timings, counts, "classic", "slot_scaled"),
-                                evaluate_points(timings, counts, "busy_aware", "slot_scaled")):
+                                evaluate_points(timings, counts, "classic"),
+                                evaluate_points(timings, counts, "busy_aware")):
         for seed in seeds:
             sim = run_sim(n, args.slots, geometry, seed, timings)
             sim_col_frac = (sim.collision_slots / sim.tx_slots

@@ -1,8 +1,8 @@
 """MAC/PHY timing and road-scenario configuration.
 
 All durations are microseconds, all road lengths are meters, and the data
-rate is Mb/s (equivalently bits per microsecond). Configs are immutable
-after loading and safe to share across workers.
+rate is Mb/s (equivalently bits per microsecond). Configs are frozen
+dataclasses.
 """
 
 from __future__ import annotations
@@ -13,11 +13,9 @@ import sys
 from dataclasses import Field, asdict, dataclass, fields
 
 MODEL_MODES = ("busy_aware", "classic")
-THROUGHPUT_MODES = ("slot_scaled", "unscaled")
 DANGER_METRICS = ("min_gap", "front_gap_only")
 # the allowed values of each string key
-CHOICES = {"model_mode": MODEL_MODES, "throughput_mode": THROUGHPUT_MODES,
-           "danger_metric": DANGER_METRICS}
+CHOICES = {"model_mode": MODEL_MODES, "danger_metric": DANGER_METRICS}
 
 
 class ConfigError(ValueError):
@@ -69,6 +67,8 @@ class ScenarioConfig:
 
     ``threshold_m`` is the danger-distance cutoff; ``None`` disables the
     transmit filter entirely (benchmark behaviour, every vehicle contends).
+    ``trials`` sizes only the ``scenario`` command; ``point`` and ``sweep``
+    use the exact expected contender count and sample no placements.
     """
 
     n_vehicles: int = 50
@@ -77,7 +77,6 @@ class ScenarioConfig:
     trials: int = 1000
     rng_seed: int = 1
     model_mode: str = "busy_aware"
-    throughput_mode: str = "slot_scaled"
     danger_metric: str = "min_gap"
 
 

@@ -6,15 +6,16 @@ five-way slot-state probabilities seen by a tagged station, and the
 aggregate delay decomposition over an observation window.
 
 ``n`` is the number of contending stations. It may be fractional when it
-comes from a Monte Carlo average of filtered contender counts; the
-formulas extend smoothly, with delivery ratios clamped into [0, 1].
+is the exact expected number of granted contenders
+(``scenario.expected_n_eff``); the formulas extend smoothly, with
+delivery ratios clamped into [0, 1].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import THROUGHPUT_MODES, MacTimings
+from .config import MacTimings
 
 
 @dataclass(frozen=True)
@@ -45,9 +46,6 @@ class DelayStates:
     p_own: float
     p_col: float
     p_bus: float
-
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (self.p_emp, self.p_suc, self.p_own, self.p_col, self.p_bus)
 
 
 @dataclass(frozen=True)
@@ -102,28 +100,16 @@ def frame_times(t: MacTimings) -> tuple[float, float]:
     return t_s, t_c
 
 
-def throughput(
-    ap: AccessProbabilities,
-    t_s_us: float,
-    t_c_us: float,
-    payload_us: float,
-    t_slot_us: float,
-    mode: str = "slot_scaled",
-) -> float:
+def throughput(ap: AccessProbabilities, t: MacTimings) -> float:
     """Normalized saturation throughput: payload air time per channel time.
 
-    ``slot_scaled`` (default) charges an empty slot its real duration.
-    ``unscaled`` keeps the idle term as a bare probability, a legacy
-    formulation kept for comparison; the two coincide when the slot
-    lasts exactly one time unit.
+    An idle slot lasts ``slot_us``; a success and a collision last their
+    ``frame_times`` (Bianchi, IEEE JSAC 18(3), 2000).
     """
-    if mode not in THROUGHPUT_MODES:
-        raise ValueError(f"mode must be one of {THROUGHPUT_MODES} (got {mode!r})")
-    idle = 1.0 - ap.p_tr
-    if mode == "slot_scaled":
-        idle *= t_slot_us
-    denom = idle + ap.p_tr * ap.p_su * t_s_us + ap.p_tr * (1.0 - ap.p_su) * t_c_us
-    return 0.0 if ap.p_tr == 0.0 else ap.p_su * ap.p_tr * payload_us / denom
+    t_s, t_c = frame_times(t)
+    denom = ((1.0 - ap.p_tr) * t.slot_us + ap.p_tr * ap.p_su * t_s
+             + ap.p_tr * (1.0 - ap.p_su) * t_c)
+    return 0.0 if ap.p_tr == 0.0 else ap.p_su * ap.p_tr * t.payload_us / denom
 
 
 def delay_state_probabilities(tau: float, n: float) -> DelayStates:

@@ -21,7 +21,6 @@ from .metrics import (
     DelayStates,
     access_probabilities,
     delay_state_probabilities,
-    frame_times,
     pdr,
     throughput,
     total_delay,
@@ -51,7 +50,6 @@ def evaluate_point(
     timings: MacTimings,
     n_eff: float,
     model_mode: str = "busy_aware",
-    throughput_mode: str = "slot_scaled",
 ) -> PerfReport:
     """Full analytic report for ``n_eff`` contenders.
 
@@ -63,7 +61,6 @@ def evaluate_point(
         tau, p_c, p_b, iterations, residual = s.tau, s.p_c, s.p_b, s.iterations, s.residual
     else:
         tau, p_c, p_b, iterations, residual = 0.0, 0.0, 0.0, 0, 0.0
-    t_s, t_c = frame_times(timings)
     access = access_probabilities(tau, n_eff)
     states = delay_state_probabilities(tau, n_eff)
     report = PerfReport(
@@ -75,8 +72,7 @@ def evaluate_point(
         residual=residual,
         access=access,
         pdr=pdr(access),
-        throughput=throughput(access, t_s, t_c, timings.payload_us, timings.slot_us,
-                              throughput_mode),
+        throughput=throughput(access, timings),
         states=states,
         delay=total_delay(states, access.p_tr, n_eff, timings),
     )
@@ -92,14 +88,13 @@ def evaluate_points(
     timings: MacTimings,
     n_effs: list[float],
     model_mode: str,
-    throughput_mode: str,
 ) -> list[PerfReport]:
     """One report per count in ``n_effs``, in order; equal counts share one.
 
     ``evaluate_point`` is pure, so each distinct count is evaluated once.
     The reports are kept only for this call: nothing is cached across calls.
     """
-    reports = {n_eff: evaluate_point(timings, n_eff, model_mode, throughput_mode)
+    reports = {n_eff: evaluate_point(timings, n_eff, model_mode)
                for n_eff in dict.fromkeys(n_effs)}
     return [reports[n_eff] for n_eff in n_effs]
 

@@ -36,7 +36,8 @@ def place_vehicles(n: int, road_length_m: float, rng: Random) -> list[float]:
         raise ValueError(f"n must be <= {sys.maxsize}")
     if road_length_m <= 0:
         raise ValueError(f"road_length_m must be > 0 (got {road_length_m})")
-    # allocated whole, so a placement too large for memory fails at once
+    # the list is allocated whole, but its n floats are made one at a time,
+    # so a placement too large for memory can fail only partway through
     positions = [0.0] * n
     draw = rng.random
     for i in range(n):
@@ -96,7 +97,7 @@ def n_eff_samples(
         raise ValueError(f"trials must be >= 1 (got {trials})")
     if trials > sys.maxsize:  # the result list could not be built
         raise ValueError(f"trials must be <= {sys.maxsize}")
-    # allocated whole, so a run too large for memory fails at once
+    # allocated whole, so too many trials for memory fail at once
     out = [None] * trials
     for trial in range(trials):
         positions = place_vehicles(n, road_length_m, trial_rng(seed, trial))

@@ -89,7 +89,7 @@ def test_c05_simulation_validates_classic_chain():
     timings = MacTimings()
     for n in (5, 10, 20):
         stats = run_sim(n, 1_000_000, g, seed=1234, timings=timings)
-        report = evaluate_point(timings, float(n), "classic", "slot_scaled")
+        report = evaluate_point(timings, float(n), "classic")
         assert abs(report.tau - stats.tau_hat) / stats.tau_hat <= 0.05
         assert abs(report.access.p_su - stats.p_su_hat) / stats.p_su_hat <= 0.05
         sim_s = stats.payload_time_fraction
@@ -140,7 +140,7 @@ def test_c08_threshold_trends_match_reported_orderings():
         samples = np.asarray(n_eff_samples(x, 1000.0, thresholds, trials, seed=31))
         means = [float(samples[:, j].mean()) for j in range(3)] + [float(x)]
         assert all(a <= b for a, b in zip(means, means[1:]))
-        reports = [evaluate_point(timings, mean, "busy_aware", "slot_scaled")
+        reports = [evaluate_point(timings, mean, "busy_aware")
                    for mean in means]
         pdrs = [r.pdr for r in reports]
         rates = [r.throughput for r in reports]

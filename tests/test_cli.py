@@ -84,6 +84,15 @@ def test_point_rejects_unknown_config_key(tmp_path, capsys):
     code, _, err = run_cli(capsys, "point", "--config", str(config))
     assert code == 1
     assert "unknown config key" in err
+    # throughput_mode was removed in 0.8.0: neither a saved key nor the flag
+    config.write_text('{"throughput_mode": "slot_scaled"}')
+    code, _, err = run_cli(capsys, "point", "--config", str(config))
+    assert code == 1
+    assert "unknown config key: 'throughput_mode'" in err
+    for command in ("point", "sweep", "compare", "scenario"):
+        code, out, _ = run_cli(capsys, command, "--throughput-mode", "slot_scaled")
+        assert code == 1
+        assert out == ""
 
 
 def test_usage_error_exit_code(capsys):
@@ -102,7 +111,7 @@ def test_sweep_schema_and_curves(capsys):
     assert header == [
         "x", "threshold_m", "n_eff_mean", "tau", "p_tr", "p_su", "pdr",
         "throughput", "p_emp", "p_suc", "p_own", "p_col", "p_bus", "t_td_us",
-        "model_mode", "throughput_mode",
+        "model_mode",
     ]
     assert len(rows) == 2 * 4  # two x values, three thresholds plus benchmark
     labels = [row[1] for row in rows[:4]]
@@ -571,7 +580,7 @@ def test_simulator_rejects_population_too_large_for_a_list(capsys, argv):
 
 
 POINT_HEADER = ("n_vehicles,threshold_m,n_eff_mean,tau,p_tr,p_su,pdr,throughput,p_emp,"
-                "p_suc,p_own,p_col,p_bus,t_td_us,model_mode,throughput_mode")
+                "p_suc,p_own,p_col,p_bus,t_td_us,model_mode")
 
 
 # Every printed digit of these rows (9 significant digits) is pinned, so a
@@ -580,23 +589,23 @@ POINT_HEADER = ("n_vehicles,threshold_m,n_eff_mean,tau,p_tr,p_su,pdr,throughput,
     (["--n-vehicles", "2"],
      "2,benchmark,2,0.176515387,0.321873092,0.903198861,0.903198861,0.773553958,"
      "0.678126908,0.145357705,0.145357705,0.176515387,0.176515387,1076.5135,"
-     "busy_aware,slot_scaled"),
+     "busy_aware"),
     (["--n-vehicles", "2", "--model-mode", "classic"],
      "2,benchmark,2,0.178457387,0.325067736,0.902029529,0.902029529,0.772788764,"
      "0.674932264,0.146610348,0.146610348,0.178457387,0,1086.53708,"
-     "classic,slot_scaled"),
+     "classic"),
     (["--n-vehicles", "50"],
      "50,benchmark,50,0.0256842182,0.727738105,0.493115171,0.493115171,0.437184951,"
      "0.272261895,0.351681526,0.007177174,0.720560931,0.720560931,57306.8042,"
-     "busy_aware,slot_scaled"),
+     "busy_aware"),
     (["--n-vehicles", "50", "--model-mode", "classic"],
      "50,benchmark,50,0.0257735634,0.728983632,0.491770309,0.491770309,0.436030625,"
      "0.271016368,0.351322656,0.00716985012,0.721813782,0,57403.7194,"
-     "classic,slot_scaled"),
+     "classic"),
     (["--n-vehicles", "7", "--threshold-m", "350"],
      "7,350,6.90086194,0.0901201775,0.478859911,0.743853388,0.743853388,0.647451805,"
      "0.521140089,0.3045846,0.0516169676,0.427242943,0.427242943,5287.10428,"
-     "busy_aware,slot_scaled"),
+     "busy_aware"),
 ])
 def test_point_golden_rows(capsys, argv, row):
     code, out, _ = run_cli(capsys, "point", *argv)

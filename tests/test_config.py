@@ -31,7 +31,6 @@ def test_defaults_match_reference_setup():
     assert s.road_length_m == 1000.0
     assert s.threshold_m is None
     assert s.model_mode == "busy_aware"
-    assert s.throughput_mode == "slot_scaled"
 
 
 def test_empty_text_gives_defaults():
@@ -63,7 +62,7 @@ def test_overrides_beat_json():
     ('{"threshold_m": -5}', "threshold_m"),
     ('{"trials": 0}', "trials"),
     ('{"model_mode": "bogus"}', "model_mode"),
-    ('{"throughput_mode": "bogus"}', "throughput_mode"),
+    ('{"throughput_mode": "bogus"}', "throughput_mode"),  # unknown since 0.8.0
 ])
 def test_out_of_range_errors_name_the_field(payload, bound):
     with pytest.raises(ConfigError, match=bound):
@@ -86,6 +85,9 @@ def test_non_finite_values_rejected(key, value):
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown config key"):
         load_config('{"cwmin": 7}')
+    # a key removed in 0.8.0 is unknown too
+    with pytest.raises(ConfigError, match="unknown config key: 'throughput_mode'"):
+        load_config('{"throughput_mode": "slot_scaled"}')
 
 
 def test_non_object_json_rejected():

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -75,34 +77,21 @@ def test_frame_times_gap_is_sifs_when_ack_free():
 
 def test_throughput_limits():
     t = MacTimings()
-    t_s, t_c = frame_times(t)
-    silent = throughput(access_probabilities(0.0, 5), t_s, t_c, t.payload_us, 13.0)
+    t_s, _ = frame_times(t)
+    silent = throughput(access_probabilities(0.0, 5), t)
     assert silent == 0.0
-    lone = throughput(access_probabilities(1.0, 1), t_s, t_c, t.payload_us, 13.0)
+    lone = throughput(access_probabilities(1.0, 1), t)
     assert lone == pytest.approx(t.payload_us / t_s, abs=1e-12)
-
-
-def test_throughput_mode_coincide_at_unit_slot():
-    ap = access_probabilities(0.1, 10)
-    a = throughput(ap, 1500.0, 1400.0, 1364.0, 1.0, "slot_scaled")
-    b = throughput(ap, 1500.0, 1400.0, 1364.0, 1.0, "unscaled")
-    assert a == b
 
 
 def test_throughput_bounded_by_payload_share():
     t = MacTimings()
-    t_s, t_c = frame_times(t)
+    t_s, _ = frame_times(t)
     rng = np.random.default_rng(11)
     for _ in range(300):
         ap = access_probabilities(rng.uniform(0, 1), int(rng.integers(1, 60)))
-        s = throughput(ap, t_s, t_c, t.payload_us, t.slot_us)
+        s = throughput(ap, t)
         assert 0.0 <= s <= t.payload_us / t_s + 1e-12
-
-
-def test_throughput_rejects_unknown_mode():
-    ap = access_probabilities(0.1, 2)
-    with pytest.raises(ValueError):
-        throughput(ap, 1500.0, 1400.0, 1364.0, 13.0, "bogus")
 
 
 def test_delay_states_two_station_split():
@@ -116,7 +105,7 @@ def test_delay_states_two_station_split():
 
 def test_delay_states_silent_network():
     states = delay_state_probabilities(0.0, 7)
-    assert states.as_tuple() == (1.0, 0.0, 0.0, 0.0, 0.0)
+    assert astuple(states) == (1.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_delay_states_single_station():
@@ -132,8 +121,8 @@ def test_delay_states_close_exactly():
     for _ in range(1000):
         states = delay_state_probabilities(rng.uniform(0, 1),
                                            int(rng.integers(1, 101)))
-        assert sum(states.as_tuple()) == 1.0
-        assert min(states.as_tuple()) >= -1e-15
+        assert sum(astuple(states)) == 1.0
+        assert min(astuple(states)) >= -1e-15
 
 
 def test_total_delay_reference_values():
@@ -170,13 +159,12 @@ def test_total_delay_additivity_exact():
 
 def test_metrics_track_solved_chain_monotonically():
     t = MacTimings()
-    t_s, t_c = frame_times(t)
     g = ChainGeometry(5, 8)
     pdrs, rates = [], []
     for n in range(1, 101, 3):
         tau = solve_fixed_point(n, g, "busy_aware").tau
         ap = access_probabilities(tau, n)
         pdrs.append(pdr(ap))
-        rates.append(throughput(ap, t_s, t_c, t.payload_us, t.slot_us))
+        rates.append(throughput(ap, t))
     assert all(a >= b for a, b in zip(pdrs, pdrs[1:]))
     assert all(a >= b for a, b in zip(rates, rates[1:]))

@@ -229,7 +229,7 @@ def test_dense_network_matches_classic_chain_and_throughput():
     solution = solve_fixed_point(50, G, "classic")
     assert stats.tau_hat == pytest.approx(solution.tau, rel=0.05)
     from dangermac.pipeline import evaluate_point
-    report = evaluate_point(timings, 50.0, "classic", "slot_scaled")
+    report = evaluate_point(timings, 50.0, "classic")
     assert stats.payload_time_fraction == pytest.approx(report.throughput, rel=0.10)
 
 
