@@ -40,7 +40,7 @@ from .scenario import (
 )
 from .slotsim import SimStats, run
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "AccessProbabilities", "ChainGeometry", "ConfigError", "DelayBreakdown",

@@ -24,18 +24,35 @@ from pathlib import Path
 
 from .charts import line_chart
 from .config import CHOICES, ConfigError, MacTimings, ScenarioConfig, load_config
+from .metrics import AccessProbabilities, throughput
 from .pipeline import REPORT_COLUMNS, SWEEP_METRICS, evaluate_points, geometry_from, metric_value
 from .scenario import expected_n_eff, n_eff_samples
-from .slotsim import run as run_sim
+from .slotsim import SimStats, run as run_sim
 
 _POINT_COLUMNS = ["n_vehicles", "threshold_m", *REPORT_COLUMNS, "model_mode"]
 _SWEEP_COLUMNS = ["x"] + _POINT_COLUMNS[1:]
 _SIM_COLUMNS = ["sim_tau", "sim_p_su", "sim_payload_fraction"]
 _SCENARIO_COLUMNS = ["trial", "threshold_m", "n_eff"]
+# The quantities compare checks, in column order.
+_CHECKED = ("tau", "p_su", "s", "col_frac")
 _COMPARE_COLUMNS = ["n", "seed", "slots"]
-for _name in ("tau", "p_su", "s", "col_frac"):
+for _name in _CHECKED:
     _COMPARE_COLUMNS += [f"{_name}_classic", f"{_name}_busy", f"{_name}_sim",
                          f"{_name}_err_classic", f"{_name}_err_busy"]
+
+
+def _checked(tau: float, access: AccessProbabilities, timings: MacTimings) -> dict[str, float]:
+    """The ``_CHECKED`` values of one source: the chain's fixed point, or a
+    simulator run's measured frequencies (``_sim_checked``)."""
+    return dict(zip(_CHECKED, (tau, access.p_su, throughput(access, timings),
+                               1.0 - access.p_su)))
+
+
+def _sim_checked(stats: SimStats, timings: MacTimings) -> dict[str, float]:
+    """``_checked`` at a run's measured access, ``p_tr = tx_slots / slots``
+    and ``p_su = p_su_hat``."""
+    access = AccessProbabilities(p_tr=stats.tx_slots / stats.slots, p_su=stats.p_su_hat)
+    return _checked(stats.tau_hat, access, timings)
 
 
 class _UsageError(Exception):
@@ -183,13 +200,12 @@ def cmd_sweep(args) -> int:
         # a run depends only on its station count here, so rows that round
         # to the same count share one
         sim_columns = {0: [0.0, 1.0, 0.0]}
-        for row in rows:
-            n_sim = int(round(row[2]))  # n_eff_mean column
+        for row, report in zip(rows, reports):
+            n_sim = int(round(report.n_eff))
             if n_sim not in sim_columns:
-                stats = run_sim(n_sim, args.sim_slots, geometry, cfg.rng_seed,
-                                timings)
-                sim_columns[n_sim] = [stats.tau_hat, stats.p_su_hat,
-                                      stats.payload_time_fraction]
+                sim = _sim_checked(run_sim(n_sim, args.sim_slots, geometry, cfg.rng_seed),
+                                   timings)
+                sim_columns[n_sim] = [sim["tau"], sim["p_su"], sim["s"]]
             row += sim_columns[n_sim]
 
     _emit(args, "sweep.csv", _csv_text(header, rows))
@@ -227,21 +243,16 @@ def cmd_compare(args) -> int:
         return abs(analytic - simulated) / abs(simulated)
 
     counts = [float(n) for n in n_list]
+    models = [[_checked(r.tau, r.access, timings)
+               for r in evaluate_points(timings, counts, mode)]
+              for mode in ("classic", "busy_aware")]
     rows = []
-    for n, classic, busy in zip(n_list,
-                                evaluate_points(timings, counts, "classic"),
-                                evaluate_points(timings, counts, "busy_aware")):
+    for n, classic, busy in zip(n_list, *models):
         for seed in seeds:
-            sim = run_sim(n, args.slots, geometry, seed, timings)
-            sim_col_frac = (sim.collision_slots / sim.tx_slots
-                            if sim.tx_slots else 0.0)
+            sim = _sim_checked(run_sim(n, args.slots, geometry, seed), timings)
             row = [n, seed, args.slots]
-            for a_cl, a_bu, s in [
-                (classic.tau, busy.tau, sim.tau_hat),
-                (classic.access.p_su, busy.access.p_su, sim.p_su_hat),
-                (classic.throughput, busy.throughput, sim.payload_time_fraction),
-                (1.0 - classic.access.p_su, 1.0 - busy.access.p_su, sim_col_frac),
-            ]:
+            for name in _CHECKED:
+                a_cl, a_bu, s = classic[name], busy[name], sim[name]
                 row += [a_cl, a_bu, s, rel_err(a_cl, s), rel_err(a_bu, s)]
             rows.append(row)
     _emit(args, "compare.csv", _csv_text(_COMPARE_COLUMNS, rows))

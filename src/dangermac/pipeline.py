@@ -33,8 +33,6 @@ class PerfReport:
     tau: float
     p_c: float         # per-attempt collision probability at the fixed point
     p_b: float         # per-slot busy probability at the fixed point
-    iterations: int
-    residual: float
     access: AccessProbabilities
     pdr: float
     throughput: float  # payload-time fraction, dimensionless
@@ -58,9 +56,9 @@ def evaluate_point(
     """
     if n_eff > 0:
         s = solve_fixed_point(n_eff, geometry_from(timings), model_mode)
-        tau, p_c, p_b, iterations, residual = s.tau, s.p_c, s.p_b, s.iterations, s.residual
+        tau, p_c, p_b = s.tau, s.p_c, s.p_b
     else:
-        tau, p_c, p_b, iterations, residual = 0.0, 0.0, 0.0, 0, 0.0
+        tau, p_c, p_b = 0.0, 0.0, 0.0
     access = access_probabilities(tau, n_eff)
     states = delay_state_probabilities(tau, n_eff)
     report = PerfReport(
@@ -68,8 +66,6 @@ def evaluate_point(
         tau=tau,
         p_c=p_c,
         p_b=p_b,
-        iterations=iterations,
-        residual=residual,
         access=access,
         pdr=pdr(access),
         throughput=throughput(access, timings),

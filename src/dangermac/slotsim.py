@@ -2,11 +2,10 @@
 
 Time advances in logical channel slots: a slot is idle, a success (exactly
 one station at counter zero), or a collision. Every station's counter
-ticks once per slot, so a busy slot costs bystanders one countdown step;
-real durations (slot time vs. success vs. collision) enter only when slot
-counts are converted to air-time fractions. This keeps the simulator on
-the same slot axis as the analytic chain, making it a like-for-like
-empirical check on tau, the success probability, and throughput.
+ticks once per slot, so a busy slot costs bystanders one countdown step.
+The simulator counts slots and nothing else, which keeps it on the same
+slot axis as the analytic chain: a like-for-like empirical check on tau
+and the slot access probabilities.
 
 A successful station redraws at stage 0; every station involved in a
 collision advances one stage (capped at the top) and redraws over its new
@@ -24,9 +23,7 @@ import sys
 from dataclasses import dataclass
 from random import Random
 
-from .config import MacTimings
 from .markov import ChainGeometry
-from .metrics import frame_times
 
 
 @dataclass(frozen=True)
@@ -39,16 +36,9 @@ class SimStats:
     tau_hat: float               # attempts per station-slot
     p_su_hat: float              # successes per transmission slot
     p_col_tagged_hat: float      # station 0 colliding with exactly one other, per slot
-    payload_time_fraction: float
 
 
-def run(
-    n: int,
-    slots: int,
-    g: ChainGeometry,
-    seed: int,
-    timings: MacTimings | None = None,
-) -> SimStats:
+def run(n: int, slots: int, g: ChainGeometry, seed: int) -> SimStats:
     """Simulate ``slots`` slots after discarding a 1% warm-up stretch.
 
     Implemented event to event over a calendar queue: with every counter
@@ -73,7 +63,6 @@ def run(
         raise ValueError(f"slots must be >= 1 (got {slots})")
     if seed < 0:  # Random(-s) would silently replay Random(s)
         raise ValueError(f"seed must be >= 0 (got {seed})")
-    timings = timings or MacTimings()
     draw = Random(seed).random
     windows = [g.window(i) for i in range(g.max_stage + 1)]
     w0 = windows[0]
@@ -128,18 +117,13 @@ def run(
 
     tx_slots = success_slots + collision_slots
     attempts = success_slots + collided
-    idle_slots = slots - tx_slots
-    t_s, t_c = frame_times(timings)
-    busy_time = success_slots * t_s + collision_slots * t_c
-    total_time = idle_slots * timings.slot_us + busy_time
     return SimStats(
         slots=slots,
         tx_slots=tx_slots,
         success_slots=success_slots,
         collision_slots=collision_slots,
-        idle_slots=idle_slots,
+        idle_slots=slots - tx_slots,
         tau_hat=attempts / (n * slots),
         p_su_hat=success_slots / tx_slots if tx_slots else 1.0,
         p_col_tagged_hat=tagged_pair_slots / slots,
-        payload_time_fraction=success_slots * timings.payload_us / total_time,
     )

@@ -482,6 +482,7 @@ def test_sweep_rejects_zero_sim_slots(capsys):
 
 def test_sweep_compare_sim_runs_once_per_station_count(capsys, monkeypatch):
     import dangermac.cli as cli_module
+    from dangermac.cli import _sim_checked
     from dangermac.config import MacTimings
     from dangermac.pipeline import geometry_from
     from dangermac.slotsim import run
@@ -509,8 +510,8 @@ def test_sweep_compare_sim_runs_once_per_station_count(capsys, monkeypatch):
         if n_sim == 0:
             expected = [0.0, 1.0, 0.0]
         else:
-            stats = run(n_sim, 3000, geometry, 7, timings)
-            expected = [stats.tau_hat, stats.p_su_hat, stats.payload_time_fraction]
+            stats = run(n_sim, 3000, geometry, 7)
+            expected = [stats.tau_hat, stats.p_su_hat, _sim_checked(stats, timings)["s"]]
         assert row[-3:] == [format(v, ".9g") for v in expected]
 
 
@@ -611,3 +612,62 @@ def test_point_golden_rows(capsys, argv, row):
     code, out, _ = run_cli(capsys, "point", *argv)
     assert code == 0
     assert out.splitlines() == [POINT_HEADER, row]
+
+
+# compare's whole CSV and sweep --compare-sim"s simulator columns, pinned at
+# every printed digit: the simulator"s stream, its counts and the formula
+# that turns them into tau, p_su, throughput and collision fraction.
+COMPARE_GOLDEN = [
+    "n,seed,slots,tau_classic,tau_busy,tau_sim,tau_err_classic,tau_err_busy,"
+    "p_su_classic,p_su_busy,p_su_sim,p_su_err_classic,p_su_err_busy,s_classic,"
+    "s_busy,s_sim,s_err_classic,s_err_busy,col_frac_classic,col_frac_busy,"
+    "col_frac_sim,col_frac_err_classic,col_frac_err_busy",
+    "5,1,50000,0.110522667,0.109473093,0.109928,0.00540960608,0.00413822621,"
+    "0.780422882,0.78247953,0.784997287,0.00582728822,0.00320734474,0.677122376,"
+    "0.678743649,0.680912544,0.00556630743,0.00318527767,0.219577118,0.21752047,"
+    "0.215002713,0.0212760359,0.0117103495",
+    "50,1,50000,0.0257735634,0.0256842182,0.0256368,0.00533465158,0.00184961356,"
+    "0.491770309,0.493115171,0.494918866,0.00636176337,0.00364442542,0.436030625,"
+    "0.437184951,0.43877495,0.00625451543,0.00362372297,0.508229691,0.506884829,"
+    "0.505081134,0.00623376424,0.00357109932",
+]
+
+SWEEP_SIM_GOLDEN = [
+    "1,300,0,1,0",
+    "1,500,0,1,0",
+    "1,700,0,1,0",
+    "1,benchmark,0.227,1,0.843571122",
+    "2,300,0.227,1,0.843571122",
+    "2,500,0.187666667,0.893909627,0.766943328",
+    "2,700,0.187666667,0.893909627,0.766943328",
+    "2,benchmark,0.187666667,0.893909627,0.766943328",
+    "3,300,0.187666667,0.893909627,0.766943328",
+    "3,500,0.150111111,0.828970332,0.71540331",
+    "3,700,0.150111111,0.828970332,0.71540331",
+    "3,benchmark,0.150111111,0.828970332,0.71540331",
+    "4,300,0.150111111,0.828970332,0.71540331",
+    "4,500,0.124583333,0.800650936,0.692927218",
+    "4,700,0.124583333,0.800650936,0.692927218",
+    "4,benchmark,0.124583333,0.800650936,0.692927218",
+    "5,300,0.106333333,0.776212833,0.673100418",
+    "5,500,0.106333333,0.776212833,0.673100418",
+    "5,700,0.106333333,0.776212833,0.673100418",
+    "5,benchmark,0.106333333,0.776212833,0.673100418",
+    "6,300,0.101944444,0.763248451,0.663830654",
+    "6,500,0.101944444,0.763248451,0.663830654",
+    "6,700,0.101944444,0.763248451,0.663830654",
+    "6,benchmark,0.101944444,0.763248451,0.663830654",
+]
+
+
+def test_compare_golden_rows(capsys):
+    code, out, _ = run_cli(capsys, "compare", "--n-list", "5,50", "--slots", "50000",
+                           "--seeds", "1")
+    assert code == 0
+    assert out.splitlines() == COMPARE_GOLDEN
+    code, out, _ = run_cli(capsys, "sweep", "--values", "1..6", "--compare-sim",
+                           "--sim-slots", "3000", "--seed", "7")
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert header[-3:] == ["sim_tau", "sim_p_su", "sim_payload_fraction"]
+    assert [",".join([row[0], row[1], *row[-3:]]) for row in rows] == SWEEP_SIM_GOLDEN

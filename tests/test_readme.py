@@ -1,4 +1,5 @@
-"""README's configuration table and sweep column list match the code."""
+"""README's configuration table, sweep column list and library example match
+the code."""
 
 import re
 from dataclasses import fields
@@ -30,3 +31,10 @@ def test_sweep_columns_line_is_the_sweep_header(capsys):
     assert main(["sweep", "--values", "1"]) == 0
     header = capsys.readouterr().out.splitlines()[0]
     assert columns == header.split(",")
+
+
+def test_library_example_runs(capsys):
+    # a library signature change that the README misses fails here
+    block = re.search(r"```python\n(.*?)```", section("## Library"), re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from dangermac import slotsim
+from dangermac.cli import _sim_checked
 from dangermac.config import MacTimings
 from dangermac.markov import ChainGeometry, solve_fixed_point
-from dangermac.metrics import access_probabilities
+from dangermac.metrics import access_probabilities, frame_times
 from dangermac.slotsim import SimStats, run
 
 G = ChainGeometry(5, 8)
@@ -132,11 +133,8 @@ def test_stage_never_exceeds_cap():
         assert all(0 <= s.counter < g.window(s.stage) for s in stations)
 
 
-def _reference_run(n: int, slots: int, g: ChainGeometry, seed: int,
-                   timings: MacTimings) -> SimStats:
+def _reference_run(n: int, slots: int, g: ChainGeometry, seed: int) -> SimStats:
     # same statistics gathered the slow way, one step_slot call per slot
-    from dangermac.metrics import frame_times
-
     rng = random.Random(seed)
     stations = init_stations(n, g, rng)
     warmup = slots // 100
@@ -151,21 +149,15 @@ def _reference_run(n: int, slots: int, g: ChainGeometry, seed: int,
             succ += outcome.success
             if len(outcome.transmitters) == 2 and outcome.transmitters[0] == 0:
                 tagged_pairs += 1
-    coll = tx - succ
-    idle = slots - tx
-    t_s, t_c = frame_times(timings)
-    total = idle * timings.slot_us + succ * t_s + coll * t_c
     return SimStats(
-        slots=slots, tx_slots=tx, success_slots=succ, collision_slots=coll,
-        idle_slots=idle, tau_hat=attempts / (n * slots),
+        slots=slots, tx_slots=tx, success_slots=succ, collision_slots=tx - succ,
+        idle_slots=slots - tx, tau_hat=attempts / (n * slots),
         p_su_hat=succ / tx if tx else 1.0,
         p_col_tagged_hat=tagged_pairs / slots,
-        payload_time_fraction=succ * timings.payload_us / total,
     )
 
 
 def test_run_matches_slot_by_slot_reference():
-    timings = MacTimings()
     # the tiny windows make most slots collide and pin stations at the top stage
     cases = [(G, 1, 0), (G, 3, 1), (G, 8, 2), (ChainGeometry(2, 2), 8, 3)]
     # either side of each power of two, where the key's index field widens
@@ -173,9 +165,40 @@ def test_run_matches_slot_by_slot_reference():
     # a window that never grows, and a wide one with ten stages
     cases += [(ChainGeometry(0, 2), 5, 10), (ChainGeometry(10, 8), 9, 11)]
     for g, n, seed in cases:
-        fast = run(n, 5000, g, seed, timings)
-        slow = _reference_run(n, 5000, g, seed, timings)
+        fast = run(n, 5000, g, seed)
+        slow = _reference_run(n, 5000, g, seed)
         assert fast == slow
+
+
+def _renewal_throughput(stats: SimStats, timings: MacTimings) -> float:
+    # the count-based renewal form: payload air time over the channel time
+    # of the counted idle, success and collision slots
+    t_s, t_c = frame_times(timings)
+    total = (stats.idle_slots * timings.slot_us + stats.success_slots * t_s
+             + stats.collision_slots * t_c)
+    return stats.success_slots * timings.payload_us / total
+
+
+@pytest.mark.parametrize("timings", [
+    MacTimings(), MacTimings(cw_min=31, max_stage=7, payload_bytes=100),
+], ids=["default", "cw31-stage7-100B"])
+def test_measured_throughput_matches_renewal_form(timings):
+    # the simulator's throughput is metrics.throughput at its measured
+    # access, p_tr = tx_slots / slots and p_su = p_su_hat
+    g = ChainGeometry(timings.max_stage, timings.w0)
+    silent = 0
+    for n in (1, 2, 5, 50):
+        for slots in (1, 7, 5000):
+            for seed in range(4):
+                stats = run(n, slots, g, seed)
+                s = _sim_checked(stats, timings)["s"]
+                reference = _renewal_throughput(stats, timings)
+                if stats.tx_slots == 0:
+                    assert s == reference == 0.0
+                    silent += 1
+                else:
+                    assert abs(s - reference) <= 1e-14 * reference, (n, slots, seed)
+    assert silent > 0  # a one-slot run can be idle
 
 
 @pytest.mark.parametrize("n, tx, success, collision, tagged_pairs, attempts", [
@@ -225,12 +248,12 @@ def test_matches_classic_fixed_point():
 
 def test_dense_network_matches_classic_chain_and_throughput():
     timings = MacTimings()
-    stats = run(50, 400_000, G, 2024, timings)
+    stats = run(50, 400_000, G, 2024)
     solution = solve_fixed_point(50, G, "classic")
     assert stats.tau_hat == pytest.approx(solution.tau, rel=0.05)
     from dangermac.pipeline import evaluate_point
     report = evaluate_point(timings, 50.0, "classic")
-    assert stats.payload_time_fraction == pytest.approx(report.throughput, rel=0.10)
+    assert _sim_checked(stats, timings)["s"] == pytest.approx(report.throughput, rel=0.10)
 
 
 def test_success_ratio_matches_product_form_at_observed_rate():
