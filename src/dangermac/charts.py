@@ -7,6 +7,7 @@ formatting. Good enough for eyeballing sweep trends next to the CSV.
 from __future__ import annotations
 
 import math
+import sys
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#7f7f7f", "#ff7f0e", "#9467bd",
            "#8c564b", "#17becf")
@@ -18,24 +19,34 @@ _MARGIN_BOTTOM = 46
 
 
 def _nice_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    """Round tick positions covering [lo, hi]."""
+    """Round tick positions covering [lo, hi]: 2 to 8 of them, strictly
+    increasing, the first at or below ``lo`` and the last at or above ``hi``.
+
+    Tick ``i`` is the decimal ``i * step`` read as one float, so no tick
+    carries the rounding of the ones before it. A span flat to within
+    rounding is padded out, as an empty one is.
+    """
     if not math.isfinite(lo) or not math.isfinite(hi):
         lo, hi = 0.0, 1.0
-    if hi <= lo:
-        pad = abs(lo) * 0.1 or 1.0
-        lo, hi = lo - pad, hi + pad
+    # a wider span puts ticks over 6 ulps apart, so they stay distinct floats
+    if hi - lo <= 32 * math.ulp(max(abs(lo), abs(hi))):
+        pad = abs(lo) * 0.1 if abs(lo) >= sys.float_info.min else 1.0
+        lo, hi = lo - pad, min(hi + pad, sys.float_info.max)
     raw = (hi - lo) / count
-    power = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
-        step = mult * power
-        if step >= raw:
+    exponent = math.floor(math.log10(raw)) - 1
+    for mult in (10, 20, 25, 50, 100):
+        if float(f"{mult}e{exponent}") >= raw:
             break
-    start = math.floor(lo / step) * step
-    ticks = []
-    value = start
-    while value <= hi + step * 1e-9:
-        ticks.append(round(value, 12))
-        value += step
+    # step = num / den and each float is an exact ratio too, so the first
+    # and last tick indices are an exact floor and ceiling
+    num, den = mult * 10 ** max(exponent, 0), 10 ** max(-exponent, 0)
+    lo_num, lo_den = lo.as_integer_ratio()
+    hi_num, hi_den = hi.as_integer_ratio()
+    first = lo_num * den // (lo_den * num)
+    last = -(-hi_num * den // (hi_den * num))
+    ticks = [float(f"{i * mult}e{exponent}") for i in range(first, last + 1)]
+    # no round number above the largest float is one: end the axis there
+    ticks[-1] = min(ticks[-1], sys.float_info.max)
     return ticks
 
 

@@ -19,16 +19,18 @@ import csv
 import io
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
 
 from .charts import line_chart
-from .config import CHOICES, ConfigError, MacTimings, ScenarioConfig, load_config
+from .config import CHOICES, MacTimings, ScenarioConfig, load_config
 from .metrics import AccessProbabilities, throughput
 from .pipeline import REPORT_COLUMNS, SWEEP_METRICS, evaluate_points, geometry_from, metric_value
 from .scenario import expected_n_eff, n_eff_samples
 from .slotsim import SimStats, run as run_sim
 
+_report_row = attrgetter(*REPORT_COLUMNS)
 _POINT_COLUMNS = ["n_vehicles", "threshold_m", *REPORT_COLUMNS, "model_mode"]
 _SWEEP_COLUMNS = ["x"] + _POINT_COLUMNS[1:]
 _SIM_COLUMNS = ["sim_tau", "sim_p_su", "sim_payload_fraction"]
@@ -41,22 +43,17 @@ for _name in _CHECKED:
                          f"{_name}_err_classic", f"{_name}_err_busy"]
 
 
-def _checked(tau: float, access: AccessProbabilities, timings: MacTimings) -> dict[str, float]:
-    """The ``_CHECKED`` values of one source: the chain's fixed point, or a
+def _checked(tau: float, p_su: float, s: float) -> dict[str, float]:
+    """The ``_CHECKED`` values of one source: the chain's report, or a
     simulator run's measured frequencies (``_sim_checked``)."""
-    return dict(zip(_CHECKED, (tau, access.p_su, throughput(access, timings),
-                               1.0 - access.p_su)))
+    return dict(zip(_CHECKED, (tau, p_su, s, 1.0 - p_su)))
 
 
 def _sim_checked(stats: SimStats, timings: MacTimings) -> dict[str, float]:
     """``_checked`` at a run's measured access, ``p_tr = tx_slots / slots``
     and ``p_su = p_su_hat``."""
     access = AccessProbabilities(p_tr=stats.tx_slots / stats.slots, p_su=stats.p_su_hat)
-    return _checked(stats.tau_hat, access, timings)
-
-
-class _UsageError(Exception):
-    pass
+    return _checked(stats.tau_hat, stats.p_su_hat, throughput(access, timings))
 
 
 def _fmt(value) -> str:
@@ -116,25 +113,25 @@ def _build_config(args) -> tuple[MacTimings, ScenarioConfig]:
 def _parse_numbers(text: str, kind, what: str) -> list:
     text = text.strip()
     if not text:
-        raise _UsageError(f"{what} must not be empty")
+        raise ValueError(f"{what} must not be empty")
     if ".." in text:
         lo_text, _, hi_text = text.partition("..")
         try:
             lo, hi = int(lo_text), int(hi_text)
         except ValueError:
-            raise _UsageError(f"bad range for {what}: {text!r}") from None
+            raise ValueError(f"bad range for {what}: {text!r}") from None
         values = [kind(v) for v in range(lo, hi + 1)]
     else:
         try:
             values = [kind(part) for part in text.split(",")]
         except ValueError:
-            raise _UsageError(f"bad value list for {what}: {text!r}") from None
+            raise ValueError(f"bad value list for {what}: {text!r}") from None
         if any(abs(v) == math.inf for v in values):
-            raise _UsageError(f"{what} values must be finite (got {text!r})")
+            raise ValueError(f"{what} values must be finite (got {text!r})")
     if not values:
-        raise _UsageError(f"{what} must not be empty")
+        raise ValueError(f"{what} must not be empty")
     if any(b <= a for a, b in zip(values, values[1:])):
-        raise _UsageError(f"{what} must be strictly increasing")
+        raise ValueError(f"{what} must be strictly increasing")
     return values
 
 
@@ -145,10 +142,10 @@ def cmd_point(args) -> int:
         n_eff = float(cfg.n_vehicles)
     else:
         label = _fmt(cfg.threshold_m)
-        n_eff = expected_n_eff(cfg)[0]
+        n_eff = expected_n_eff(cfg.n_vehicles, cfg.road_length_m, [cfg.threshold_m],
+                               cfg.danger_metric)[0]
     [report] = evaluate_points(timings, [n_eff], cfg.model_mode)
-    row = [cfg.n_vehicles, label, *[get(report) for get in REPORT_COLUMNS.values()],
-           cfg.model_mode]
+    row = [cfg.n_vehicles, label, *_report_row(report), cfg.model_mode]
     _emit(args, "point.csv", _csv_text(_POINT_COLUMNS, [row]))
     return 0
 
@@ -157,40 +154,41 @@ def cmd_sweep(args) -> int:
     timings, cfg = _build_config(args)
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     if not metrics:
-        raise _UsageError("at least one metric is required")
+        raise ValueError("at least one metric is required")
     for metric in metrics:
         if metric not in SWEEP_METRICS:
-            raise _UsageError(
+            raise ValueError(
                 f"unknown metric {metric!r} (choose from {', '.join(SWEEP_METRICS)})")
     if args.svg and not args.out:
-        raise _UsageError("--svg requires --out")
+        raise ValueError("--svg requires --out")
     if args.compare_sim and args.sim_slots < 1:
-        raise _UsageError("--sim-slots must be >= 1")
+        raise ValueError("--sim-slots must be >= 1")
 
     # Rows run x-major: each x has one count per curve, the benchmark curve
     # (its whole population) last.
     if args.x_axis == "n_vehicles":
         xs = _parse_numbers(args.values, int, "--values")
         if xs[0] < 1 or xs[-1] > sys.float_info.max:
-            raise _UsageError(
+            raise ValueError(
                 "--values must all be >= 1 and fit in a float for the n_vehicles axis")
         thresholds = _parse_numbers(args.thresholds, float, "--thresholds")
         curves = [_fmt(t) for t in thresholds] + ["benchmark"]
         labels = curves * len(xs)
         n_effs = [n for x in xs
-                  for n in expected_n_eff(replace(cfg, n_vehicles=x), thresholds) + [float(x)]]
+                  for n in expected_n_eff(x, cfg.road_length_m, thresholds, cfg.danger_metric)
+                  + [float(x)]]
     else:
         xs = _parse_numbers(args.values, float, "--values")
         if xs[0] < 0:
-            raise _UsageError("--values must all be >= 0 for the threshold_m axis")
+            raise ValueError("--values must all be >= 0 for the threshold_m axis")
         curves = ["filtered", "benchmark"]
         labels = [label for x in xs for label in (_fmt(x), "benchmark")]
-        n_effs = [n for mean in expected_n_eff(cfg, xs)
+        n_effs = [n for mean in expected_n_eff(cfg.n_vehicles, cfg.road_length_m, xs,
+                                               cfg.danger_metric)
                   for n in (mean, float(cfg.n_vehicles))]
     reports = evaluate_points(timings, n_effs, cfg.model_mode)
     width = len(curves)
-    rows = [[xs[i // width], label, *[get(report) for get in REPORT_COLUMNS.values()],
-             cfg.model_mode]
+    rows = [[xs[i // width], label, *_report_row(report), cfg.model_mode]
             for i, (label, report) in enumerate(zip(labels, reports))]
 
     header = list(_SWEEP_COLUMNS)
@@ -201,7 +199,7 @@ def cmd_sweep(args) -> int:
         # to the same count share one
         sim_columns = {0: [0.0, 1.0, 0.0]}
         for row, report in zip(rows, reports):
-            n_sim = int(round(report.n_eff))
+            n_sim = int(round(report.n_eff_mean))
             if n_sim not in sim_columns:
                 sim = _sim_checked(run_sim(n_sim, args.sim_slots, geometry, cfg.rng_seed),
                                    timings)
@@ -226,13 +224,13 @@ def cmd_compare(args) -> int:
     n_list = (_parse_numbers(args.n_list, int, "--n-list")
               if args.n_list is not None else [cfg.n_vehicles])
     if n_list[0] < 1 or n_list[-1] > sys.float_info.max:
-        raise _UsageError("--n-list values must all be >= 1 and fit in a float")
+        raise ValueError("--n-list values must all be >= 1 and fit in a float")
     seeds = (_parse_numbers(args.seeds, int, "--seeds")
              if args.seeds is not None else [cfg.rng_seed])
     if seeds[0] < 0:
-        raise _UsageError("--seeds values must all be >= 0")
+        raise ValueError("--seeds values must all be >= 0")
     if args.slots < 1:
-        raise _UsageError("--slots must be >= 1")
+        raise ValueError("--slots must be >= 1")
     geometry = geometry_from(timings)
 
     def rel_err(analytic: float, simulated: float) -> float:
@@ -243,7 +241,7 @@ def cmd_compare(args) -> int:
         return abs(analytic - simulated) / abs(simulated)
 
     counts = [float(n) for n in n_list]
-    models = [[_checked(r.tau, r.access, timings)
+    models = [[_checked(r.tau, r.p_su, r.throughput)
                for r in evaluate_points(timings, counts, mode)]
               for mode in ("classic", "busy_aware")]
     rows = []
@@ -323,7 +321,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (_UsageError, ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

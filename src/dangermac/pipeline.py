@@ -1,7 +1,8 @@
-"""Glue between the chain solver, the danger filter, and the metric set.
+"""Glue between the chain solver and the metric set.
 
 ``evaluate_point`` turns an effective contender count into the complete
-performance report; ``evaluate_points``, the path every CLI command takes,
+performance report, one flat record whose fields are the report's CSV
+columns; ``evaluate_points``, the path every CLI command takes,
 does so for a list of counts and evaluates each distinct count once. A
 contender count may be an expected value, hence fractional; zero
 contenders skip the solve and give a silent-network report.
@@ -10,15 +11,11 @@ contenders skip the solve and give a silent-network report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from operator import attrgetter
+from dataclasses import dataclass, fields
 
 from .config import MacTimings
 from .markov import ChainGeometry, solve_fixed_point
 from .metrics import (
-    AccessProbabilities,
-    DelayBreakdown,
-    DelayStates,
     access_probabilities,
     delay_state_probabilities,
     pdr,
@@ -29,15 +26,24 @@ from .metrics import (
 
 @dataclass(frozen=True)
 class PerfReport:
-    n_eff: float
+    """One configuration's figures, in the order of the report's CSV columns."""
+
+    n_eff_mean: float  # contender count the chain is solved at
     tau: float
-    p_c: float         # per-attempt collision probability at the fixed point
-    p_b: float         # per-slot busy probability at the fixed point
-    access: AccessProbabilities
+    p_tr: float
+    p_su: float
     pdr: float
     throughput: float  # payload-time fraction, dimensionless
-    states: DelayStates
-    delay: DelayBreakdown
+    p_emp: float       # tagged-station slot states (delay_state_probabilities)
+    p_suc: float
+    p_own: float
+    p_col: float       # per-attempt collision probability at the fixed point
+    p_bus: float       # per-slot busy probability at the fixed point
+    t_td_us: float     # total_delay's aggregate delay
+
+
+# The report's CSV columns, in order.
+REPORT_COLUMNS = tuple(f.name for f in fields(PerfReport))
 
 
 def geometry_from(timings: MacTimings) -> ChainGeometry:
@@ -61,23 +67,15 @@ def evaluate_point(
         tau, p_c, p_b = 0.0, 0.0, 0.0
     access = access_probabilities(tau, n_eff)
     states = delay_state_probabilities(tau, n_eff)
-    report = PerfReport(
-        n_eff=n_eff,
-        tau=tau,
-        p_c=p_c,
-        p_b=p_b,
-        access=access,
-        pdr=pdr(access),
-        throughput=throughput(access, timings),
-        states=states,
-        delay=total_delay(states, access.p_tr, n_eff, timings),
-    )
-    if not math.isfinite(report.delay.t_td_us + report.throughput):
+    rate = throughput(access, timings)
+    t_td_us = total_delay(states, access.p_tr, n_eff, timings).t_td_us
+    if not math.isfinite(t_td_us + rate):
         raise ValueError(
             f"the delay or throughput at n_eff {n_eff:g} is not finite "
-            f"(t_td_us {report.delay.t_td_us:g}, throughput {report.throughput:g}); "
+            f"(t_td_us {t_td_us:g}, throughput {rate:g}); "
             "the population or the timings are too large")
-    return report
+    return PerfReport(n_eff, tau, access.p_tr, access.p_su, pdr(access), rate,
+                      states.p_emp, states.p_suc, states.p_own, p_c, p_b, t_td_us)
 
 
 def evaluate_points(
@@ -95,22 +93,6 @@ def evaluate_points(
     return [reports[n_eff] for n_eff in n_effs]
 
 
-# The report's CSV columns, in order, and the value each one holds.
-REPORT_COLUMNS = {
-    "n_eff_mean": attrgetter("n_eff"),
-    "tau": attrgetter("tau"),
-    "p_tr": attrgetter("access.p_tr"),
-    "p_su": attrgetter("access.p_su"),
-    "pdr": attrgetter("pdr"),
-    "throughput": attrgetter("throughput"),
-    "p_emp": attrgetter("states.p_emp"),
-    "p_suc": attrgetter("states.p_suc"),
-    "p_own": attrgetter("states.p_own"),
-    "p_col": attrgetter("p_c"),
-    "p_bus": attrgetter("p_b"),
-    "t_td_us": attrgetter("delay.t_td_us"),
-}
-
 # Metric names accepted by the sweep command, in canonical order, and the
 # report column each one plots.
 _METRIC_COLUMNS = {
@@ -126,15 +108,14 @@ SWEEP_METRICS = tuple(_METRIC_COLUMNS)
 
 
 def metric_value(report: PerfReport, metric: str) -> float:
-    """Value of one plottable sweep metric.
+    """Value of one plottable sweep metric: its report column.
 
     ``p_col`` and ``p_bus`` are the fixed point's per-attempt collision and
     per-slot busy probabilities (the quantities that respond monotonically
-    to thinning the contender population); the tagged-station slot-state
-    probabilities live in ``report.states``.
+    to thinning the contender population).
     """
     try:
         column = _METRIC_COLUMNS[metric]
     except KeyError:
         raise ValueError(f"unknown metric: {metric!r}") from None
-    return REPORT_COLUMNS[column](report)
+    return getattr(report, column)

@@ -16,8 +16,6 @@ import sys
 from bisect import bisect_left
 from random import Random
 
-from .config import ScenarioConfig
-
 
 def trial_rng(seed: int, trial: int) -> Random:
     """Independent per-trial stream; order-insensitive across trials.
@@ -106,8 +104,10 @@ def n_eff_samples(
 
 
 def expected_n_eff(
-    cfg: ScenarioConfig,
-    thresholds: list[float] | None = None,
+    n: int,
+    road_length_m: float,
+    thresholds: list[float],
+    metric: str = "min_gap",
 ) -> list[float]:
     """Exact mean granted count per threshold, for uniform placements.
 
@@ -123,24 +123,19 @@ def expected_n_eff(
     * ``front_gap_only``: E[N] = (n - 1) (1 - (1 - a)_+^n);
     * a lone vehicle: 0.
 
-    ``thresholds`` defaults to the config's single threshold. The powers
-    are taken of clipped bases, so d = 0 gives exactly 0 and d >= L gives
-    exactly n (n - 1 for ``front_gap_only``).
+    The inputs are those of ``n_eff_samples``, less the trials and the
+    seed. The powers are taken of clipped bases, so d = 0 gives exactly 0
+    and d >= L gives exactly n (n - 1 for ``front_gap_only``).
     """
-    if thresholds is None:
-        if cfg.threshold_m is None:
-            raise ValueError("no threshold configured and none given")
-        thresholds = [cfg.threshold_m]
     if not all(d >= 0 for d in thresholds):  # also rejects NaN
         raise ValueError("thresholds must all be >= 0")
-    n = cfg.n_vehicles
-    a = [d / cfg.road_length_m for d in thresholds]
+    a = [d / road_length_m for d in thresholds]
     one_gap = [1.0 - max(1.0 - x, 0.0) ** n for x in a]
     if n == 1:
         return [0.0] * len(a)
-    if cfg.danger_metric == "front_gap_only":
+    if metric == "front_gap_only":
         return [(n - 1) * g for g in one_gap]
-    if cfg.danger_metric == "min_gap":
+    if metric == "min_gap":
         return [2.0 * g + (n - 2) * (1.0 - max(1.0 - 2.0 * x, 0.0) ** n)
                 for g, x in zip(one_gap, a)]
-    raise ValueError(f"unknown danger metric: {cfg.danger_metric!r}")
+    raise ValueError(f"unknown danger metric: {metric!r}")

@@ -91,7 +91,7 @@ def test_c05_simulation_validates_classic_chain():
         stats = run_sim(n, 1_000_000, g, seed=1234)
         report = evaluate_point(timings, float(n), "classic")
         assert abs(report.tau - stats.tau_hat) / stats.tau_hat <= 0.05
-        assert abs(report.access.p_su - stats.p_su_hat) / stats.p_su_hat <= 0.05
+        assert abs(report.p_su - stats.p_su_hat) / stats.p_su_hat <= 0.05
         sim_s = _sim_checked(stats, timings)["s"]
         assert abs(report.throughput - sim_s) / sim_s <= 0.10
     elapsed = time.perf_counter() - started
@@ -144,9 +144,9 @@ def test_c08_threshold_trends_match_reported_orderings():
                    for mean in means]
         pdrs = [r.pdr for r in reports]
         rates = [r.throughput for r in reports]
-        collisions = [r.p_c for r in reports]
-        busies = [r.p_b for r in reports]
-        delays = [r.delay.t_td_us for r in reports]
+        collisions = [r.p_col for r in reports]
+        busies = [r.p_bus for r in reports]
+        delays = [r.t_td_us for r in reports]
         assert all(a >= b for a, b in zip(pdrs, pdrs[1:]))
         assert all(a >= b for a, b in zip(rates, rates[1:]))
         assert all(a <= b for a, b in zip(collisions, collisions[1:]))

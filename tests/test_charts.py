@@ -1,6 +1,16 @@
+import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
-from dangermac.charts import line_chart
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dangermac.charts import _nice_ticks, line_chart
+from dangermac.cli import main
 
 
 SERIES = [
@@ -37,3 +47,81 @@ def test_chart_skips_non_finite_points():
     root = ET.fromstring(svg)
     polys = [e for e in root.iter() if e.tag.endswith("polyline")]
     assert len(polys[0].attrib["points"].split()) == 2
+
+
+_FLOATS = st.floats(min_value=0.0, max_value=sys.float_info.max, allow_subnormal=True)
+
+
+@st.composite
+def _spans(draw):
+    """``lo <= hi``: two independent floats, or ``lo`` and a float a few
+    ulps above it, where a tick step can fall below rounding."""
+    lo = draw(_FLOATS)
+    if draw(st.booleans()):
+        hi = draw(_FLOATS)
+    else:
+        hi = lo
+        for _ in range(draw(st.integers(0, 100))):
+            hi = math.nextafter(hi, math.inf)
+    return min(lo, hi), min(max(lo, hi), sys.float_info.max)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(_spans())
+def test_ticks_cover_the_span(span):
+    lo, hi = span
+    ticks = _nice_ticks(lo, hi)
+    assert 2 <= len(ticks) <= 8
+    assert all(a < b for a, b in zip(ticks, ticks[1:]))
+    assert ticks[0] <= lo and ticks[-1] >= hi
+    assert all(math.isfinite(t) for t in ticks)
+
+
+def _points_outside_plot(svg: str) -> list[tuple[float, float]]:
+    root = ET.fromstring(svg)
+    [box] = [e for e in root.iter() if e.tag.endswith("rect") and e.get("fill") == "none"]
+    x0, y0 = float(box.get("x")), float(box.get("y"))
+    x1, y1 = x0 + float(box.get("width")), y0 + float(box.get("height"))
+    points = [tuple(map(float, p.split(",")))
+              for e in root.iter() if e.tag.endswith("polyline")
+              for p in e.get("points").split()]
+    return [(x, y) for x, y in points if not (x0 <= x <= x1 and y0 <= y <= y1)]
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["--x-axis", "threshold_m", "--values", "999,1000", "--n-vehicles", "5"],
+    ["--values", "4900..5000", "--metrics", "pdr"],
+    ["--values", "93000..95000", "--thresholds", "300", "--metrics", "pdr"],
+], ids=["default", "ulps-apart", "below-1e-12", "subnormal"])
+def test_sweep_charts_stay_inside_the_plot(argv, tmp_path, capsys):
+    # the top tick sits at or above the largest value, so no curve is drawn
+    # above the plot box (the default sweep's total_delay once reached
+    # y = -121.76); values ulps apart, below 1e-12 or subnormal once made a
+    # zero axis span and a ZeroDivisionError
+    assert main(["sweep", *argv, "--svg", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    svgs = sorted(tmp_path.glob("*.svg"))
+    assert len(svgs) == (1 if "--metrics" in argv else 7)
+    for path in svgs:
+        assert _points_outside_plot(path.read_text()) == [], path.name
+
+
+def test_sweep_chart_of_a_step_below_half_an_ulp_ends(tmp_path):
+    # a step under half an ulp of 1e20 once left the tick loop adding it
+    # forever; the child's address space is capped so a relapse fails
+    # instead of exhausting memory
+    resource = pytest.importorskip("resource")
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = ["sweep", "--x-axis", "threshold_m", "--n-vehicles", "5",
+            "--values", "100000000000000000000,100000000000000016384",
+            "--svg", "--out", str(tmp_path)]
+    result = subprocess.run([sys.executable, "-m", "dangermac", *argv],
+                            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                            text=True, timeout=60, preexec_fn=cap_address_space)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert len(list(tmp_path.glob("*.svg"))) == 7

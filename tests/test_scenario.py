@@ -5,7 +5,6 @@ from bisect import bisect_left
 import numpy as np
 import pytest
 
-from dangermac.config import ScenarioConfig
 from dangermac.scenario import (
     apply_threshold,
     assess_danger,
@@ -139,21 +138,12 @@ def test_n_eff_samples_shapes_and_bounds():
 
 
 def test_expected_n_eff_saturates_at_road_length():
-    cfg = ScenarioConfig(n_vehicles=50, road_length_m=1000.0, trials=200, rng_seed=9)
-    assert expected_n_eff(cfg, [1000.0]) == [50.0]
+    assert expected_n_eff(50, 1000.0, [1000.0]) == [50.0]
 
 
 def test_expected_n_eff_monotone_in_threshold():
-    cfg = ScenarioConfig(n_vehicles=50, road_length_m=1000.0, trials=500, rng_seed=21)
-    means = expected_n_eff(cfg, [20.0, 40.0, 80.0])
+    means = expected_n_eff(50, 1000.0, [20.0, 40.0, 80.0])
     assert means == sorted(means)
-
-
-def test_expected_n_eff_uses_config_threshold():
-    cfg = ScenarioConfig(threshold_m=50.0, trials=50, rng_seed=1)
-    assert expected_n_eff(cfg) == expected_n_eff(cfg, [50.0])
-    with pytest.raises(ValueError):
-        expected_n_eff(ScenarioConfig(trials=5))
 
 
 CLOSED_FORM_THRESHOLDS = [0.0, 50.0, 300.0, 500.0, 700.0, 1000.0, 1001.0]
@@ -169,8 +159,7 @@ def test_expected_n_eff_matches_monte_carlo(n, metric):
     trials = 3000
     samples = np.asarray(n_eff_samples(n, 1000.0, CLOSED_FORM_THRESHOLDS, trials,
                                        seed=2024, metric=metric))
-    cfg = ScenarioConfig(n_vehicles=n, road_length_m=1000.0, danger_metric=metric)
-    exact = np.array(expected_n_eff(cfg, CLOSED_FORM_THRESHOLDS))
+    exact = np.array(expected_n_eff(n, 1000.0, CLOSED_FORM_THRESHOLDS, metric))
     sem = samples.std(axis=0) / math.sqrt(trials)
     assert (np.abs(samples.mean(axis=0) - exact) <= 4.0 * sem + 1.0 / trials).all()
 
@@ -180,10 +169,9 @@ def test_expected_n_eff_exact_at_extremes(metric):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning from d >= L/2
         for n in (1, 2, 5, 20, 50, 1000):
-            cfg = ScenarioConfig(n_vehicles=n, road_length_m=1000.0,
-                                 danger_metric=metric)
             full = 0 if n == 1 else (n if metric == "min_gap" else n - 1)
-            means = expected_n_eff(cfg, [0.0, 500.0, 700.0, 1000.0, 1001.0, 1e9])
+            means = expected_n_eff(n, 1000.0, [0.0, 500.0, 700.0, 1000.0, 1001.0, 1e9],
+                                   metric)
             assert means[0] == 0.0
             assert means[3:] == [full] * 3
             if n == 1:
@@ -192,9 +180,9 @@ def test_expected_n_eff_exact_at_extremes(metric):
 
 def test_expected_n_eff_rejects_bad_thresholds():
     with pytest.raises(ValueError, match="thresholds"):
-        expected_n_eff(ScenarioConfig(), [-1.0])
+        expected_n_eff(50, 1000.0, [-1.0])
     with pytest.raises(ValueError, match="thresholds"):
-        expected_n_eff(ScenarioConfig(), [math.nan])
+        expected_n_eff(50, 1000.0, [math.nan])
 
 
 def test_expected_n_eff_matches_independent_reimplementation():
@@ -214,8 +202,7 @@ def test_expected_n_eff_matches_independent_reimplementation():
     oracle_mean = float(np.mean(counts))
     oracle_sem = float(np.std(counts)) / math.sqrt(trials)
 
-    cfg = ScenarioConfig(n_vehicles=n, road_length_m=road, trials=trials, rng_seed=1)
-    mean = expected_n_eff(cfg, [threshold])[0]
+    mean = expected_n_eff(n, road, [threshold])[0]
     assert abs(mean - oracle_mean) <= 3.0 * oracle_sem * 1.5
 
 
