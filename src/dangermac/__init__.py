@@ -29,7 +29,14 @@ from .metrics import (
     throughput,
     total_delay,
 )
-from .pipeline import PerfReport, evaluate_point, evaluate_points, geometry_from, metric_value
+from .pipeline import (
+    PerfReport,
+    evaluate_point,
+    evaluate_points,
+    geometry_from,
+    metric_value,
+    simulate_points,
+)
 from .scenario import (
     apply_threshold,
     assess_danger,
@@ -40,7 +47,7 @@ from .scenario import (
 )
 from .slotsim import SimStats, run
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 __all__ = [
     "AccessProbabilities", "ChainGeometry", "ConfigError", "DelayBreakdown",
@@ -50,5 +57,5 @@ __all__ = [
     "delay_state_probabilities", "evaluate_point", "evaluate_points",
     "expected_n_eff", "frame_times", "geometry_from", "load_config",
     "metric_value", "n_eff_samples", "pdr", "place_vehicles", "run",
-    "solve_fixed_point", "throughput", "total_delay", "trial_rng",
+    "simulate_points", "solve_fixed_point", "throughput", "total_delay", "trial_rng",
 ]

@@ -50,8 +50,13 @@ def _nice_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return ticks
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".6g")
+def _tick_labels(ticks: list[float]) -> list[str]:
+    """Labels at the fewest significant digits, 6 to 17, that tell them apart."""
+    for digits in range(6, 18):
+        labels = [format(tick, f".{digits}g") for tick in ticks]
+        if len(set(labels)) == len(labels):
+            break
+    return labels
 
 
 def line_chart(
@@ -84,18 +89,18 @@ def line_chart(
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" font-size="15">{title}</text>',
     ]
-    for tick in x_ticks:
+    for tick, label in zip(x_ticks, _tick_labels(x_ticks)):
         x = px(tick)
         parts.append(f'<line x1="{x:.2f}" y1="{_MARGIN_TOP}" x2="{x:.2f}" '
                      f'y2="{_MARGIN_TOP + plot_h}" stroke="#dddddd"/>')
         parts.append(f'<text x="{x:.2f}" y="{_MARGIN_TOP + plot_h + 16}" '
-                     f'text-anchor="middle">{_fmt(tick)}</text>')
-    for tick in y_ticks:
+                     f'text-anchor="middle">{label}</text>')
+    for tick, label in zip(y_ticks, _tick_labels(y_ticks)):
         y = py(tick)
         parts.append(f'<line x1="{_MARGIN_LEFT}" y1="{y:.2f}" '
                      f'x2="{_MARGIN_LEFT + plot_w}" y2="{y:.2f}" stroke="#dddddd"/>')
         parts.append(f'<text x="{_MARGIN_LEFT - 6}" y="{y + 4:.2f}" '
-                     f'text-anchor="end">{_fmt(tick)}</text>')
+                     f'text-anchor="end">{label}</text>')
     parts.append(f'<rect x="{_MARGIN_LEFT}" y="{_MARGIN_TOP}" width="{plot_w}" '
                  f'height="{plot_h}" fill="none" stroke="#333333"/>')
     parts.append(f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{height - 10}" '

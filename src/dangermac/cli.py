@@ -25,10 +25,8 @@ from pathlib import Path
 
 from .charts import line_chart
 from .config import CHOICES, MacTimings, ScenarioConfig, load_config
-from .metrics import AccessProbabilities, throughput
-from .pipeline import REPORT_COLUMNS, SWEEP_METRICS, evaluate_points, geometry_from, metric_value
+from .pipeline import REPORT_COLUMNS, SWEEP_METRICS, evaluate_points, metric_value, simulate_points
 from .scenario import expected_n_eff, n_eff_samples
-from .slotsim import SimStats, run as run_sim
 
 _report_row = attrgetter(*REPORT_COLUMNS)
 _POINT_COLUMNS = ["n_vehicles", "threshold_m", *REPORT_COLUMNS, "model_mode"]
@@ -41,19 +39,6 @@ _COMPARE_COLUMNS = ["n", "seed", "slots"]
 for _name in _CHECKED:
     _COMPARE_COLUMNS += [f"{_name}_classic", f"{_name}_busy", f"{_name}_sim",
                          f"{_name}_err_classic", f"{_name}_err_busy"]
-
-
-def _checked(tau: float, p_su: float, s: float) -> dict[str, float]:
-    """The ``_CHECKED`` values of one source: the chain's report, or a
-    simulator run's measured frequencies (``_sim_checked``)."""
-    return dict(zip(_CHECKED, (tau, p_su, s, 1.0 - p_su)))
-
-
-def _sim_checked(stats: SimStats, timings: MacTimings) -> dict[str, float]:
-    """``_checked`` at a run's measured access, ``p_tr = tx_slots / slots``
-    and ``p_su = p_su_hat``."""
-    access = AccessProbabilities(p_tr=stats.tx_slots / stats.slots, p_su=stats.p_su_hat)
-    return _checked(stats.tau_hat, stats.p_su_hat, throughput(access, timings))
 
 
 def _fmt(value) -> str:
@@ -194,17 +179,9 @@ def cmd_sweep(args) -> int:
     header = list(_SWEEP_COLUMNS)
     if args.compare_sim:
         header += _SIM_COLUMNS
-        geometry = geometry_from(timings)
-        # a run depends only on its station count here, so rows that round
-        # to the same count share one
-        sim_columns = {0: [0.0, 1.0, 0.0]}
-        for row, report in zip(rows, reports):
-            n_sim = int(round(report.n_eff_mean))
-            if n_sim not in sim_columns:
-                sim = _sim_checked(run_sim(n_sim, args.sim_slots, geometry, cfg.rng_seed),
-                                   timings)
-                sim_columns[n_sim] = [sim["tau"], sim["p_su"], sim["s"]]
-            row += sim_columns[n_sim]
+        n_sims = [round(report.n_eff_mean) for report in reports]
+        for row, sim in zip(rows, simulate_points(timings, n_sims, args.sim_slots, cfg.rng_seed)):
+            row += sim
 
     _emit(args, "sweep.csv", _csv_text(header, rows))
 
@@ -231,7 +208,6 @@ def cmd_compare(args) -> int:
         raise ValueError("--seeds values must all be >= 0")
     if args.slots < 1:
         raise ValueError("--slots must be >= 1")
-    geometry = geometry_from(timings)
 
     def rel_err(analytic: float, simulated: float) -> float:
         if analytic == simulated:
@@ -241,16 +217,16 @@ def cmd_compare(args) -> int:
         return abs(analytic - simulated) / abs(simulated)
 
     counts = [float(n) for n in n_list]
-    models = [[_checked(r.tau, r.p_su, r.throughput)
-               for r in evaluate_points(timings, counts, mode)]
+    models = [[(r.tau, r.p_su, r.throughput) for r in evaluate_points(timings, counts, mode)]
               for mode in ("classic", "busy_aware")]
+    runs = [simulate_points(timings, n_list, args.slots, seed) for seed in seeds]
     rows = []
-    for n, classic, busy in zip(n_list, *models):
-        for seed in seeds:
-            sim = _sim_checked(run_sim(n, args.slots, geometry, seed), timings)
+    for i, n in enumerate(n_list):
+        for seed, sim in zip(seeds, runs):
             row = [n, seed, args.slots]
-            for name in _CHECKED:
-                a_cl, a_bu, s = classic[name], busy[name], sim[name]
+            # the _CHECKED values of the two chains and the run: (tau, p_su, s), 1 - p_su
+            checked = [(*source[i], 1.0 - source[i][1]) for source in (*models, sim)]
+            for a_cl, a_bu, s in zip(*checked):
                 row += [a_cl, a_bu, s, rel_err(a_cl, s), rel_err(a_bu, s)]
             rows.append(row)
     _emit(args, "compare.csv", _csv_text(_COMPARE_COLUMNS, rows))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import MODEL_MODES
 
@@ -49,8 +50,7 @@ class ChainGeometry:
         return (1 << stage) * self.w0
 
 
-@dataclass(frozen=True)
-class FixedPointSolution:
+class FixedPointSolution(NamedTuple):
     tau: float
     p_c: float
     p_b: float

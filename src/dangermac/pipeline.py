@@ -1,11 +1,12 @@
-"""Glue between the chain solver and the metric set.
+"""Glue between the chain solver, the slot simulator and the metric set.
 
 ``evaluate_point`` turns an effective contender count into the complete
 performance report, one flat record whose fields are the report's CSV
-columns; ``evaluate_points``, the path every CLI command takes,
-does so for a list of counts and evaluates each distinct count once. A
-contender count may be an expected value, hence fractional; zero
-contenders skip the solve and give a silent-network report.
+columns. ``evaluate_points``, the path every CLI command takes, and
+``simulate_points``, its simulator counterpart, map a list of counts to
+one result each and compute each distinct count once. A contender count
+may be an expected value, hence fractional; zero contenders skip the
+solve or the run and give a silent network.
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ from dataclasses import dataclass, fields
 from .config import MacTimings
 from .markov import ChainGeometry, solve_fixed_point
 from .metrics import (
+    AccessProbabilities,
     access_probabilities,
     delay_state_probabilities,
     pdr,
     throughput,
     total_delay,
 )
+from .slotsim import run
 
 
 @dataclass(frozen=True)
@@ -91,6 +94,27 @@ def evaluate_points(
     reports = {n_eff: evaluate_point(timings, n_eff, model_mode)
                for n_eff in dict.fromkeys(n_effs)}
     return [reports[n_eff] for n_eff in n_effs]
+
+
+def simulate_points(timings: MacTimings, counts: list[int], slots: int,
+                    seed: int) -> list[tuple[float, float, float]]:
+    """Measured ``(tau, p_su, throughput)`` per station count, in order.
+
+    Each distinct nonzero count is run once, ``slots`` slots at ``seed``;
+    count 0 is the silent network ``(0.0, 1.0, 0.0)``. ``tau`` is attempts
+    per station-slot, ``p_su`` successes per busy slot (1 when none was
+    busy), and ``throughput`` the chain's formula at the measured access,
+    ``p_tr = tx_slots / slots``. Nothing is kept between calls.
+    """
+    geometry = geometry_from(timings)
+    measured = {0: (0.0, 1.0, 0.0)}
+    for n in counts:
+        if n not in measured:
+            sim = run(n, slots, geometry, seed)
+            p_su = sim.success_slots / sim.tx_slots if sim.tx_slots else 1.0
+            access = AccessProbabilities(p_tr=sim.tx_slots / slots, p_su=p_su)
+            measured[n] = (sim.attempts / (n * slots), p_su, throughput(access, timings))
+    return [measured[n] for n in counts]
 
 
 # Metric names accepted by the sweep command, in canonical order, and the

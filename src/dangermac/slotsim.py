@@ -29,13 +29,10 @@ from .markov import ChainGeometry
 @dataclass(frozen=True)
 class SimStats:
     slots: int
-    tx_slots: int
-    success_slots: int
-    collision_slots: int
-    idle_slots: int
-    tau_hat: float               # attempts per station-slot
-    p_su_hat: float              # successes per transmission slot
-    p_col_tagged_hat: float      # station 0 colliding with exactly one other, per slot
+    tx_slots: int            # slots with at least one transmitter
+    success_slots: int       # slots with exactly one
+    attempts: int            # transmissions, summed over stations
+    tagged_pair_slots: int   # station 0 colliding with exactly one other
 
 
 def run(n: int, slots: int, g: ChainGeometry, seed: int) -> SimStats:
@@ -115,15 +112,5 @@ def run(n: int, slots: int, g: ChainGeometry, seed: int) -> SimStats:
             if k == 2 and first == 0:
                 tagged_pair_slots += 1
 
-    tx_slots = success_slots + collision_slots
-    attempts = success_slots + collided
-    return SimStats(
-        slots=slots,
-        tx_slots=tx_slots,
-        success_slots=success_slots,
-        collision_slots=collision_slots,
-        idle_slots=slots - tx_slots,
-        tau_hat=attempts / (n * slots),
-        p_su_hat=success_slots / tx_slots if tx_slots else 1.0,
-        p_col_tagged_hat=tagged_pair_slots / slots,
-    )
+    return SimStats(slots, success_slots + collision_slots, success_slots,
+                    success_slots + collided, tagged_pair_slots)

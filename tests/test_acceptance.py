@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dangermac.cli import _sim_checked, main
+from dangermac.cli import main
 from dangermac.config import MacTimings
 from dangermac.markov import ChainGeometry, solve_fixed_point
 from dangermac.metrics import (
@@ -18,9 +18,8 @@ from dangermac.metrics import (
     delay_state_probabilities,
     total_delay,
 )
-from dangermac.pipeline import evaluate_point
+from dangermac.pipeline import evaluate_point, geometry_from, simulate_points
 from dangermac.scenario import apply_threshold, assess_danger, n_eff_samples, place_vehicles, trial_rng
-from dangermac.slotsim import run as run_sim
 from test_markov import balance_states, oracle_tau_b00, stationary_tau
 
 GRID_GEOMETRIES = [(1, 2), (2, 4), (3, 8), (5, 8)]
@@ -85,14 +84,14 @@ def test_c04_reference_timing_anchors():
 
 def test_c05_simulation_validates_classic_chain():
     started = time.perf_counter()
-    g = ChainGeometry(5, 8)
     timings = MacTimings()
-    for n in (5, 10, 20):
-        stats = run_sim(n, 1_000_000, g, seed=1234)
+    assert geometry_from(timings) == ChainGeometry(5, 8)
+    counts = [5, 10, 20]
+    for n, (sim_tau, sim_p_su, sim_s) in zip(
+            counts, simulate_points(timings, counts, 1_000_000, seed=1234)):
         report = evaluate_point(timings, float(n), "classic")
-        assert abs(report.tau - stats.tau_hat) / stats.tau_hat <= 0.05
-        assert abs(report.p_su - stats.p_su_hat) / stats.p_su_hat <= 0.05
-        sim_s = _sim_checked(stats, timings)["s"]
+        assert abs(report.tau - sim_tau) / sim_tau <= 0.05
+        assert abs(report.p_su - sim_p_su) / sim_p_su <= 0.05
         assert abs(report.throughput - sim_s) / sim_s <= 0.10
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dangermac.charts import _nice_ticks, line_chart
+from dangermac.charts import _nice_ticks, _tick_labels, line_chart
 from dangermac.cli import main
 
 
@@ -77,9 +77,50 @@ def test_ticks_cover_the_span(span):
     assert all(math.isfinite(t) for t in ticks)
 
 
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(_spans())
+def test_tick_labels_are_distinct(span):
+    ticks = _nice_ticks(*span)
+    labels = _tick_labels(ticks)
+    assert len(set(labels)) == len(labels)
+    # the fewest digits from 6 up: one fewer would repeat a label
+    digits = max(len(label.split("e")[0].replace("-", "").replace(".", "").lstrip("0"))
+                 for label in labels)
+    if digits > 6:
+        fewer = [format(t, f".{digits - 1}g") for t in ticks]
+        assert len(set(fewer)) < len(fewer)
+
+
+def test_tick_labels_keep_six_digits_when_they_suffice():
+    assert _tick_labels([0.0, 0.25, 0.5]) == ["0", "0.25", "0.5"]
+    assert _tick_labels([999.0, 999.0 + 1e-11]) == ["999", "999.00000000001"]
+
+
+def _plot_box(root: ET.Element) -> ET.Element:
+    [box] = [e for e in root.iter() if e.tag.endswith("rect") and e.get("fill") == "none"]
+    return box
+
+
+def test_sweep_chart_of_near_equal_counts_labels_every_tick(tmp_path, capsys):
+    # at .6g the four x ticks 1000000..1000003 all read 1e+06
+    argv = ["sweep", "--values", "1000000..1000003", "--metrics", "tau", "--svg",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    root = ET.fromstring((tmp_path / "tau.svg").read_text())
+    box = _plot_box(root)
+    # x tick labels sit 16 px below the plot box, y tick labels are right-aligned
+    below = str(round(float(box.get("y")) + float(box.get("height"))) + 16)
+    texts = [e for e in root.iter() if e.tag.endswith("text")]
+    x_labels = [e.text for e in texts if e.get("y") == below]
+    y_labels = [e.text for e in texts if e.get("text-anchor") == "end"]
+    assert x_labels == ["1000000", "1000001", "1000002", "1000003"]
+    assert len(set(y_labels)) == len(y_labels) >= 2
+
+
 def _points_outside_plot(svg: str) -> list[tuple[float, float]]:
     root = ET.fromstring(svg)
-    [box] = [e for e in root.iter() if e.tag.endswith("rect") and e.get("fill") == "none"]
+    box = _plot_box(root)
     x0, y0 = float(box.get("x")), float(box.get("y"))
     x1, y1 = x0 + float(box.get("width")), y0 + float(box.get("height"))
     points = [tuple(map(float, p.split(",")))

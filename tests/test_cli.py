@@ -481,10 +481,9 @@ def test_sweep_rejects_zero_sim_slots(capsys):
 
 
 def test_sweep_compare_sim_runs_once_per_station_count(capsys, monkeypatch):
-    import dangermac.cli as cli_module
-    from dangermac.cli import _sim_checked
+    import dangermac.pipeline as pipeline
     from dangermac.config import MacTimings
-    from dangermac.pipeline import geometry_from
+    from dangermac.pipeline import simulate_points
     from dangermac.slotsim import run
 
     argv = ["sweep", "--values", "1..6", "--compare-sim", "--sim-slots", "3000",
@@ -495,7 +494,7 @@ def test_sweep_compare_sim_runs_once_per_station_count(capsys, monkeypatch):
         calls.append(n)
         return run(n, *args)
 
-    monkeypatch.setattr(cli_module, "run_sim", counting_run)
+    monkeypatch.setattr(pipeline, "run", counting_run)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     header, rows = parse_csv(out)
@@ -505,13 +504,10 @@ def test_sweep_compare_sim_runs_once_per_station_count(capsys, monkeypatch):
 
     # every row holds exactly the bytes its own run would have written
     timings = MacTimings()
-    geometry = geometry_from(timings)
     for row, n_sim in zip(rows, n_sims):
+        [expected] = simulate_points(timings, [n_sim], 3000, 7)
         if n_sim == 0:
-            expected = [0.0, 1.0, 0.0]
-        else:
-            stats = run(n_sim, 3000, geometry, 7)
-            expected = [stats.tau_hat, stats.p_su_hat, _sim_checked(stats, timings)["s"]]
+            assert expected == (0.0, 1.0, 0.0)
         assert row[-3:] == [format(v, ".9g") for v in expected]
 
 

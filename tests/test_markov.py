@@ -334,6 +334,14 @@ def test_fixed_point_deterministic():
            (b.tau, b.p_c, b.p_b, b.iterations, b.residual)
 
 
+def test_fixed_point_solution_is_an_immutable_record():
+    solution = solve_fixed_point(5, ChainGeometry(5, 8), "busy_aware")
+    assert solution._fields == ("tau", "p_c", "p_b", "iterations", "residual")
+    assert type(solution.iterations) is int
+    with pytest.raises(AttributeError):
+        solution.tau = 0.5
+
+
 def test_fixed_point_residual_below_tolerance():
     solution = solve_fixed_point(50, ChainGeometry(5, 8), "busy_aware")
     assert solution.residual <= 1e-15

@@ -1,17 +1,28 @@
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
 
 from dangermac import slotsim
-from dangermac.cli import _sim_checked
 from dangermac.config import MacTimings
 from dangermac.markov import ChainGeometry, solve_fixed_point
 from dangermac.metrics import access_probabilities, frame_times
+from dangermac.pipeline import geometry_from, simulate_points
 from dangermac.slotsim import SimStats, run
 
 G = ChainGeometry(5, 8)
+TIMINGS = MacTimings()  # its geometry is G
+
+
+def _measured(n: int, slots: int, seed: int) -> tuple[float, float, float]:
+    """``simulate_points``' measured (tau, p_su, throughput) of one run over G."""
+    [measured] = simulate_points(TIMINGS, [n], slots, seed)
+    return measured
+
+
+def test_default_timings_have_geometry_g():
+    assert geometry_from(TIMINGS) == G
 
 
 # Slot-by-slot reference model: the oracle that ``run``'s one-heap calendar
@@ -134,7 +145,7 @@ def test_stage_never_exceeds_cap():
 
 
 def _reference_run(n: int, slots: int, g: ChainGeometry, seed: int) -> SimStats:
-    # same statistics gathered the slow way, one step_slot call per slot
+    # same counts gathered the slow way, one step_slot call per slot
     rng = random.Random(seed)
     stations = init_stations(n, g, rng)
     warmup = slots // 100
@@ -149,12 +160,14 @@ def _reference_run(n: int, slots: int, g: ChainGeometry, seed: int) -> SimStats:
             succ += outcome.success
             if len(outcome.transmitters) == 2 and outcome.transmitters[0] == 0:
                 tagged_pairs += 1
-    return SimStats(
-        slots=slots, tx_slots=tx, success_slots=succ, collision_slots=tx - succ,
-        idle_slots=slots - tx, tau_hat=attempts / (n * slots),
-        p_su_hat=succ / tx if tx else 1.0,
-        p_col_tagged_hat=tagged_pairs / slots,
-    )
+    return SimStats(slots=slots, tx_slots=tx, success_slots=succ, attempts=attempts,
+                    tagged_pair_slots=tagged_pairs)
+
+
+def test_sim_stats_are_integer_counts():
+    stats = run(7, 2000, G, 3)
+    assert all(f.type == "int" for f in fields(SimStats))
+    assert all(type(getattr(stats, f.name)) is int for f in fields(SimStats))
 
 
 def test_run_matches_slot_by_slot_reference():
@@ -174,8 +187,10 @@ def _renewal_throughput(stats: SimStats, timings: MacTimings) -> float:
     # the count-based renewal form: payload air time over the channel time
     # of the counted idle, success and collision slots
     t_s, t_c = frame_times(timings)
-    total = (stats.idle_slots * timings.slot_us + stats.success_slots * t_s
-             + stats.collision_slots * t_c)
+    idle_slots = stats.slots - stats.tx_slots
+    collision_slots = stats.tx_slots - stats.success_slots
+    total = (idle_slots * timings.slot_us + stats.success_slots * t_s
+             + collision_slots * t_c)
     return stats.success_slots * timings.payload_us / total
 
 
@@ -184,14 +199,14 @@ def _renewal_throughput(stats: SimStats, timings: MacTimings) -> float:
 ], ids=["default", "cw31-stage7-100B"])
 def test_measured_throughput_matches_renewal_form(timings):
     # the simulator's throughput is metrics.throughput at its measured
-    # access, p_tr = tx_slots / slots and p_su = p_su_hat
+    # access, p_tr = tx_slots / slots and p_su = success_slots / tx_slots
     g = ChainGeometry(timings.max_stage, timings.w0)
     silent = 0
     for n in (1, 2, 5, 50):
         for slots in (1, 7, 5000):
             for seed in range(4):
                 stats = run(n, slots, g, seed)
-                s = _sim_checked(stats, timings)["s"]
+                [(_, _, s)] = simulate_points(timings, [n], slots, seed)
                 reference = _renewal_throughput(stats, timings)
                 if stats.tx_slots == 0:
                     assert s == reference == 0.0
@@ -210,10 +225,10 @@ def test_benchmark_stream_is_pinned(n, tx, success, collision, tagged_pairs, att
     # change to the stream at n = 50, these counts can
     slots = 50_000
     stats = run(n, slots, G, 1)
-    assert (stats.tx_slots, stats.success_slots, stats.collision_slots) == (
+    assert (stats.tx_slots, stats.success_slots, stats.tx_slots - stats.success_slots) == (
         tx, success, collision)
-    assert round(stats.p_col_tagged_hat * slots) == tagged_pairs
-    assert round(stats.tau_hat * n * slots) == attempts
+    assert stats.tagged_pair_slots == tagged_pairs
+    assert stats.attempts == attempts
 
 
 def test_run_deterministic():
@@ -222,60 +237,62 @@ def test_run_deterministic():
 
 
 def test_run_slot_conservation():
+    # every counted slot is idle, a success or a collision of two or more
     stats = run(12, 30_000, G, 9)
-    assert stats.tx_slots == stats.success_slots + stats.collision_slots
-    assert stats.idle_slots + stats.tx_slots == stats.slots
+    collision_slots = stats.tx_slots - stats.success_slots
+    assert 0 <= stats.success_slots <= stats.tx_slots <= stats.slots
+    assert stats.attempts >= stats.success_slots + 2 * collision_slots
 
 
 def test_run_single_station():
     stats = run(1, 50_000, G, 3)
-    assert stats.collision_slots == 0
-    assert stats.p_su_hat == 1.0
-    assert stats.tau_hat == pytest.approx(2 / 9, rel=0.05)
+    assert stats.tx_slots == stats.success_slots
+    tau, p_su, _ = _measured(1, 50_000, 3)
+    assert p_su == 1.0
+    assert tau == pytest.approx(2 / 9, rel=0.05)
 
 
 def test_contention_lowers_transmission_rate():
-    assert run(50, 100_000, G, 6).tau_hat < run(10, 100_000, G, 6).tau_hat
+    [(tau_50, _, _), (tau_10, _, _)] = simulate_points(TIMINGS, [50, 10], 100_000, 6)
+    assert tau_50 < tau_10
 
 
 def test_matches_classic_fixed_point():
-    stats = run(5, 200_000, G, 42)
+    tau, p_su_sim, _ = _measured(5, 200_000, 42)
     solution = solve_fixed_point(5, G, "classic")
-    assert stats.tau_hat == pytest.approx(solution.tau, rel=0.05)
+    assert tau == pytest.approx(solution.tau, rel=0.05)
     p_su = access_probabilities(solution.tau, 5).p_su
-    assert stats.p_su_hat == pytest.approx(p_su, rel=0.05)
+    assert p_su_sim == pytest.approx(p_su, rel=0.05)
 
 
 def test_dense_network_matches_classic_chain_and_throughput():
-    timings = MacTimings()
-    stats = run(50, 400_000, G, 2024)
+    tau, _, s = _measured(50, 400_000, 2024)
     solution = solve_fixed_point(50, G, "classic")
-    assert stats.tau_hat == pytest.approx(solution.tau, rel=0.05)
+    assert tau == pytest.approx(solution.tau, rel=0.05)
     from dangermac.pipeline import evaluate_point
-    report = evaluate_point(timings, 50.0, "classic")
-    assert _sim_checked(stats, timings)["s"] == pytest.approx(report.throughput, rel=0.10)
+    report = evaluate_point(TIMINGS, 50.0, "classic")
+    assert s == pytest.approx(report.throughput, rel=0.10)
 
 
 def test_success_ratio_matches_product_form_at_observed_rate():
     # the analytic success probability assumes independent per-slot attempts;
     # feeding it the simulator's own attempt rate checks that approximation
-    stats = run(50, 400_000, G, 2024)
-    ap = access_probabilities(stats.tau_hat, 50)
-    assert ap.p_su == pytest.approx(stats.p_su_hat, rel=0.05)
+    tau, p_su, _ = _measured(50, 400_000, 2024)
+    ap = access_probabilities(tau, 50)
+    assert ap.p_su == pytest.approx(p_su, rel=0.05)
 
 
 def test_tagged_pairwise_collision_frequency():
     stats = run(10, 400_000, G, 99)
     from dangermac.metrics import delay_state_probabilities
-    states = delay_state_probabilities(stats.tau_hat, 10)
-    assert states.p_col == pytest.approx(stats.p_col_tagged_hat, rel=0.10)
+    states = delay_state_probabilities(stats.attempts / (10 * stats.slots), 10)
+    assert states.p_col == pytest.approx(stats.tagged_pair_slots / stats.slots, rel=0.10)
 
 
 def test_fewer_contenders_succeed_more_often():
     for seed in (1, 2, 3):
-        thinned = run(10, 50_000, G, seed)
-        full = run(20, 50_000, G, seed)
-        assert thinned.p_su_hat >= full.p_su_hat
+        [(_, thinned, _), (_, full, _)] = simulate_points(TIMINGS, [10, 20], 50_000, seed)
+        assert thinned >= full
 
 
 def test_invalid_arguments():
@@ -316,8 +333,8 @@ def test_largest_uniform_draws_top_counter(monkeypatch):
     # collide every other slot, in slots 1, 3, 5, 7, 9.
     stats = _run_with_uniforms(monkeypatch, [], float(np.nextafter(1.0, 0.0)),
                                2, 10, ChainGeometry(0, 2))
-    assert (stats.tx_slots, stats.collision_slots) == (5, 5)
-    assert stats.p_col_tagged_hat == 5 / 10
+    assert (stats.tx_slots, stats.tx_slots - stats.success_slots) == (5, 5)
+    assert stats.tagged_pair_slots == 5
 
 
 def test_tagged_pair_counted_when_station_zero_is_listed_last(monkeypatch):
@@ -327,5 +344,6 @@ def test_tagged_pair_counted_when_station_zero_is_listed_last(monkeypatch):
     # index within a slot, so station 0 still comes out first.
     stats = _run_with_uniforms(monkeypatch, [0.3, 0.0, 0.6, 0.3], 0.99,
                                2, 6, ChainGeometry(3, 8))
-    assert (stats.tx_slots, stats.success_slots, stats.collision_slots) == (3, 2, 1)
-    assert stats.p_col_tagged_hat == 1 / 6
+    assert (stats.tx_slots, stats.success_slots, stats.tx_slots - stats.success_slots) == (
+        3, 2, 1)
+    assert stats.tagged_pair_slots == 1
