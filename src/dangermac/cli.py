@@ -15,8 +15,6 @@ validation error or a run too large for memory, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import sys
 from dataclasses import fields
@@ -25,10 +23,13 @@ from pathlib import Path
 
 from .charts import line_chart
 from .config import CHOICES, MacTimings, ScenarioConfig, load_config
-from .pipeline import REPORT_COLUMNS, SWEEP_METRICS, evaluate_points, metric_value, simulate_points
+from .pipeline import (METRIC_COLUMNS, REPORT_COLUMNS, SWEEP_METRICS, evaluate_points,
+                       simulate_points)
 from .scenario import expected_n_eff, n_eff_samples
 
 _report_row = attrgetter(*REPORT_COLUMNS)
+# One report's cells: "%.9g" % v == format(v, ".9g") for every float.
+_REPORT_FORMAT = ",".join(["%.9g"] * len(REPORT_COLUMNS))
 _POINT_COLUMNS = ["n_vehicles", "threshold_m", *REPORT_COLUMNS, "model_mode"]
 _SWEEP_COLUMNS = ["x"] + _POINT_COLUMNS[1:]
 _SIM_COLUMNS = ["sim_tau", "sim_p_su", "sim_payload_fraction"]
@@ -49,13 +50,14 @@ def _fmt(value) -> str:
     return format(float(value), ".9g")
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
+def _csv_line(row: list) -> str:
+    return ",".join(map(_fmt, row))
+
+
+def _csv_text(header: list[str], lines: list[str]) -> str:
+    """CSV text of a header and data lines, joined with no quoting: every
+    cell is a number, a fixed label or a ``CHOICES`` value."""
+    return "\n".join([",".join(header), *lines, ""])
 
 
 def _emit(args, filename: str, text: str) -> None:
@@ -131,7 +133,7 @@ def cmd_point(args) -> int:
                                cfg.danger_metric)[0]
     [report] = evaluate_points(timings, [n_eff], cfg.model_mode)
     row = [cfg.n_vehicles, label, *_report_row(report), cfg.model_mode]
-    _emit(args, "point.csv", _csv_text(_POINT_COLUMNS, [row]))
+    _emit(args, "point.csv", _csv_text(_POINT_COLUMNS, [_csv_line(row)]))
     return 0
 
 
@@ -172,26 +174,30 @@ def cmd_sweep(args) -> int:
                                                cfg.danger_metric)
                   for n in (mean, float(cfg.n_vehicles))]
     reports = evaluate_points(timings, n_effs, cfg.model_mode)
+    # equal counts share one report, so each distinct count is formatted once
+    texts = {n: _REPORT_FORMAT % _report_row(r) for n, r in dict(zip(n_effs, reports)).items()}
     width = len(curves)
-    rows = [[xs[i // width], label, *_report_row(report), cfg.model_mode]
-            for i, (label, report) in enumerate(zip(labels, reports))]
+    x_texts = [_fmt(x) for x in xs]
+    lines = [f"{x_texts[i // width]},{label},{texts[n]},{cfg.model_mode}"
+             for i, (label, n) in enumerate(zip(labels, n_effs))]
 
     header = list(_SWEEP_COLUMNS)
     if args.compare_sim:
         header += _SIM_COLUMNS
-        n_sims = [round(report.n_eff_mean) for report in reports]
-        for row, sim in zip(rows, simulate_points(timings, n_sims, args.sim_slots, cfg.rng_seed)):
-            row += sim
+        sims = simulate_points(timings, [round(n) for n in n_effs], args.sim_slots,
+                               cfg.rng_seed)
+        lines = [f"{line},{_csv_line(sim)}" for line, sim in zip(lines, sims)]
 
-    _emit(args, "sweep.csv", _csv_text(header, rows))
+    _emit(args, "sweep.csv", _csv_text(header, lines))
 
     if args.svg:
         x_values = [float(x) for x in xs]
+        x_label = ("number of vehicles" if args.x_axis == "n_vehicles"
+                   else "danger threshold (m)")
         for metric in metrics:
-            series = [(curve, x_values, [metric_value(r, metric) for r in reports[j::width]])
+            column = attrgetter(METRIC_COLUMNS[metric])
+            series = [(curve, x_values, list(map(column, reports[j::width])))
                       for j, curve in enumerate(curves)]
-            x_label = ("number of vehicles" if args.x_axis == "n_vehicles"
-                       else "danger threshold (m)")
             _emit(args, f"{metric}.svg", line_chart(metric, x_label, metric, series))
     return 0
 
@@ -229,7 +235,7 @@ def cmd_compare(args) -> int:
             for a_cl, a_bu, s in zip(*checked):
                 row += [a_cl, a_bu, s, rel_err(a_cl, s), rel_err(a_bu, s)]
             rows.append(row)
-    _emit(args, "compare.csv", _csv_text(_COMPARE_COLUMNS, rows))
+    _emit(args, "compare.csv", _csv_text(_COMPARE_COLUMNS, list(map(_csv_line, rows))))
     return 0
 
 
@@ -238,10 +244,10 @@ def cmd_scenario(args) -> int:
     thresholds = _parse_numbers(args.thresholds, float, "--thresholds")
     samples = n_eff_samples(cfg.n_vehicles, cfg.road_length_m, thresholds,
                             cfg.trials, cfg.rng_seed, cfg.danger_metric)
-    rows = [[trial, threshold, count]
-            for trial, counts in enumerate(samples)
-            for threshold, count in zip(thresholds, counts)]
-    _emit(args, "scenario.csv", _csv_text(_SCENARIO_COLUMNS, rows))
+    lines = [_csv_line([trial, threshold, count])
+             for trial, counts in enumerate(samples)
+             for threshold, count in zip(thresholds, counts)]
+    _emit(args, "scenario.csv", _csv_text(_SCENARIO_COLUMNS, lines))
     return 0
 
 

@@ -119,7 +119,7 @@ def simulate_points(timings: MacTimings, counts: list[int], slots: int,
 
 # Metric names accepted by the sweep command, in canonical order, and the
 # report column each one plots.
-_METRIC_COLUMNS = {
+METRIC_COLUMNS = {
     "pdr": "pdr",
     "throughput": "throughput",
     "total_delay": "t_td_us",
@@ -128,7 +128,7 @@ _METRIC_COLUMNS = {
     "n_eff": "n_eff_mean",
     "tau": "tau",
 }
-SWEEP_METRICS = tuple(_METRIC_COLUMNS)
+SWEEP_METRICS = tuple(METRIC_COLUMNS)
 
 
 def metric_value(report: PerfReport, metric: str) -> float:
@@ -139,7 +139,7 @@ def metric_value(report: PerfReport, metric: str) -> float:
     to thinning the contender population).
     """
     try:
-        column = _METRIC_COLUMNS[metric]
+        column = METRIC_COLUMNS[metric]
     except KeyError:
         raise ValueError(f"unknown metric: {metric!r}") from None
     return getattr(report, column)

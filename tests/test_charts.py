@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -47,6 +48,22 @@ def test_chart_skips_non_finite_points():
     root = ET.fromstring(svg)
     polys = [e for e in root.iter() if e.tag.endswith("polyline")]
     assert len(polys[0].attrib["points"].split()) == 2
+
+
+
+def test_chart_of_non_finite_points_is_pinned():
+    nan, inf = math.nan, math.inf
+    svg = line_chart("pdr", "danger threshold (m)", "pdr", [
+        ("gaps", [0.1, 0.7, 1.3, 2.9, 3.3, 4.75], [1 / 3, nan, 2 / 7, inf, -inf, 2.5]),
+        ("edges", [0.05, 1.55, 2.5, 4.0], [-inf, 0.125, nan, 1 / 7]),
+        ("none", [0.2, 3.1], [nan, inf]),
+    ])
+    root = ET.fromstring(svg)
+    points = [e.attrib["points"] for e in root.iter() if e.tag.endswith("polyline")]
+    assert points == ["72.56,346.00 199.28,352.86 563.60,34.00",
+                      "225.68,376.00 484.40,373.43", ""]
+    assert (hashlib.sha256(svg.encode()).hexdigest()
+            == "62839cd3f59fa75bd99ba242bc7026f006c57ae883d61ae92e24f52110687298")
 
 
 _FLOATS = st.floats(min_value=0.0, max_value=sys.float_info.max, allow_subnormal=True)

@@ -2,14 +2,17 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dangermac.cli import main
+from dangermac.cli import _REPORT_FORMAT, _fmt, main
 
 
 def run_cli(capsys, *argv):
@@ -667,3 +670,79 @@ def test_compare_golden_rows(capsys):
     header, rows = parse_csv(out)
     assert header[-3:] == ["sim_tau", "sim_p_su", "sim_payload_fraction"]
     assert [",".join([row[0], row[1], *row[-3:]]) for row in rows] == SWEEP_SIM_GOLDEN
+
+
+# sha256 of every file each sweep writes. The CSV and SVG writers may change
+# how they format; no byte of what they write may move.
+SWEEP_FILE_DIGESTS = {
+    ("sweep", "--x-axis", "threshold_m", "--values", "0..1000", "--n-vehicles", "50",
+     "--svg"): {
+        "n_eff.svg": "fc23edb507d743189feb88b0571ea99ecc12c7cdd6f404fee64a89dca3162468",
+        "p_bus.svg": "572e2124817fa0f6f1acac0a9dd9ea5e38880f2715301a761358364e29eeafa7",
+        "p_col.svg": "54dfd842d9069627dc89e92b64be43ada7dfac475738353386b2862a925df6f5",
+        "pdr.svg": "e2c243da005a97f41918c6ef1ecc5d2c2062a1ad1bbcbf1b43eb99ff5169c10c",
+        "sweep.csv": "f366ec2d4a41e9c8a77f7b34f91a2762ed88401a3936ef517558b58f8ce00770",
+        "tau.svg": "c5c812c28aa135fdf6d9382e3798f6ad1c028c4073367bfd7689f571caf5feef",
+        "throughput.svg": "5f26a7ad552698f1a96954f7f30ddd53fdcc8b2fe55d45f65c478551ef4b035c",
+        "total_delay.svg": "7e5b05ceda214ba63099ddb034e81f82d7df4d7686e218d4bee6274752a4ebf2",
+    },
+    ("sweep", "--svg"): {
+        "n_eff.svg": "bf88c47805956a5ccda0659e6cc4ddd46f107c5baad34b4df52c05d84a86120f",
+        "p_bus.svg": "b1724c517cc4a38382555fbad61654642ecbf70ced5521c12035c39162346778",
+        "p_col.svg": "2bbc94b93bd34db48e1b55df5865206ffbc7e4bfee3a4987bbfd28d6e8d4f3e1",
+        "pdr.svg": "37b555fd9bb5d9976e5183d4f7bc2e26bdc55e336f786df235efb14c3b417512",
+        "sweep.csv": "d73a51444c64e5eee347e67cb8397cfeb6aaaed87f7eba466895d6050f0643c2",
+        "tau.svg": "1266dfacb10eb9176375b540a54363c1abc199bcd01e8dcf373fc06ea31ef14c",
+        "throughput.svg": "6008198fff9b0ac30bff8b353f3ce7ab5b53bdb64673cc8d44822405d8c26025",
+        "total_delay.svg": "4d17a1847804ce99631dfe4ca8b310abea328cdf68764d4162a9fc707c9aef21",
+    },
+    ("sweep", "--values", "1..8", "--compare-sim", "--sim-slots", "2000", "--svg"): {
+        "n_eff.svg": "c80fcefe8bebca75c5150fc6d1ef0b9f1607369386320606b128ea127291603a",
+        "p_bus.svg": "b8dae64d27b1612004ee4de4bb2d251c3e95593b3b0478d32abe3822cc083c58",
+        "p_col.svg": "e699aaa5d9b11d45b46610fff747022ef948b2e1d1e59e629f3baa63ed313136",
+        "pdr.svg": "2f2f54443e02cdc9a77156a29279cdd122106305819ee2c1e26062bb29072108",
+        "sweep.csv": "39aa54d26cda10b5d4b00ead15f072b25a1eab1e616f299fb4af5ae89ec2ecbe",
+        "tau.svg": "5f7cf75c099aa43b9a051f3ae2f1e9b72d58c40206f63a812e59409b49def717",
+        "throughput.svg": "024c83add5097a9c0da028f8c413e976cade15553a99c1d8de08dd96ba86e0e4",
+        "total_delay.svg": "6070c0d2c35b2a9690e4ae860407dbfc332220cae7086dc9513002327cfd4d0c",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(SWEEP_FILE_DIGESTS), ids=["threshold", "default", "sim"])
+def test_sweep_output_bytes_are_pinned(tmp_path, capsys, argv):
+    code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert digests == SWEEP_FILE_DIGESTS[argv]
+
+
+_EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                sys.float_info.min, sys.float_info.max, -sys.float_info.max, 1e-310,
+                123456789.5]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@example(_EDGE_FLOATS)
+@given(st.lists(st.floats(allow_subnormal=True), min_size=12, max_size=12))
+def test_report_format_equals_cell_formatting(row):
+    assert _REPORT_FORMAT % tuple(row) == ",".join(map(_fmt, row))
+
+
+@pytest.mark.parametrize("argv", [
+    ["point", "--threshold-m", "350"],
+    ["sweep", "--values", "1..6", "--compare-sim", "--sim-slots", "2000"],
+    ["sweep", "--x-axis", "threshold_m", "--values", "0,0.001,1e300", "--n-vehicles", "7"],
+    ["compare", "--n-list", "1,5", "--slots", "2000", "--seeds", "0,1"],
+    ["scenario", "--trials", "3", "--thresholds", "0,1e-300,350"],
+], ids=["point", "sweep-sim", "sweep-threshold", "compare", "scenario"])
+def test_csv_cells_need_no_quoting(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    rows = list(csv.reader(io.StringIO(out)))
+    assert out.endswith("\n") and len(rows) == len(lines) > 1
+    for line, row in zip(lines, rows):
+        assert len(row) == len(rows[0])
+        assert ",".join(row) == line
