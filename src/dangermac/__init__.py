@@ -34,6 +34,7 @@ from .pipeline import (
     evaluate_point,
     evaluate_points,
     geometry_from,
+    metric_column,
     metric_value,
     simulate_points,
 )
@@ -56,6 +57,6 @@ __all__ = [
     "apply_threshold", "assess_danger", "config_to_dict",
     "delay_state_probabilities", "evaluate_point", "evaluate_points",
     "expected_n_eff", "frame_times", "geometry_from", "load_config",
-    "metric_value", "n_eff_samples", "pdr", "place_vehicles", "run",
+    "metric_column", "metric_value", "n_eff_samples", "pdr", "place_vehicles", "run",
     "simulate_points", "solve_fixed_point", "throughput", "total_delay", "trial_rng",
 ]

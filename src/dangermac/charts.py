@@ -79,11 +79,12 @@ def line_chart(
 
     x_span, y_span, y_base = x_hi - x_lo, y_hi - y_lo, _MARGIN_TOP + plot_h
 
-    def px(x: float) -> float:
-        return _MARGIN_LEFT + (x - x_lo) / x_span * plot_w
+    # Data to pixels a list at a time: a call per point costs more than its arithmetic.
+    def px(xs: list[float]) -> list[float]:
+        return [_MARGIN_LEFT + (x - x_lo) / x_span * plot_w for x in xs]
 
-    def py(y: float) -> float:
-        return y_base - (y - y_lo) / y_span * plot_h
+    def py(ys: list[float]) -> list[float]:
+        return [y_base - (y - y_lo) / y_span * plot_h for y in ys]
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -91,14 +92,12 @@ def line_chart(
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" font-size="15">{title}</text>',
     ]
-    for tick, label in zip(x_ticks, _tick_labels(x_ticks)):
-        x = px(tick)
+    for x, label in zip(px(x_ticks), _tick_labels(x_ticks)):
         parts.append(f'<line x1="{x:.2f}" y1="{_MARGIN_TOP}" x2="{x:.2f}" '
                      f'y2="{_MARGIN_TOP + plot_h}" stroke="#dddddd"/>')
         parts.append(f'<text x="{x:.2f}" y="{_MARGIN_TOP + plot_h + 16}" '
                      f'text-anchor="middle">{label}</text>')
-    for tick, label in zip(y_ticks, _tick_labels(y_ticks)):
-        y = py(tick)
+    for y, label in zip(py(y_ticks), _tick_labels(y_ticks)):
         parts.append(f'<line x1="{_MARGIN_LEFT}" y1="{y:.2f}" '
                      f'x2="{_MARGIN_LEFT + plot_w}" y2="{y:.2f}" stroke="#dddddd"/>')
         parts.append(f'<text x="{_MARGIN_LEFT - 6}" y="{y + 4:.2f}" '
@@ -112,13 +111,8 @@ def line_chart(
 
     for idx, (label, xs, ys) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        # px and py inlined: a call per point costs more than its arithmetic
-        points = " ".join([
-            "%.2f,%.2f" % (_MARGIN_LEFT + (x - x_lo) / x_span * plot_w,
-                           y_base - (y - y_lo) / y_span * plot_h)
-            for x, y in zip(xs, ys)
-            if math.isfinite(y)
-        ])
+        points = " ".join(["%.2f,%.2f" % xy for xy, y in zip(zip(px(xs), py(ys)), ys)
+                           if math.isfinite(y)])
         parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
                      f'stroke-width="1.8"/>')
         legend_y = _MARGIN_TOP + 10 + idx * 18

@@ -23,13 +23,13 @@ from pathlib import Path
 
 from .charts import line_chart
 from .config import CHOICES, MacTimings, ScenarioConfig, load_config
-from .pipeline import (METRIC_COLUMNS, REPORT_COLUMNS, SWEEP_METRICS, evaluate_points,
+from .pipeline import (REPORT_COLUMNS, SWEEP_METRICS, evaluate_points, metric_column,
                        simulate_points)
 from .scenario import expected_n_eff, n_eff_samples
 
 _report_row = attrgetter(*REPORT_COLUMNS)
-# One report's cells: "%.9g" % v == format(v, ".9g") for every float.
-_REPORT_FORMAT = ",".join(["%.9g"] * len(REPORT_COLUMNS))
+_CELL = "%.9g"
+_REPORT_FORMAT = ",".join([_CELL] * len(REPORT_COLUMNS))
 _POINT_COLUMNS = ["n_vehicles", "threshold_m", *REPORT_COLUMNS, "model_mode"]
 _SWEEP_COLUMNS = ["x"] + _POINT_COLUMNS[1:]
 _SIM_COLUMNS = ["sim_tau", "sim_p_su", "sim_payload_fraction"]
@@ -47,7 +47,7 @@ def _fmt(value) -> str:
         return value
     if isinstance(value, int):
         return str(value)
-    return format(float(value), ".9g")
+    return _CELL % value
 
 
 def _csv_line(row: list) -> str:
@@ -195,7 +195,7 @@ def cmd_sweep(args) -> int:
         x_label = ("number of vehicles" if args.x_axis == "n_vehicles"
                    else "danger threshold (m)")
         for metric in metrics:
-            column = attrgetter(METRIC_COLUMNS[metric])
+            column = metric_column(metric)
             series = [(curve, x_values, list(map(column, reports[j::width])))
                       for j, curve in enumerate(curves)]
             _emit(args, f"{metric}.svg", line_chart(metric, x_label, metric, series))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from .config import MacTimings
 from .markov import ChainGeometry, solve_fixed_point
@@ -119,7 +120,7 @@ def simulate_points(timings: MacTimings, counts: list[int], slots: int,
 
 # Metric names accepted by the sweep command, in canonical order, and the
 # report column each one plots.
-METRIC_COLUMNS = {
+_METRIC_COLUMNS = {
     "pdr": "pdr",
     "throughput": "throughput",
     "total_delay": "t_td_us",
@@ -128,18 +129,22 @@ METRIC_COLUMNS = {
     "n_eff": "n_eff_mean",
     "tau": "tau",
 }
-SWEEP_METRICS = tuple(METRIC_COLUMNS)
+SWEEP_METRICS = tuple(_METRIC_COLUMNS)
 
 
-def metric_value(report: PerfReport, metric: str) -> float:
-    """Value of one plottable sweep metric: its report column.
+def metric_column(metric: str) -> attrgetter:
+    """Getter of one plottable sweep metric: its report column.
 
     ``p_col`` and ``p_bus`` are the fixed point's per-attempt collision and
     per-slot busy probabilities (the quantities that respond monotonically
     to thinning the contender population).
     """
     try:
-        column = METRIC_COLUMNS[metric]
+        return attrgetter(_METRIC_COLUMNS[metric])
     except KeyError:
         raise ValueError(f"unknown metric: {metric!r}") from None
-    return getattr(report, column)
+
+
+def metric_value(report: PerfReport, metric: str) -> float:
+    """Value of one plottable sweep metric: ``metric_column(metric)(report)``."""
+    return metric_column(metric)(report)

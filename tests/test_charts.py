@@ -50,7 +50,6 @@ def test_chart_skips_non_finite_points():
     assert len(polys[0].attrib["points"].split()) == 2
 
 
-
 def test_chart_of_non_finite_points_is_pinned():
     nan, inf = math.nan, math.inf
     svg = line_chart("pdr", "danger threshold (m)", "pdr", [

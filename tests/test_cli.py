@@ -2,17 +2,14 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
-from dangermac.cli import _REPORT_FORMAT, _fmt, main
+from dangermac.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -716,18 +713,6 @@ def test_sweep_output_bytes_are_pinned(tmp_path, capsys, argv):
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in tmp_path.iterdir()}
     assert digests == SWEEP_FILE_DIGESTS[argv]
-
-
-_EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
-                sys.float_info.min, sys.float_info.max, -sys.float_info.max, 1e-310,
-                123456789.5]
-
-
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
-@example(_EDGE_FLOATS)
-@given(st.lists(st.floats(allow_subnormal=True), min_size=12, max_size=12))
-def test_report_format_equals_cell_formatting(row):
-    assert _REPORT_FORMAT % tuple(row) == ",".join(map(_fmt, row))
 
 
 @pytest.mark.parametrize("argv", [

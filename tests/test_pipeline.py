@@ -12,6 +12,7 @@ from dangermac.pipeline import (
     evaluate_point,
     evaluate_points,
     geometry_from,
+    metric_column,
     metric_value,
     simulate_points,
 )
@@ -59,7 +60,10 @@ def test_metric_value_reads_its_column():
                "p_bus": "p_bus", "p_col": "p_col", "n_eff": "n_eff_mean", "tau": "tau"}
     assert SWEEP_METRICS == tuple(columns)
     for metric, column in columns.items():
+        assert metric_column(metric)(report) == getattr(report, column)
         assert metric_value(report, metric) == getattr(report, column)
+    with pytest.raises(ValueError, match="unknown metric: 'p_c'"):
+        metric_column("p_c")
     with pytest.raises(ValueError, match="unknown metric: 'p_c'"):
         metric_value(report, "p_c")
 
