@@ -18,6 +18,7 @@ import argparse
 import math
 import sys
 from dataclasses import fields
+from itertools import product
 from operator import attrgetter
 from pathlib import Path
 
@@ -160,7 +161,6 @@ def cmd_sweep(args) -> int:
                 "--values must all be >= 1 and fit in a float for the n_vehicles axis")
         thresholds = _parse_numbers(args.thresholds, float, "--thresholds")
         curves = [_fmt(t) for t in thresholds] + ["benchmark"]
-        labels = curves * len(xs)
         n_effs = [n for x in xs
                   for n in expected_n_eff(x, cfg.road_length_m, thresholds, cfg.danger_metric)
                   + [float(x)]]
@@ -169,17 +169,15 @@ def cmd_sweep(args) -> int:
         if xs[0] < 0:
             raise ValueError("--values must all be >= 0 for the threshold_m axis")
         curves = ["filtered", "benchmark"]
-        labels = [label for x in xs for label in (_fmt(x), "benchmark")]
         n_effs = [n for mean in expected_n_eff(cfg.n_vehicles, cfg.road_length_m, xs,
                                                cfg.danger_metric)
                   for n in (mean, float(cfg.n_vehicles))]
     reports = evaluate_points(timings, n_effs, cfg.model_mode)
     # equal counts share one report, so each distinct count is formatted once
     texts = {n: _REPORT_FORMAT % _report_row(r) for n, r in dict(zip(n_effs, reports)).items()}
-    width = len(curves)
-    x_texts = [_fmt(x) for x in xs]
-    lines = [f"{x_texts[i // width]},{label},{texts[n]},{cfg.model_mode}"
-             for i, (label, n) in enumerate(zip(labels, n_effs))]
+    # a filtered row's threshold_m label is its own x
+    lines = [f"{x},{x if curve == 'filtered' else curve},{texts[n]},{cfg.model_mode}"
+             for (x, curve), n in zip(product(map(_fmt, xs), curves), n_effs)]
 
     header = list(_SWEEP_COLUMNS)
     if args.compare_sim:
@@ -196,7 +194,7 @@ def cmd_sweep(args) -> int:
                    else "danger threshold (m)")
         for metric in metrics:
             column = metric_column(metric)
-            series = [(curve, x_values, list(map(column, reports[j::width])))
+            series = [(curve, x_values, list(map(column, reports[j::len(curves)])))
                       for j, curve in enumerate(curves)]
             _emit(args, f"{metric}.svg", line_chart(metric, x_label, metric, series))
     return 0

@@ -17,14 +17,17 @@ occupancy per attempt weighted by the share of attempts made from that
 stage; those stage coefficients sum to exactly 1. ``_slots_per_attempt``
 is its one closed form, evaluated by Horner's rule over a per-solve tuple
 of ``(W_i, (W_i - 1) / 2)``; the tests check it against the per-stage
-form and a power iteration of the explicit transition matrix. The model
-is closed over ``n`` contenders by a bracketed solve of tau = T(tau).
+form and a power iteration of the explicit transition matrix, and it
+returns dD/dp_c and dD/dp_b from the same pass. The model is closed over
+``n`` contenders by a bracketed Newton solve of tau = T(tau) in the
+collision probability, about 5 evaluations of D per solve.
 """
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
+from math import expm1, log1p
 from typing import NamedTuple
 
 from .config import MODEL_MODES
@@ -68,8 +71,11 @@ def _stage_terms(g: ChainGeometry) -> tuple[tuple[int, float], ...]:
     return tuple(stages)
 
 
-def _slots_per_attempt(p_c: float, p_b: float, stages: tuple[tuple[int, float], ...]) -> float:
-    """D(p_c, p_b), the mean number of slots per transmission attempt.
+def _slots_per_attempt(
+    p_c: float, p_b: float, stages: tuple[tuple[int, float], ...]
+) -> tuple[float, float, float]:
+    """D(p_c, p_b), the mean number of slots per transmission attempt, and
+    its partial derivatives in ``p_c`` and ``p_b``, from one Horner pass.
 
     Stage i < max receives collision inflow from stage i-1 only, so its
     transmission state carries p_c**i times b00. The top stage also feeds
@@ -84,51 +90,73 @@ def _slots_per_attempt(p_c: float, p_b: float, stages: tuple[tuple[int, float], 
     d <- d p_c + (1 - p_c) k_i, starting from d = k_m. At ``p_c = 1`` it is
     the finite limit k_m (only the top stage transmits) rather than a
     division by zero; a single stage (max_stage 0) gives k_0 whatever p_c.
+    The derivatives ride along the same recurrence: dD/dp_c as
+    d_c <- d_c p_c + d - k_i from 0, and dD/dp_b as
+    d_b <- d_b p_c + (1 - p_c) dk_i/dp_b from dk_m/dp_b, where
+    dk_i/dp_b = h_i / (W_i (1 - p_b/W_i)^2).
     """
     stages = iter(stages)
     w, h = next(stages)
-    d = 1.0 + h / (1.0 - p_b / w)
+    t = 1.0 - p_b / w
+    d = 1.0 + h / t
+    d_c = 0.0
+    d_b = h / (w * t * t)
     q = 1.0 - p_c
     for w, h in stages:
-        d = d * p_c + q * (1.0 + h / (1.0 - p_b / w))
-    return d
+        t = 1.0 - p_b / w
+        k = 1.0 + h / t
+        d_c = d_c * p_c + d - k
+        d_b = d_b * p_c + q * h / (w * t * t)
+        d = d * p_c + q * k
+    return d, d_c, d_b
 
 
-def _collision_probability(tau: float, others: float) -> float:
-    """``1 - (1 - tau)**others``: that one of ``others`` stations transmits.
-
-    ``others`` may be fractional (a population average) and is 0 below one
-    contender. The value rounds to 1 from about 150 contenders, which
-    :func:`_slots_per_attempt` takes as its finite limit.
-    """
-    return -math.expm1(others * math.log1p(-tau))
-
-
-# The solve stops once its bracket is this narrow relative to its upper
-# end: a few ulps, below which the secant and midpoint steps are rounding.
-_BRACKET_REL_WIDTH = 1e-15
+# A Newton step of at most this share of tau (4 to 8 ulps) is rounding
+# noise: phi's few rounded operations each carry about an ulp of
+# x = -log(1 - tau) >= tau, and phi's slope in x is at least 1, so the
+# step cannot resolve tau any finer.
+_NOISE = 4.0 * sys.float_info.epsilon
 
 
 def solve_fixed_point(n: float, g: ChainGeometry, mode: str = "busy_aware") -> FixedPointSolution:
-    """Solve tau = T(tau) for ``n`` contenders by Illinois regula falsi.
+    """Solve tau = T(tau) for ``n`` contenders by a bracketed Newton solve.
 
     T(tau) = 1 / D(p_c, p_b) closes the chain over the population: both
     the collision and the busy event are "at least one of the other n - 1
     stations transmits in the slot", p_c = 1 - (1 - tau)^(n-1), and
     ``classic`` mode drops the busy feedback (p_b = 0), recovering plain
-    binary exponential backoff. The loop evaluates only the float
-    f(tau) = tau - 1/D; ``p_c`` and ``p_b`` are computed once, at the
-    returned tau.
+    binary exponential backoff. ``n`` may be fractional (a population
+    average). With at most one contender nobody else transmits, and tau
+    is T's no-contention value 2 / (w0 + 1).
 
-    f(tau) is negative at 0, where T = 2 / (w0 + 1), and non-negative at
-    2 / (w0 + 1), the most T can be, so the root lies in that bracket
-    (exactly at its upper end for n <= 1). Each step replaces one end by
-    the secant point (the midpoint when the secant point is not strictly
-    inside), halving the kept end's f when the same end is kept twice
-    (Dowell & Jarratt, BIT 11, 1971). The solve ends when the
-    bracket is a few ulps wide or the midpoint cannot split it, and
-    returns the end with the smaller |f|. ``iterations`` counts map
-    calls; ``residual`` is |T(tau) - tau| at the returned tau.
+    Otherwise tau is the root of phi = log(1 - 1/D(p)) - log(1 - tau),
+    which is negative at tau = 0 and crosses 0 once, where tau = 1/D.
+    Each evaluation takes an iterate tau to p = 1 - (1 - tau)^(n-1), then
+    to D and dD/dp by one Horner pass (:func:`_slots_per_attempt`), and so
+    to phi and its slope. The step is Newton's on phi as a function of p,
+    the collision probability Bianchi solves for, in which phi is nearly
+    linear. It is computed in y = -log(1 - p) = -(n-1) log(1 - tau) and
+    applied to log(1 - tau), which resolves the root even where p rounds
+    to 1. Where the p-step would pass p = 1 (a y-step of 1 or more) the
+    step is Newton's in y instead: near
+    saturation (p rounds to 1 from about 4,800 contenders at the
+    defaults) phi is linear in y, so the y-step lands on the root. The
+    first step is from tau = 0, where D and its slope have closed forms.
+    A step that leaves the bracket [lo, hi] of evaluated signs (from
+    [0, 1]) is replaced by its midpoint, and no step passes
+    2 / (w0 + 1), the most T can be; each evaluation is strictly inside
+    the bracket and narrows it, so the solve ends without an iteration
+    cap. It stops when a step is at most ``_NOISE`` of tau: the step
+    estimates tau's distance to the root, and one that small is the
+    rounding noise of phi, so the last tau is as close as phi can tell.
+
+    That tau is returned with ``p_c`` and ``p_b`` from its own evaluation
+    and ``residual`` = |T(tau) - tau| from its D. ``iterations`` counts
+    the Horner evaluations of D and its slope: 5 per solve busy-aware and
+    6 classic over the counts of a 50-vehicle threshold sweep at the
+    defaults, and at most 13 from n = 0.01 to 10^6 (the Illinois regula
+    falsi this replaced took 16.4 and up to 37). The closed-form start is
+    not counted, and n <= 1 takes none.
     Deterministic: same inputs, same bits.
     """
     if mode not in MODEL_MODES:
@@ -138,36 +166,48 @@ def solve_fixed_point(n: float, g: ChainGeometry, mode: str = "busy_aware") -> F
     stages = _stage_terms(g)
     others = max(n - 1.0, 0.0)
     busy = mode == "busy_aware"
+    # T is at most 2 / (w0 + 1), its value with no contention, and so is the root
+    top = 2.0 / (g.w0 + 1.0)
+    if others == 0.0:
+        return FixedPointSolution(tau=top, p_c=0.0, p_b=0.0, iterations=0, residual=0.0)
 
-    def f(tau: float) -> float:
-        p_c = _collision_probability(tau, others)
-        return tau - 1.0 / _slots_per_attempt(p_c, p_c if busy else 0.0, stages)
-
-    hi = 2.0 / (g.w0 + 1.0)
-    f_hi = f(hi)
-    lo, f_lo = 0.0, -hi
-    weight_lo, weight_hi, kept = f_lo, f_hi, None
-    calls = 1
-    while f_hi > 0.0:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi or hi - lo <= _BRACKET_REL_WIDTH * hi:
-            break
-        tau = hi - weight_hi * (hi - lo) / (weight_hi - weight_lo)
-        if not lo < tau < hi:
-            tau = mid
-        f_tau = f(tau)
-        calls += 1
-        if f_tau >= 0.0:
-            hi, f_hi, weight_hi = tau, f_tau, f_tau
-            if kept == "lo":
-                weight_lo *= 0.5
-            kept = "lo"
+    # The first step is from tau = 0, where p = 0 and D has closed forms:
+    # D(0) = k_0 = (w0 + 1) / 2, dD/dp_c = k_1 - k_0 = w0 / 2 (0 with a
+    # single stage) and dD/dp_b = h_0 / w0 = (w0 - 1) / (2 w0).
+    tau = log_idle = p = p_b = 0.0
+    d = (g.w0 + 1.0) / 2.0
+    slope = (g.w0 / 2.0 if g.max_stage else 0.0) + ((g.w0 - 1.0) / (2.0 * g.w0) if busy else 0.0)
+    inv_others = 1.0 / others
+    lo, hi = 0.0, 1.0
+    calls = 0
+    while True:
+        phi = log1p(-1.0 / d) - log_idle
+        if phi < 0.0:
+            lo = tau
+        elif phi > 0.0:
+            hi = tau
         else:
-            lo, f_lo, weight_lo = tau, f_tau, f_tau
-            if kept == "hi":
-                weight_hi *= 0.5
-            kept = "hi"
-    tau, f_tau = (lo, f_lo) if lo > 0.0 and -f_lo < f_hi else (hi, f_hi)
-    p_c = _collision_probability(tau, others)
-    return FixedPointSolution(tau=tau, p_c=p_c, p_b=p_c if busy else 0.0,
-                              iterations=calls, residual=abs(f_tau))
+            break
+        # Newton's step in y, where phi's slope is
+        # 1/(n-1) + (dD/dp) (1 - p) / (D (D - 1)); in p while that stays below 1
+        y_step = -phi / (inv_others + slope * (1.0 - p) / (d * (d - 1.0)))
+        if y_step < 1.0:
+            y_step = -log1p(-y_step)
+        tau_next = -expm1(log_idle - y_step * inv_others)
+        if tau_next > top:
+            tau_next = top
+        if abs(tau_next - tau) <= _NOISE * tau:
+            break
+        if not lo < tau_next < hi:
+            tau_next = 0.5 * (lo + hi)
+            if not lo < tau_next < hi:
+                break
+        tau = tau_next
+        log_idle = log1p(-tau)
+        p = -expm1(others * log_idle)
+        p_b = p if busy else 0.0
+        d, d_c, d_b = _slots_per_attempt(p, p_b, stages)
+        slope = d_c + d_b if busy else d_c
+        calls += 1
+    return FixedPointSolution(tau=tau, p_c=p, p_b=p_b, iterations=calls,
+                              residual=abs(tau - 1.0 / d))

@@ -610,6 +610,21 @@ def test_point_golden_rows(capsys, argv, row):
     assert out.splitlines() == [POINT_HEADER, row]
 
 
+def test_point_row_matches_the_same_count_in_a_sweep(capsys):
+    # a solve depends only on its count, not on what was solved before it
+    code, out, _ = run_cli(capsys, "point", "--n-vehicles", "7", "--threshold-m", "350")
+    assert code == 0
+    point_row = out.splitlines()[1]
+    code, out, _ = run_cli(capsys, "sweep", "--values", "1..10", "--thresholds", "300,350")
+    assert code == 0
+    assert point_row in out.splitlines()
+    code, out, _ = run_cli(capsys, "sweep", "--x-axis", "threshold_m", "--values", "340..360",
+                           "--n-vehicles", "7")
+    assert code == 0
+    [row] = [line for line in out.splitlines() if line.startswith("350,350,")]
+    assert row.split(",")[1:] == point_row.split(",")[1:]
+
+
 # compare's whole CSV and sweep --compare-sim"s simulator columns, pinned at
 # every printed digit: the simulator"s stream, its counts and the formula
 # that turns them into tau, p_su, throughput and collision fraction.

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -5,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dangermac.config import MODEL_MODES
+from dangermac.config import MODEL_MODES, MacTimings, ScenarioConfig
 from dangermac.markov import (
     ChainGeometry,
-    _collision_probability,
     _slots_per_attempt,
     _stage_terms,
     solve_fixed_point,
 )
+from dangermac.pipeline import geometry_from
+from dangermac.scenario import expected_n_eff
 
 GRID_GEOMETRIES = [(1, 2), (2, 4), (3, 8), (5, 8)]
 GRID_PROBS = [0.0, 0.2, 0.5, 0.8]
@@ -28,7 +30,7 @@ def stationary_tau(p_c: float, p_b: float, g: ChainGeometry) -> tuple[float, flo
     ``1 - p_c`` of all attempts (every attempt, for a single stage), so
     b00, the mass of state (0, 0), is that share over D.
     """
-    d = _slots_per_attempt(p_c, p_b, _stage_terms(g))
+    d = _slots_per_attempt(p_c, p_b, _stage_terms(g))[0]
     return 1.0 / d, (1.0 - p_c if g.max_stage > 0 else 1.0) / d
 
 
@@ -271,6 +273,37 @@ def test_closed_form_matches_per_stage_reference():
                 assert b00 == pytest.approx(ref_b00, rel=PER_STAGE_REL_TOL, abs=0), case
 
 
+def test_slots_per_attempt_derivatives_match_complex_step():
+    # D is rational in p_c and p_b, so D(p + ih) = D(p) + ih D'(p) + O(h^2):
+    # Im D(p + ih) / h is D' to rounding, with no difference to cancel
+    rng = random.Random(13)
+    h = 1e-30
+    for w0 in (2, 8, 1024):
+        for max_stage in (0, 1, 5, 16):
+            stages = _stage_terms(ChainGeometry(max_stage, w0))
+            for p_c, p_b in [(0.0, 0.0), (1.0, 1.0)] + [(rng.random(), rng.random())
+                                                        for _ in range(10)]:
+                _, d_c, d_b = _slots_per_attempt(p_c, p_b, stages)
+                case = (w0, max_stage, p_c, p_b)
+                assert d_c == pytest.approx(
+                    _slots_per_attempt(p_c + h * 1j, p_b, stages)[0].imag / h,
+                    rel=1e-12, abs=1e-12), case
+                assert d_b == pytest.approx(
+                    _slots_per_attempt(p_c, p_b + h * 1j, stages)[0].imag / h,
+                    rel=1e-12, abs=1e-12), case
+
+
+def test_slots_per_attempt_closed_forms_at_zero_coupling():
+    # the solver's first step uses these instead of an evaluation:
+    # D(0) = (w0 + 1) / 2, dD/dp_c = w0 / 2 (0 for one stage), dD/dp_b = (w0 - 1) / (2 w0)
+    for w0 in (2, 3, 8, 1024, 2**16):
+        for max_stage in (0, 1, 5, 16):
+            d, d_c, d_b = _slots_per_attempt(0.0, 0.0, _stage_terms(ChainGeometry(max_stage, w0)))
+            assert d == (w0 + 1) / 2
+            assert d_c == (w0 / 2 if max_stage else 0.0)
+            assert d_b == pytest.approx((w0 - 1) / (2 * w0), rel=1e-15)
+
+
 def test_matrix_is_row_stochastic():
     for m, w0 in GRID_GEOMETRIES:
         g = ChainGeometry(m, w0)
@@ -394,8 +427,8 @@ def _bisection_root(n, g, mode):
     stages = _stage_terms(g)
 
     def f(tau):
-        p_c = _collision_probability(tau, max(n - 1.0, 0.0))
-        return tau - 1.0 / _slots_per_attempt(p_c, p_c if mode == "busy_aware" else 0.0, stages)
+        p_c = -math.expm1(max(n - 1.0, 0.0) * math.log1p(-tau))
+        return tau - 1.0 / _slots_per_attempt(p_c, p_c if mode == "busy_aware" else 0.0, stages)[0]
 
     lo, hi = 0.0, 2.0 / (g.w0 + 1.0)
     if f(hi) <= 0:
@@ -440,6 +473,7 @@ def test_fixed_point_property(n, g, mode):
     solution = solve_fixed_point(n, g, mode)
     assert solution.residual <= 1e-15
     assert 0.0 <= solution.tau <= 2.0 / (g.w0 + 1.0)
+    assert solution.tau == pytest.approx(_bisection_root(n, g, mode), rel=1e-12, abs=0)
 
 
 def test_fixed_point_matches_stationary_distribution():
@@ -453,3 +487,39 @@ def test_fixed_point_matches_stationary_distribution():
             assert solution.p_b == (solution.p_c if mode == "busy_aware" else 0.0)
             tau, _ = stationary_tau(solution.p_c, solution.p_b, g)
             assert solution.tau == pytest.approx(tau, rel=1e-12)
+
+
+DEFAULT_GEOMETRY = geometry_from(MacTimings())
+# The most map calls any n in 0.1, 0.2, ..., 50 or 1, 2, ..., 200 takes at
+# the defaults, as measured: a slip back to a slower solve fails here.
+MAX_CALLS = {"busy_aware": 5, "classic": 6}
+# Map calls of the Illinois regula falsi the Newton solve replaced, at the
+# defaults: the new solve may take no more.
+ILLINOIS_CALLS = {150: {"busy_aware": 37, "classic": 15},
+                  10**4: {"busy_aware": 9, "classic": 9},
+                  10**6: {"busy_aware": 9, "classic": 9}}
+
+
+@pytest.mark.parametrize("mode", MODEL_MODES)
+def test_fixed_point_map_calls_are_bounded(mode):
+    populations = [k / 10 for k in range(1, 501)] + list(range(1, 201))
+    calls = {n: solve_fixed_point(n, DEFAULT_GEOMETRY, mode).iterations for n in populations}
+    worst = max(calls, key=calls.get)
+    assert calls[worst] <= MAX_CALLS[mode], (worst, calls[worst])
+    for n, illinois in ILLINOIS_CALLS.items():
+        assert solve_fixed_point(n, DEFAULT_GEOMETRY, mode).iterations <= illinois[mode], n
+
+
+def test_fixed_point_does_not_depend_on_solve_order():
+    # the distinct contender counts of a 50-vehicle threshold sweep over 0..1000 m
+    cfg = ScenarioConfig()
+    counts = sorted({n for n in expected_n_eff(50, cfg.road_length_m,
+                                               [float(t) for t in range(1001)],
+                                               cfg.danger_metric) if n > 0})
+    assert len(counts) == 472
+    shuffled = counts[:]
+    random.Random(3).shuffle(shuffled)
+    for mode in MODEL_MODES:
+        solutions = [{n: solve_fixed_point(n, DEFAULT_GEOMETRY, mode) for n in order}
+                     for order in (counts, counts[::-1], shuffled)]
+        assert solutions[0] == solutions[1] == solutions[2]
