@@ -48,7 +48,7 @@ from .scenario import (
 )
 from .slotsim import SimStats, run
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 __all__ = [
     "AccessProbabilities", "ChainGeometry", "ConfigError", "DelayBreakdown",

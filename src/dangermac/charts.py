@@ -12,13 +12,17 @@ import sys
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#7f7f7f", "#ff7f0e", "#9467bd",
            "#8c564b", "#17becf")
 
+_WIDTH = 720
+_HEIGHT = 440
 _MARGIN_LEFT = 62
 _MARGIN_RIGHT = 130
 _MARGIN_TOP = 34
 _MARGIN_BOTTOM = 46
+# the tick count an axis aims for; the step rounds it to 2 to 8
+_TICK_COUNT = 5
 
 
-def _nice_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     """Round tick positions covering [lo, hi]: 2 to 8 of them, strictly
     increasing, the first at or below ``lo`` and the last at or above ``hi``.
 
@@ -32,7 +36,7 @@ def _nice_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     if hi - lo <= 32 * math.ulp(max(abs(lo), abs(hi))):
         pad = abs(lo) * 0.1 if abs(lo) >= sys.float_info.min else 1.0
         lo, hi = lo - pad, min(hi + pad, sys.float_info.max)
-    raw = (hi - lo) / count
+    raw = (hi - lo) / _TICK_COUNT
     exponent = math.floor(math.log10(raw)) - 1
     for mult in (10, 20, 25, 50, 100):
         if float(f"{mult}e{exponent}") >= raw:
@@ -64,8 +68,6 @@ def line_chart(
     x_label: str,
     y_label: str,
     series: list[tuple[str, list[float], list[float]]],
-    width: int = 720,
-    height: int = 440,
 ) -> str:
     """Render one chart; ``series`` is a list of (label, xs, ys)."""
     xs_all = [x for _, xs, _ in series for x in xs]
@@ -74,8 +76,8 @@ def line_chart(
     y_ticks = _nice_ticks(min(ys_all), max(ys_all))
     x_lo, x_hi = x_ticks[0], x_ticks[-1]
     y_lo, y_hi = y_ticks[0], y_ticks[-1]
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     x_span, y_span, y_base = x_hi - x_lo, y_hi - y_lo, _MARGIN_TOP + plot_h
 
@@ -87,10 +89,10 @@ def line_chart(
         return [y_base - (y - y_lo) / y_span * plot_h for y in ys]
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" font-size="15">{title}</text>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" font-size="15">{title}</text>',
     ]
     for x, label in zip(px(x_ticks), _tick_labels(x_ticks)):
         parts.append(f'<line x1="{x:.2f}" y1="{_MARGIN_TOP}" x2="{x:.2f}" '
@@ -104,7 +106,7 @@ def line_chart(
                      f'text-anchor="end">{label}</text>')
     parts.append(f'<rect x="{_MARGIN_LEFT}" y="{_MARGIN_TOP}" width="{plot_w}" '
                  f'height="{plot_h}" fill="none" stroke="#333333"/>')
-    parts.append(f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{height - 10}" '
+    parts.append(f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 10}" '
                  f'text-anchor="middle">{x_label}</text>')
     parts.append(f'<text x="16" y="{_MARGIN_TOP + plot_h / 2:.1f}" text-anchor="middle" '
                  f'transform="rotate(-90 16 {_MARGIN_TOP + plot_h / 2:.1f})">{y_label}</text>')

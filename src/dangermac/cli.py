@@ -17,9 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import fields
 from itertools import product
-from operator import attrgetter
 from pathlib import Path
 
 from .charts import line_chart
@@ -28,7 +26,6 @@ from .pipeline import (REPORT_COLUMNS, SWEEP_METRICS, evaluate_points, metric_co
                        simulate_points)
 from .scenario import expected_n_eff, n_eff_samples
 
-_report_row = attrgetter(*REPORT_COLUMNS)
 _CELL = "%.9g"
 _REPORT_FORMAT = ",".join([_CELL] * len(REPORT_COLUMNS))
 _POINT_COLUMNS = ["n_vehicles", "threshold_m", *REPORT_COLUMNS, "model_mode"]
@@ -72,7 +69,7 @@ def _emit(args, filename: str, text: str) -> None:
 
 # Every config field is a flag of the same name; values stay strings here
 # and are parsed and checked by ``config.load_config``.
-_CONFIG_FIELDS = [f.name for f in fields(MacTimings) + fields(ScenarioConfig)]
+_CONFIG_FIELDS = MacTimings._fields + ScenarioConfig._fields
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -133,7 +130,7 @@ def cmd_point(args) -> int:
         n_eff = expected_n_eff(cfg.n_vehicles, cfg.road_length_m, [cfg.threshold_m],
                                cfg.danger_metric)[0]
     [report] = evaluate_points(timings, [n_eff], cfg.model_mode)
-    row = [cfg.n_vehicles, label, *_report_row(report), cfg.model_mode]
+    row = [cfg.n_vehicles, label, *report, cfg.model_mode]
     _emit(args, "point.csv", _csv_text(_POINT_COLUMNS, [_csv_line(row)]))
     return 0
 
@@ -174,7 +171,7 @@ def cmd_sweep(args) -> int:
                   for n in (mean, float(cfg.n_vehicles))]
     reports = evaluate_points(timings, n_effs, cfg.model_mode)
     # equal counts share one report, so each distinct count is formatted once
-    texts = {n: _REPORT_FORMAT % _report_row(r) for n, r in dict(zip(n_effs, reports)).items()}
+    texts = {n: _REPORT_FORMAT % r for n, r in dict(zip(n_effs, reports)).items()}
     # a filtered row's threshold_m label is its own x
     lines = [f"{x},{x if curve == 'filtered' else curve},{texts[n]},{cfg.model_mode}"
              for (x, curve), n in zip(product(map(_fmt, xs), curves), n_effs)]

@@ -1,8 +1,9 @@
 """MAC/PHY timing and road-scenario configuration.
 
 All durations are microseconds, all road lengths are meters, and the data
-rate is Mb/s (equivalently bits per microsecond). Configs are frozen
-dataclasses.
+rate is Mb/s (equivalently bits per microsecond). Configs are
+NamedTuples: ``_replace`` copies one with fields changed, ``_asdict``
+reads it as a dict and ``_fields`` names its fields.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import Field, asdict, dataclass, fields
+from typing import NamedTuple, get_type_hints
 
 MODEL_MODES = ("busy_aware", "classic")
 DANGER_METRICS = ("min_gap", "front_gap_only")
@@ -22,8 +23,7 @@ class ConfigError(ValueError):
     """Raised for unparseable input, unknown keys, or out-of-range values."""
 
 
-@dataclass(frozen=True)
-class MacTimings:
+class MacTimings(NamedTuple):
     """Channel access timing parameters and frame sizes.
 
     ``cw_min`` is the minimum contention window; a station at backoff
@@ -61,8 +61,7 @@ class MacTimings:
         return self.header_bytes * 8.0 / self.data_rate_mbps
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     """Road scenario and evaluation knobs.
 
     ``threshold_m`` is the danger-distance cutoff; ``None`` disables the
@@ -132,28 +131,26 @@ def validate_scenario(s: ScenarioConfig) -> None:
         _require(value in choices, f"{key} must be one of {choices} (got {value!r})")
 
 
-_TIMING_FIELDS = {f.name: f for f in fields(MacTimings)}
-_SCENARIO_FIELDS = {f.name: f for f in fields(ScenarioConfig)}
+# the kind of each key is its field's type: int, float, str or float | None
+_KINDS = get_type_hints(MacTimings) | get_type_hints(ScenarioConfig)
 
 
-def _coerce(field: Field, value):
-    # the kind of a key is its field's annotation: "int", "float",
-    # "float | None" or "str" (annotations stay strings, see the import)
-    key = field.name
+def _coerce(key: str, value):
+    kind = _KINDS[key]
     if value is None:
-        if field.type == "float | None":
+        if kind == float | None:
             return None
         raise ConfigError(f"{key} must not be null")
     if isinstance(value, bool):
         raise ConfigError(f"{key} must be a number or string, not a boolean")
-    if field.type == "int":
+    if kind is int:
         if isinstance(value, float) and not value.is_integer():
             raise ConfigError(f"{key} must be an integer (got {value})")
         try:
             return int(value)
         except (TypeError, ValueError):
             raise ConfigError(f"{key} must be an integer (got {value!r})") from None
-    if field.type == "str":
+    if kind is str:
         if not isinstance(value, str):
             raise ConfigError(f"{key} must be a string (got {value!r})")
         return value
@@ -192,10 +189,10 @@ def load_config(
     timing_kwargs: dict = {}
     scenario_kwargs: dict = {}
     for key, value in merged.items():
-        if key in _TIMING_FIELDS:
-            timing_kwargs[key] = _coerce(_TIMING_FIELDS[key], value)
-        elif key in _SCENARIO_FIELDS:
-            scenario_kwargs[key] = _coerce(_SCENARIO_FIELDS[key], value)
+        if key in MacTimings._fields:
+            timing_kwargs[key] = _coerce(key, value)
+        elif key in ScenarioConfig._fields:
+            scenario_kwargs[key] = _coerce(key, value)
         else:
             raise ConfigError(f"unknown config key: {key!r}")
 
@@ -208,4 +205,4 @@ def load_config(
 
 def config_to_dict(timings: MacTimings, scenario: ScenarioConfig) -> dict:
     """Flatten both configs into one JSON-serializable dict (round-trips)."""
-    return asdict(timings) | asdict(scenario)
+    return timings._asdict() | scenario._asdict()

@@ -26,25 +26,28 @@ collision probability, about 5 evaluations of D per solve.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from math import expm1, log1p
 from typing import NamedTuple
 
 from .config import MODEL_MODES
 
 
-@dataclass(frozen=True)
-class ChainGeometry:
-    """Backoff-stage structure: ``max_stage + 1`` stages, windows ``2^i * w0``."""
+class ChainGeometry(NamedTuple("ChainGeometry", [("max_stage", int), ("w0", int)])):
+    """Backoff-stage structure: ``max_stage + 1`` stages, windows ``2^i * w0``.
 
-    max_stage: int
-    w0: int
+    The constructor checks both fields, and so do ``pickle`` and
+    ``copy``, which call it; ``_make`` and ``_replace`` skip the check,
+    and nothing calls them.
+    """
 
-    def __post_init__(self):
-        if self.max_stage < 0:
-            raise ValueError(f"max_stage must be >= 0 (got {self.max_stage})")
-        if self.w0 < 2:
-            raise ValueError(f"w0 must be >= 2 (got {self.w0})")
+    __slots__ = ()
+
+    def __new__(cls, max_stage: int, w0: int):
+        if max_stage < 0:
+            raise ValueError(f"max_stage must be >= 0 (got {max_stage})")
+        if w0 < 2:
+            raise ValueError(f"w0 must be >= 2 (got {w0})")
+        return super().__new__(cls, max_stage, w0)
 
     def window(self, stage: int) -> int:
         """Window of ``stage``: ``2**stage * w0`` counter values."""

@@ -13,13 +13,12 @@ delivery ratios clamped into [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import MacTimings
 
 
-@dataclass(frozen=True)
-class AccessProbabilities:
+class AccessProbabilities(NamedTuple):
     """Per-slot transmission activity for n contenders.
 
     p_tr: probability at least one station transmits in a slot.
@@ -30,8 +29,7 @@ class AccessProbabilities:
     p_su: float
 
 
-@dataclass(frozen=True)
-class DelayStates:
+class DelayStates(NamedTuple):
     """Slot-state probabilities for a tagged station among n contenders.
 
     p_emp: idle slot. p_suc: exactly one other station succeeds.
@@ -48,8 +46,7 @@ class DelayStates:
     p_bus: float
 
 
-@dataclass(frozen=True)
-class DelayBreakdown:
+class DelayBreakdown(NamedTuple):
     n_transmission: float
     n_collision: float
     t_tt_us: float       # time spent in (attempted) transmissions
@@ -118,6 +115,11 @@ def delay_state_probabilities(tau: float, n: float) -> DelayStates:
     The busy term is the residual, so the five sum to exactly one. For
     non-integer n below 2 the residual is an analytic continuation and can
     dip below zero; integer populations always give proper probabilities.
+    For 0 < n < 1 they are not probabilities at all: ``(1 - tau)**(n - 1)``
+    exceeds 1, so ``p_own`` exceeds ``tau`` and can exceed 1, and
+    ``p_emp + p_own`` exceeds 1. At n = 0.0049 and tau = 2/9 (the default
+    geometry) ``p_emp`` is 0.9988 and ``p_own`` 0.2854; at tau = 2/3
+    (``cw_min`` 1) ``p_own`` is 1.989. ROADMAP items 6 and 7 plan the mend.
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1] (got {tau})")

@@ -12,8 +12,8 @@ solve or the run and give a silent network.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from operator import attrgetter
+from typing import NamedTuple
 
 from .config import MacTimings
 from .markov import ChainGeometry, solve_fixed_point
@@ -28,8 +28,7 @@ from .metrics import (
 from .slotsim import run
 
 
-@dataclass(frozen=True)
-class PerfReport:
+class PerfReport(NamedTuple):
     """One configuration's figures, in the order of the report's CSV columns."""
 
     n_eff_mean: float  # contender count the chain is solved at
@@ -47,7 +46,7 @@ class PerfReport:
 
 
 # The report's CSV columns, in order.
-REPORT_COLUMNS = tuple(f.name for f in fields(PerfReport))
+REPORT_COLUMNS = PerfReport._fields
 
 
 def geometry_from(timings: MacTimings) -> ChainGeometry:

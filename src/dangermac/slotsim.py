@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import heapq
 import sys
-from dataclasses import dataclass
 from random import Random
+from typing import NamedTuple
 
 from .markov import ChainGeometry
 
 
-@dataclass(frozen=True)
-class SimStats:
+class SimStats(NamedTuple):
     slots: int
     tx_slots: int            # slots with at least one transmitter
     success_slots: int       # slots with exactly one

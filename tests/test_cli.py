@@ -316,22 +316,23 @@ def test_python_dash_m_entry_points():
 
 
 # Runs the command line once in a fresh interpreter, then reports on stderr
-# whether numpy got imported.
-_RUN_AND_REPORT_NUMPY = """
+# which of numpy and dataclasses got imported: the records are NamedTuples,
+# and dataclasses alone loads inspect, ast and dis.
+_RUN_AND_REPORT_IMPORTS = """
 import sys
 from dangermac.cli import main
 code = main(sys.argv[1:])
-print("numpy" in sys.modules, file=sys.stderr)
+print(",".join(m for m in ("numpy", "dataclasses") if m in sys.modules), file=sys.stderr)
 sys.exit(code)
 """
 
 
 def run_fresh(*argv):
     src = str(Path(__file__).resolve().parents[1] / "src")
-    result = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT_NUMPY, *argv],
+    result = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT_IMPORTS, *argv],
                             env=dict(os.environ, PYTHONPATH=src),
                             capture_output=True, text=True, timeout=60)
-    return result.returncode, result.stdout, result.stderr.splitlines()[-1] == "True"
+    return result.returncode, result.stdout, result.stderr.splitlines()[-1]
 
 
 @pytest.mark.parametrize("argv", [
@@ -341,12 +342,12 @@ def run_fresh(*argv):
     ["scenario", "--trials", "20"],
 ], ids=["point", "sweep", "compare", "scenario"])
 def test_analytic_commands_start_without_numpy(capsys, argv):
-    # no command loads numpy, and the fresh interpreter writes the same
-    # bytes as this one, where the tests have loaded it
-    code, out, numpy_loaded = run_fresh(*argv)
+    # no command loads numpy or dataclasses, and the fresh interpreter
+    # writes the same bytes as this one, where the tests have loaded both
+    code, out, loaded = run_fresh(*argv)
     assert code == 0
     assert out.count("\n") >= 2  # header and at least one row
-    assert not numpy_loaded
+    assert loaded == ""
     assert run_cli(capsys, *argv) == (0, out, "")
 
 

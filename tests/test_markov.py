@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import numpy as np
@@ -162,10 +164,25 @@ def test_window_size():
 
 
 def test_geometry_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"max_stage must be >= 0 \(got -1\)"):
         ChainGeometry(-1, 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"w0 must be >= 2 \(got 1\)"):
         ChainGeometry(2, 1)
+
+
+def test_geometry_pickle_and_deepcopy_round_trip():
+    # both rebuild the record through its checking constructor
+    g = ChainGeometry(3, 16)
+    for copied in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        assert copied == g
+        assert type(copied) is ChainGeometry
+        assert copied.window(3) == 128
+    # _make skips the check, so only the round trip sees the bad window
+    bad = ChainGeometry._make((2, 1))
+    with pytest.raises(ValueError, match="w0 must be >= 2"):
+        pickle.loads(pickle.dumps(bad))
+    with pytest.raises(ValueError, match="w0 must be >= 2"):
+        copy.deepcopy(bad)
 
 
 def test_b00_zero_coupling():

@@ -1,5 +1,3 @@
-from dataclasses import astuple
-
 import numpy as np
 import pytest
 
@@ -105,7 +103,7 @@ def test_delay_states_two_station_split():
 
 def test_delay_states_silent_network():
     states = delay_state_probabilities(0.0, 7)
-    assert astuple(states) == (1.0, 0.0, 0.0, 0.0, 0.0)
+    assert tuple(states) == (1.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_delay_states_single_station():
@@ -121,8 +119,8 @@ def test_delay_states_close_exactly():
     for _ in range(1000):
         states = delay_state_probabilities(rng.uniform(0, 1),
                                            int(rng.integers(1, 101)))
-        assert sum(astuple(states)) == 1.0
-        assert min(astuple(states)) >= -1e-15
+        assert sum(states) == 1.0
+        assert min(states) >= -1e-15
 
 
 def test_total_delay_reference_values():
