@@ -2,12 +2,19 @@
 
 Output is deterministic: fixed palette, fixed tick logic, fixed float
 formatting. Good enough for eyeballing sweep trends next to the CSV.
+
+Each pixel coordinate is one ``%.2f`` format of one distinct value: an x
+axis formats each distinct x once, and charts that share their xs share
+one axis, while a chart formats each distinct finite y once. A point is
+the join of its two texts, so repeated values cost a lookup, not a format.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from itertools import chain
+from typing import Iterable, NamedTuple
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#7f7f7f", "#ff7f0e", "#9467bd",
            "#8c564b", "#17becf")
@@ -20,6 +27,9 @@ _MARGIN_TOP = 34
 _MARGIN_BOTTOM = 46
 # the tick count an axis aims for; the step rounds it to 2 to 8
 _TICK_COUNT = 5
+_PLOT_W = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+_PLOT_H = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
+_Y_BASE = _MARGIN_TOP + _PLOT_H
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
@@ -63,30 +73,56 @@ def _tick_labels(ticks: list[float]) -> list[str]:
     return labels
 
 
+class Axis(NamedTuple):
+    """A chart's x axis: its ticks, their pixels, and the ``"%.2f,"`` pixel
+    text of each distinct x, so charts that share their xs format them once."""
+
+    ticks: list[float]
+    pixels: list[float]
+    text: dict[float, str]
+
+
+def x_axis(xs: Iterable[float]) -> Axis:
+    """The x axis of charts whose series' xs all lie in ``xs``."""
+    # first-seen order: min and max pick the same float (0.0 or -0.0, or a
+    # NaN) as they would over every x
+    distinct = dict.fromkeys(xs)
+    ticks = _nice_ticks(min(distinct, default=math.nan), max(distinct, default=math.nan))
+    lo, span = ticks[0], ticks[-1] - ticks[0]
+
+    def px(xs: Iterable[float]) -> list[float]:
+        return [_MARGIN_LEFT + (x - lo) / span * _PLOT_W for x in xs]
+
+    return Axis(ticks, px(ticks), dict(zip(distinct, ["%.2f," % x for x in px(distinct)])))
+
+
 def line_chart(
     title: str,
     x_label: str,
     y_label: str,
     series: list[tuple[str, list[float], list[float]]],
+    axis: Axis | None = None,
 ) -> str:
-    """Render one chart; ``series`` is a list of (label, xs, ys)."""
-    xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys if math.isfinite(y)]
-    x_ticks = _nice_ticks(min(xs_all), max(xs_all))
-    y_ticks = _nice_ticks(min(ys_all), max(ys_all))
-    x_lo, x_hi = x_ticks[0], x_ticks[-1]
-    y_lo, y_hi = y_ticks[0], y_ticks[-1]
-    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
+    """Render one chart; ``series`` is a list of (label, xs, ys).
 
-    x_span, y_span, y_base = x_hi - x_lo, y_hi - y_lo, _MARGIN_TOP + plot_h
+    ``axis`` is ``x_axis`` of xs that include every series' xs; without it
+    the chart builds its own from them. A point whose y is not finite is
+    not drawn.
+    """
+    if axis is None:
+        axis = x_axis(chain.from_iterable(xs for _, xs, _ in series))
+    ys_finite = dict.fromkeys(filter(math.isfinite,
+                                     chain.from_iterable(ys for _, _, ys in series)))
+    y_ticks = _nice_ticks(min(ys_finite, default=math.nan), max(ys_finite, default=math.nan))
+    y_lo, y_span = y_ticks[0], y_ticks[-1] - y_ticks[0]
 
     # Data to pixels a list at a time: a call per point costs more than its arithmetic.
-    def px(xs: list[float]) -> list[float]:
-        return [_MARGIN_LEFT + (x - x_lo) / x_span * plot_w for x in xs]
+    def py(ys: Iterable[float]) -> list[float]:
+        return [_Y_BASE - (y - y_lo) / y_span * _PLOT_H for y in ys]
 
-    def py(ys: list[float]) -> list[float]:
-        return [y_base - (y - y_lo) / y_span * plot_h for y in ys]
+    # each distinct finite y is formatted once; a y with no text is not drawn
+    y_text = dict(zip(ys_finite, ["%.2f" % y for y in py(ys_finite)]))
+    x_text = axis.text
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -94,31 +130,30 @@ def line_chart(
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" font-size="15">{title}</text>',
     ]
-    for x, label in zip(px(x_ticks), _tick_labels(x_ticks)):
+    for x, label in zip(axis.pixels, _tick_labels(axis.ticks)):
         parts.append(f'<line x1="{x:.2f}" y1="{_MARGIN_TOP}" x2="{x:.2f}" '
-                     f'y2="{_MARGIN_TOP + plot_h}" stroke="#dddddd"/>')
-        parts.append(f'<text x="{x:.2f}" y="{_MARGIN_TOP + plot_h + 16}" '
+                     f'y2="{_MARGIN_TOP + _PLOT_H}" stroke="#dddddd"/>')
+        parts.append(f'<text x="{x:.2f}" y="{_MARGIN_TOP + _PLOT_H + 16}" '
                      f'text-anchor="middle">{label}</text>')
     for y, label in zip(py(y_ticks), _tick_labels(y_ticks)):
         parts.append(f'<line x1="{_MARGIN_LEFT}" y1="{y:.2f}" '
-                     f'x2="{_MARGIN_LEFT + plot_w}" y2="{y:.2f}" stroke="#dddddd"/>')
+                     f'x2="{_MARGIN_LEFT + _PLOT_W}" y2="{y:.2f}" stroke="#dddddd"/>')
         parts.append(f'<text x="{_MARGIN_LEFT - 6}" y="{y + 4:.2f}" '
                      f'text-anchor="end">{label}</text>')
-    parts.append(f'<rect x="{_MARGIN_LEFT}" y="{_MARGIN_TOP}" width="{plot_w}" '
-                 f'height="{plot_h}" fill="none" stroke="#333333"/>')
-    parts.append(f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 10}" '
+    parts.append(f'<rect x="{_MARGIN_LEFT}" y="{_MARGIN_TOP}" width="{_PLOT_W}" '
+                 f'height="{_PLOT_H}" fill="none" stroke="#333333"/>')
+    parts.append(f'<text x="{_MARGIN_LEFT + _PLOT_W / 2:.1f}" y="{_HEIGHT - 10}" '
                  f'text-anchor="middle">{x_label}</text>')
-    parts.append(f'<text x="16" y="{_MARGIN_TOP + plot_h / 2:.1f}" text-anchor="middle" '
-                 f'transform="rotate(-90 16 {_MARGIN_TOP + plot_h / 2:.1f})">{y_label}</text>')
+    parts.append(f'<text x="16" y="{_MARGIN_TOP + _PLOT_H / 2:.1f}" text-anchor="middle" '
+                 f'transform="rotate(-90 16 {_MARGIN_TOP + _PLOT_H / 2:.1f})">{y_label}</text>')
 
     for idx, (label, xs, ys) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        points = " ".join(["%.2f,%.2f" % xy for xy, y in zip(zip(px(xs), py(ys)), ys)
-                           if math.isfinite(y)])
+        points = " ".join([x_text[x] + y_text[y] for x, y in zip(xs, ys) if y in y_text])
         parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
                      f'stroke-width="1.8"/>')
         legend_y = _MARGIN_TOP + 10 + idx * 18
-        legend_x = _MARGIN_LEFT + plot_w + 12
+        legend_x = _MARGIN_LEFT + _PLOT_W + 12
         parts.append(f'<line x1="{legend_x}" y1="{legend_y}" x2="{legend_x + 22}" '
                      f'y2="{legend_y}" stroke="{color}" stroke-width="1.8"/>')
         parts.append(f'<text x="{legend_x + 27}" y="{legend_y + 4}">{label}</text>')

@@ -20,7 +20,7 @@ import sys
 from itertools import product
 from pathlib import Path
 
-from .charts import line_chart
+from .charts import line_chart, x_axis
 from .config import CHOICES, MacTimings, ScenarioConfig, load_config
 from .pipeline import (REPORT_COLUMNS, SWEEP_METRICS, evaluate_points, metric_column,
                        simulate_points)
@@ -187,13 +187,14 @@ def cmd_sweep(args) -> int:
 
     if args.svg:
         x_values = [float(x) for x in xs]
+        axis = x_axis(x_values)
         x_label = ("number of vehicles" if args.x_axis == "n_vehicles"
                    else "danger threshold (m)")
         for metric in metrics:
             column = metric_column(metric)
             series = [(curve, x_values, list(map(column, reports[j::len(curves)])))
                       for j, curve in enumerate(curves)]
-            _emit(args, f"{metric}.svg", line_chart(metric, x_label, metric, series))
+            _emit(args, f"{metric}.svg", line_chart(metric, x_label, metric, series, axis))
     return 0
 
 

@@ -10,7 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dangermac.charts import _nice_ticks, _tick_labels, line_chart
+from dangermac import cli
+from dangermac.charts import (_HEIGHT, _MARGIN_BOTTOM, _MARGIN_LEFT, _MARGIN_RIGHT,
+                              _MARGIN_TOP, _WIDTH, _nice_ticks, _tick_labels, line_chart,
+                              x_axis)
 from dangermac.cli import main
 
 
@@ -63,6 +66,88 @@ def test_chart_of_non_finite_points_is_pinned():
                       "225.68,376.00 484.40,373.43", ""]
     assert (hashlib.sha256(svg.encode()).hexdigest()
             == "62839cd3f59fa75bd99ba242bc7026f006c57ae883d61ae92e24f52110687298")
+
+
+def _reference_points(series: list[tuple[str, list[float], list[float]]]) -> list[str]:
+    """Each series' polyline points as the chart once drew them: one
+    ``"%.2f,%.2f"`` format per point whose y is finite."""
+    xs_all = [x for _, xs, _ in series for x in xs]
+    ys_all = [y for _, _, ys in series for y in ys if math.isfinite(y)]
+    x_ticks = _nice_ticks(min(xs_all, default=math.nan), max(xs_all, default=math.nan))
+    y_ticks = _nice_ticks(min(ys_all, default=math.nan), max(ys_all, default=math.nan))
+    x_lo, x_span = x_ticks[0], x_ticks[-1] - x_ticks[0]
+    y_lo, y_span = y_ticks[0], y_ticks[-1] - y_ticks[0]
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
+    y_base = _MARGIN_TOP + plot_h
+    return [" ".join("%.2f,%.2f" % (_MARGIN_LEFT + (x - x_lo) / x_span * plot_w,
+                                    y_base - (y - y_lo) / y_span * plot_h)
+                     for x, y in zip(xs, ys) if math.isfinite(y))
+            for _, xs, ys in series]
+
+
+def test_chart_of_no_finite_y_has_empty_polylines():
+    # the command line never draws one: evaluate_point rejects a report
+    # whose delay or throughput is not finite, so each curve has finite ys
+    for series in ([("a", [1.0, 2.0], [math.nan, math.inf])],
+                   [("a", [], [])],
+                   [("a", [], []), ("b", [0.5, 1.5], [2.0, 3.0])]):
+        root = ET.fromstring(line_chart("t", "x", "y", series))
+        points = [e.attrib["points"] for e in root.iter() if e.tag.endswith("polyline")]
+        assert points == _reference_points(series)
+        assert points[0] == ""
+
+
+# one NaN object, so a chart can meet the same NaN twice
+_NAN = math.nan
+_CHART_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, 1e300, -1e300, 0.1, 0.3,
+                     math.inf, -math.inf, _NAN]),
+    # a finite span wider than the largest float has no ticks; no sweep has one
+    st.floats(min_value=-1e300, max_value=1e300),
+)
+
+
+@st.composite
+def _chart_series(draw):
+    """1 to 4 series; each takes its xs from a shared list or its own, so
+    xs and ys repeat within and across series."""
+    shared = draw(st.lists(_CHART_VALUES, max_size=12))
+    series = []
+    for i in range(draw(st.integers(1, 4))):
+        xs = shared if draw(st.booleans()) else draw(st.lists(_CHART_VALUES, max_size=12))
+        ys = draw(st.lists(_CHART_VALUES, min_size=len(xs), max_size=len(xs)))
+        series.append((str(i), xs, ys))
+    return series
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_chart_series())
+def test_polylines_match_one_format_per_point(series):
+    own = line_chart("t", "x", "y", series)
+    shared = line_chart("t", "x", "y", series,
+                        x_axis(x for _, xs, _ in series for x in xs))
+    assert shared == own
+    root = ET.fromstring(own)
+    points = [e.attrib["points"] for e in root.iter() if e.tag.endswith("polyline")]
+    assert points == _reference_points(series)
+
+
+def test_threshold_sweep_charts_share_one_axis(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counting_line_chart(title, x_label, y_label, series, axis=None):
+        calls.append(axis)
+        return line_chart(title, x_label, y_label, series, axis)
+
+    monkeypatch.setattr(cli, "line_chart", counting_line_chart)
+    argv = ["sweep", "--x-axis", "threshold_m", "--values", "0..1000", "--n-vehicles", "50",
+            "--svg", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 7
+    assert calls[0] is not None and all(axis is calls[0] for axis in calls)
+    assert len(calls[0].text) == 1001
 
 
 _FLOATS = st.floats(min_value=0.0, max_value=sys.float_info.max, allow_subnormal=True)
