@@ -45,8 +45,10 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     # a wider span puts ticks over 6 ulps apart, so they stay distinct floats
     if hi - lo <= 32 * math.ulp(max(abs(lo), abs(hi))):
         pad = abs(lo) * 0.1 if abs(lo) >= sys.float_info.min else 1.0
-        lo, hi = lo - pad, min(hi + pad, sys.float_info.max)
+        lo, hi = max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max)
     raw = (hi - lo) / _TICK_COUNT
+    if raw == math.inf:  # a finite span wider than the largest float
+        raw = hi / _TICK_COUNT - lo / _TICK_COUNT
     exponent = math.floor(math.log10(raw)) - 1
     for mult in (10, 20, 25, 50, 100):
         if float(f"{mult}e{exponent}") >= raw:
@@ -59,9 +61,22 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     first = lo_num * den // (lo_den * num)
     last = -(-hi_num * den // (hi_den * num))
     ticks = [float(f"{i * mult}e{exponent}") for i in range(first, last + 1)]
-    # no round number above the largest float is one: end the axis there
+    # no round number beyond the largest float is one: end the axis there
+    ticks[0] = max(ticks[0], -sys.float_info.max)
     ticks[-1] = min(ticks[-1], sys.float_info.max)
     return ticks
+
+
+def _frame(ticks: list[float]) -> tuple[bool, float, float]:
+    """``(halve, lo, span)``: value v, halved first if ``halve``, lies
+    ``(v - lo) / span`` of the way from the first tick to the last. Where
+    the ticks are further apart than the largest float, all are halved,
+    so no difference overflows."""
+    lo, hi = ticks[0], ticks[-1]
+    halve = hi - lo == math.inf
+    if halve:
+        lo, hi = lo / 2, hi / 2
+    return halve, lo, hi - lo
 
 
 def _tick_labels(ticks: list[float]) -> list[str]:
@@ -88,9 +103,11 @@ def x_axis(xs: Iterable[float]) -> Axis:
     # NaN) as they would over every x
     distinct = dict.fromkeys(xs)
     ticks = _nice_ticks(min(distinct, default=math.nan), max(distinct, default=math.nan))
-    lo, span = ticks[0], ticks[-1] - ticks[0]
+    halve, lo, span = _frame(ticks)
 
     def px(xs: Iterable[float]) -> list[float]:
+        if halve:
+            xs = [x / 2 for x in xs]
         return [_MARGIN_LEFT + (x - lo) / span * _PLOT_W for x in xs]
 
     return Axis(ticks, px(ticks), dict(zip(distinct, ["%.2f," % x for x in px(distinct)])))
@@ -114,10 +131,12 @@ def line_chart(
     ys_finite = dict.fromkeys(filter(math.isfinite,
                                      chain.from_iterable(ys for _, _, ys in series)))
     y_ticks = _nice_ticks(min(ys_finite, default=math.nan), max(ys_finite, default=math.nan))
-    y_lo, y_span = y_ticks[0], y_ticks[-1] - y_ticks[0]
+    y_halve, y_lo, y_span = _frame(y_ticks)
 
     # Data to pixels a list at a time: a call per point costs more than its arithmetic.
     def py(ys: Iterable[float]) -> list[float]:
+        if y_halve:
+            ys = [y / 2 for y in ys]
         return [_Y_BASE - (y - y_lo) / y_span * _PLOT_H for y in ys]
 
     # each distinct finite y is formatted once; a y with no text is not drawn

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import sys
+from math import floor
 from random import Random
 from typing import NamedTuple
 
@@ -47,9 +48,10 @@ def run(n: int, slots: int, g: ChainGeometry, seed: int) -> SimStats:
     collision is ``heapreplace``d too, to a slot past t. Two padding keys
     past the horizon keep both children present for n = 1 and 2. A
     counter is ``floor(u * window)`` of the next ``Random(seed).random()``
-    uniform; the stations start in index order and a slot's transmitters
-    redraw in index order, which fixes the draw order a slot-by-slot
-    replay must follow.
+    uniform, one draw per attempt; since ``u <= 1 - 2**-53``, the rounded
+    product stays below the window and needs no clamp. The stations start
+    in index order and a slot's transmitters redraw in index order, which
+    fixes the draw order a slot-by-slot replay must follow.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1 (got {n})")
@@ -60,12 +62,16 @@ def run(n: int, slots: int, g: ChainGeometry, seed: int) -> SimStats:
     if seed < 0:  # Random(-s) would silently replay Random(s)
         raise ValueError(f"seed must be >= 0 (got {seed})")
     draw = Random(seed).random
-    windows = [g.window(i) for i in range(g.max_stage + 1)]
-    w0 = windows[0]
     top = g.max_stage
+    # u * int window converts the window to this same float, so float
+    # windows leave every product as it was
+    windows = [float(g.window(i)) for i in range(top + 1)]
+    w0 = windows[0]
+    up = [min(i + 1, top) for i in range(top + 1)]  # stage after a collision
     stages = [0] * n
     bits = n.bit_length()
     mask = (1 << bits) - 1
+    step = 1 << bits  # one slot later
     warmup = slots // 100
     horizon = warmup + slots
 
@@ -73,8 +79,7 @@ def run(n: int, slots: int, g: ChainGeometry, seed: int) -> SimStats:
     # heap[2] valid for n = 1 and 2
     heap = [horizon << bits] * 2
     for j in range(n):
-        c = int(draw() * w0)
-        heap.append(((c if c < w0 else w0 - 1) << bits) | j)
+        heap.append((floor(draw() * w0) << bits) | j)
     heapq.heapify(heap)
     replace = heapq.heapreplace
 
@@ -88,27 +93,20 @@ def run(n: int, slots: int, g: ChainGeometry, seed: int) -> SimStats:
             if heap[1] >= nxt and heap[2] >= nxt:
                 # the second-smallest key is a child of the root: one due
                 stages[key & mask] = 0
-                c = int(draw() * w0)
-                replace(heap, key + (((c if c < w0 else w0 - 1) + 1) << bits))
+                replace(heap, key + step + (floor(draw() * w0) << bits))
                 success_slots += 1
                 continue
             first = key & mask
-            k = 0
+            before = collided
             while key < nxt:
                 j = key & mask
-                stage = stages[j] + 1
-                if stage > top:  # min() here made run about 20% slower
-                    stage = top
-                stages[j] = stage
-                w = windows[stage]
-                c = int(draw() * w)
+                stages[j] = stage = up[stages[j]]
                 # the new slot is a later one, so j is not popped again here
-                replace(heap, key + (((c if c < w else w - 1) + 1) << bits))
-                k += 1
+                replace(heap, key + step + (floor(draw() * windows[stage]) << bits))
+                collided += 1
                 key = heap[0]
             collision_slots += 1
-            collided += k
-            if k == 2 and first == 0:
+            if first == 0 and collided - before == 2:
                 tagged_pair_slots += 1
 
     return SimStats(slots, success_slots + collision_slots, success_slots,

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from dangermac import cli
 from dangermac.charts import (_HEIGHT, _MARGIN_BOTTOM, _MARGIN_LEFT, _MARGIN_RIGHT,
-                              _MARGIN_TOP, _WIDTH, _nice_ticks, _tick_labels, line_chart,
+                              _MARGIN_TOP, _WIDTH, _frame, _nice_ticks, _tick_labels, line_chart,
                               x_axis)
 from dangermac.cli import main
 
@@ -75,13 +75,14 @@ def _reference_points(series: list[tuple[str, list[float], list[float]]]) -> lis
     ys_all = [y for _, _, ys in series for y in ys if math.isfinite(y)]
     x_ticks = _nice_ticks(min(xs_all, default=math.nan), max(xs_all, default=math.nan))
     y_ticks = _nice_ticks(min(ys_all, default=math.nan), max(ys_all, default=math.nan))
-    x_lo, x_span = x_ticks[0], x_ticks[-1] - x_ticks[0]
-    y_lo, y_span = y_ticks[0], y_ticks[-1] - y_ticks[0]
+    x_halve, x_lo, x_span = _frame(x_ticks)
+    y_halve, y_lo, y_span = _frame(y_ticks)
+    x_scale, y_scale = 0.5 if x_halve else 1.0, 0.5 if y_halve else 1.0
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
     y_base = _MARGIN_TOP + plot_h
-    return [" ".join("%.2f,%.2f" % (_MARGIN_LEFT + (x - x_lo) / x_span * plot_w,
-                                    y_base - (y - y_lo) / y_span * plot_h)
+    return [" ".join("%.2f,%.2f" % (_MARGIN_LEFT + (x * x_scale - x_lo) / x_span * plot_w,
+                                    y_base - (y * y_scale - y_lo) / y_span * plot_h)
                      for x, y in zip(xs, ys) if math.isfinite(y))
             for _, xs, ys in series]
 
@@ -102,9 +103,10 @@ def test_chart_of_no_finite_y_has_empty_polylines():
 _NAN = math.nan
 _CHART_VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, 1e300, -1e300, 0.1, 0.3,
+                     1e308, -1e308, sys.float_info.max, -sys.float_info.max,
                      math.inf, -math.inf, _NAN]),
-    # a finite span wider than the largest float has no ticks; no sweep has one
-    st.floats(min_value=-1e300, max_value=1e300),
+    # every finite float, so a span can be wider than the largest float
+    st.floats(allow_nan=False, allow_infinity=False),
 )
 
 
@@ -131,6 +133,8 @@ def test_polylines_match_one_format_per_point(series):
     root = ET.fromstring(own)
     points = [e.attrib["points"] for e in root.iter() if e.tag.endswith("polyline")]
     assert points == _reference_points(series)
+    if all(math.isfinite(x) for _, xs, _ in series for x in xs):
+        assert _points_outside_plot(own) == []
 
 
 def test_threshold_sweep_charts_share_one_axis(tmp_path, monkeypatch, capsys):
@@ -150,7 +154,7 @@ def test_threshold_sweep_charts_share_one_axis(tmp_path, monkeypatch, capsys):
     assert len(calls[0].text) == 1001
 
 
-_FLOATS = st.floats(min_value=0.0, max_value=sys.float_info.max, allow_subnormal=True)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
 
 
 @st.composite
@@ -165,6 +169,18 @@ def _spans(draw):
         for _ in range(draw(st.integers(0, 100))):
             hi = math.nextafter(hi, math.inf)
     return min(lo, hi), min(max(lo, hi), sys.float_info.max)
+
+
+def test_chart_of_a_span_wider_than_the_largest_float():
+    # hi - lo overflows: the ticks and the pixels are still finite
+    assert _nice_ticks(-1e308, 1e308) == [-1.5e308, -1e308, -5e307, 0.0, 5e307, 1e308, 1.5e308]
+    top = sys.float_info.max
+    assert _nice_ticks(-top, top) == [-top, -1e308, 0.0, 1e308, top]
+    svg = line_chart("t", "x", "y", [("a", [0.0, 1.0], [1e308, -1e308])])
+    root = ET.fromstring(svg)
+    [points] = [e.attrib["points"] for e in root.iter() if e.tag.endswith("polyline")]
+    assert points == "62.00,94.00 590.00,334.00"
+    assert _points_outside_plot(svg) == []
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)

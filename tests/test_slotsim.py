@@ -1,9 +1,12 @@
+import math
 import random
 from dataclasses import dataclass
 from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dangermac import slotsim
 from dangermac.config import MacTimings
@@ -305,21 +308,45 @@ def test_invalid_arguments():
         run(5, 100, G, -1)
 
 
-@pytest.mark.parametrize("window", [2**32, 2**32 - 1, 3 * 2**30, 2**31 + 1])
+_LARGEST_UNIFORM = math.nextafter(1.0, 0.0)
+
+# 2, 3, 3 * 2**30 and each power of two up to 2**32 with its neighbours:
+# the largest uniform times the window rounds to below it, so run needs
+# no clamp
+_BOUNDARY_WINDOWS = sorted({2, 3, 3 * 2**30} | {
+    2**k + d for k in range(2, 33) for d in (-1, 0, 1)} - {2**32 + 1})
+
+
+@pytest.mark.parametrize("window", _BOUNDARY_WINDOWS)
 def test_counter_stays_below_window_at_largest_uniform(window):
-    u = float(np.nextafter(1.0, 0.0))
-    assert int(u * window) == window - 1
+    assert int(_LARGEST_UNIFORM * window) == window - 1
+    assert math.floor(_LARGEST_UNIFORM * float(window)) == window - 1
+
+
+# every window the config accepts: w0 >= 2 and w0 * 2**stage <= 2**32
+_CONFIG_WINDOWS = st.integers(0, 31).flatmap(
+    lambda stage: st.integers(2, 2**32 >> stage).map(lambda w0: w0 << stage))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_CONFIG_WINDOWS)
+def test_counter_stays_below_every_config_window(window):
+    # the float product is monotone in the uniform, so the largest uniform
+    # bounds every draw
+    assert math.floor(_LARGEST_UNIFORM * float(window)) == window - 1
 
 
 class _FixedUniforms:
     """Stands in for ``random.Random``: ``random`` hands out ``values`` in
-    order, then ``fill``."""
+    order, then ``fill``, and counts its calls in ``calls``."""
 
     def __init__(self, values, fill):
         self.values = list(values)
         self.fill = fill
+        self.calls = 0
 
     def random(self):
+        self.calls += 1
         return self.values.pop(0) if self.values else self.fill
 
 
@@ -327,6 +354,20 @@ def _run_with_uniforms(monkeypatch, values, fill, n, slots, g):
     fake = _FixedUniforms(values, fill)
     monkeypatch.setattr(slotsim, "Random", lambda seed: fake)
     return run(n, slots, g, 0)
+
+
+@pytest.mark.parametrize("g, n", [(G, 1), (G, 2), (G, 5), (G, 50), (ChainGeometry(2, 2), 8)],
+                         ids=["n1", "n2", "n5", "n50", "n8-tiny-windows"])
+def test_one_draw_per_station_and_attempt(monkeypatch, g, n):
+    # below 100 slots there is no warm-up: one draw per station to start,
+    # then one per attempt
+    rng = random.Random(n)
+    fake = _FixedUniforms([rng.random() for _ in range(100 * n)], 0.5)
+    monkeypatch.setattr(slotsim, "Random", lambda seed: fake)
+    stats = run(n, 99, g, 0)
+    assert stats.success_slots > 0
+    assert n == 1 or stats.tx_slots > stats.success_slots  # some collide
+    assert fake.calls == n + stats.attempts
 
 
 def test_largest_uniform_draws_top_counter(monkeypatch):
