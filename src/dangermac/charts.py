@@ -4,8 +4,8 @@ Output is deterministic: fixed palette, fixed tick logic, fixed float
 formatting. Good enough for eyeballing sweep trends next to the CSV.
 
 Each pixel coordinate is one ``%.2f`` format of one distinct value: an x
-axis formats each distinct x once, and charts that share their xs share
-one axis, while a chart formats each distinct finite y once. A point is
+axis formats each distinct finite x once, and charts that share their xs
+share one axis, while a chart formats each distinct finite y once. A point is
 the join of its two texts, so repeated values cost a lookup, not a format.
 """
 
@@ -90,7 +90,8 @@ def _tick_labels(ticks: list[float]) -> list[str]:
 
 class Axis(NamedTuple):
     """A chart's x axis: its ticks, their pixels, and the ``"%.2f,"`` pixel
-    text of each distinct x, so charts that share their xs format them once."""
+    text of each distinct finite x, so charts that share their xs format
+    them once."""
 
     ticks: list[float]
     pixels: list[float]
@@ -98,10 +99,13 @@ class Axis(NamedTuple):
 
 
 def x_axis(xs: Iterable[float]) -> Axis:
-    """The x axis of charts whose series' xs all lie in ``xs``."""
-    # first-seen order: min and max pick the same float (0.0 or -0.0, or a
-    # NaN) as they would over every x
-    distinct = dict.fromkeys(xs)
+    """The x axis of charts whose series' xs all lie in ``xs``.
+
+    Its ticks cover the finite xs, and only those get a pixel text.
+    """
+    # first-seen order: min and max pick the same float (0.0 or -0.0) as
+    # they would over every finite x
+    distinct = dict.fromkeys(filter(math.isfinite, xs))
     ticks = _nice_ticks(min(distinct, default=math.nan), max(distinct, default=math.nan))
     halve, lo, span = _frame(ticks)
 
@@ -123,8 +127,8 @@ def line_chart(
     """Render one chart; ``series`` is a list of (label, xs, ys).
 
     ``axis`` is ``x_axis`` of xs that include every series' xs; without it
-    the chart builds its own from them. A point whose y is not finite is
-    not drawn.
+    the chart builds its own from them. A point whose x or y is not finite
+    is not drawn.
     """
     if axis is None:
         axis = x_axis(chain.from_iterable(xs for _, xs, _ in series))
@@ -139,7 +143,7 @@ def line_chart(
             ys = [y / 2 for y in ys]
         return [_Y_BASE - (y - y_lo) / y_span * _PLOT_H for y in ys]
 
-    # each distinct finite y is formatted once; a y with no text is not drawn
+    # each distinct finite y is formatted once; an x or y with no text is not drawn
     y_text = dict(zip(ys_finite, ["%.2f" % y for y in py(ys_finite)]))
     x_text = axis.text
 
@@ -168,7 +172,8 @@ def line_chart(
 
     for idx, (label, xs, ys) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        points = " ".join([x_text[x] + y_text[y] for x, y in zip(xs, ys) if y in y_text])
+        points = " ".join([x_text[x] + y_text[y] for x, y in zip(xs, ys)
+                           if x in x_text and y in y_text])
         parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
                      f'stroke-width="1.8"/>')
         legend_y = _MARGIN_TOP + 10 + idx * 18

@@ -9,6 +9,13 @@ aggregate delay decomposition over an observation window.
 is the exact expected number of granted contenders
 (``scenario.expected_n_eff``); the formulas extend smoothly, with
 delivery ratios clamped into [0, 1].
+
+These functions are the component API: the delay breakdown and the two
+slot states that are not report columns come from them. They are also
+the reference for ``pipeline.evaluate_points``, which builds each report
+in one pass with the same float operations in the same order and calls
+none of the per-count functions here; the tests compare the two bit for
+bit.
 """
 
 from __future__ import annotations

@@ -1,12 +1,18 @@
 """Glue between the chain solver, the slot simulator and the metric set.
 
-``evaluate_point`` turns an effective contender count into the complete
-performance report, one flat record whose fields are the report's CSV
-columns. ``evaluate_points``, the path every CLI command takes, and
-``simulate_points``, its simulator counterpart, map a list of counts to
-one result each and compute each distinct count once. A contender count
-may be an expected value, hence fractional; zero contenders skip the
-solve or the run and give a silent network.
+``evaluate_points``, the one evaluation path every CLI command takes,
+turns a list of effective contender counts into complete performance
+reports, one flat record per count whose fields are the report's CSV
+columns. It computes the per-call constants once (the chain geometry, the
+frame times and the delay constants), then solves each distinct count
+once and builds its report in one pass. That pass repeats, operation for
+operation, what the ``metrics`` functions compute, which remain the
+component API and the reference the tests hold it to bit for bit.
+``evaluate_point`` is ``evaluate_points`` of one count, and
+``simulate_points`` is the simulator counterpart, one result per count
+with each distinct count run once. A contender count may be an expected
+value, hence fractional; zero contenders skip the solve or the run and
+give a silent network.
 """
 
 from __future__ import annotations
@@ -17,14 +23,7 @@ from typing import NamedTuple
 
 from .config import MacTimings
 from .markov import ChainGeometry, solve_fixed_point
-from .metrics import (
-    AccessProbabilities,
-    access_probabilities,
-    delay_state_probabilities,
-    pdr,
-    throughput,
-    total_delay,
-)
+from .metrics import AccessProbabilities, _pow, frame_times, throughput
 from .slotsim import run
 
 
@@ -53,47 +52,89 @@ def geometry_from(timings: MacTimings) -> ChainGeometry:
     return ChainGeometry(max_stage=timings.max_stage, w0=timings.w0)
 
 
-def evaluate_point(
-    timings: MacTimings,
-    n_eff: float,
-    model_mode: str = "busy_aware",
-) -> PerfReport:
-    """Full analytic report for ``n_eff`` contenders.
-
-    Raises ValueError when the report's delay or throughput is not finite,
-    as when the population or the timings are too large for a float.
-    """
-    if n_eff > 0:
-        s = solve_fixed_point(n_eff, geometry_from(timings), model_mode)
-        tau, p_c, p_b = s.tau, s.p_c, s.p_b
-    else:
-        tau, p_c, p_b = 0.0, 0.0, 0.0
-    access = access_probabilities(tau, n_eff)
-    states = delay_state_probabilities(tau, n_eff)
-    rate = throughput(access, timings)
-    t_td_us = total_delay(states, access.p_tr, n_eff, timings).t_td_us
-    if not math.isfinite(t_td_us + rate):
-        raise ValueError(
-            f"the delay or throughput at n_eff {n_eff:g} is not finite "
-            f"(t_td_us {t_td_us:g}, throughput {rate:g}); "
-            "the population or the timings are too large")
-    return PerfReport(n_eff, tau, access.p_tr, access.p_su, pdr(access), rate,
-                      states.p_emp, states.p_suc, states.p_own, p_c, p_b, t_td_us)
-
-
 def evaluate_points(
     timings: MacTimings,
     n_effs: list[float],
     model_mode: str,
 ) -> list[PerfReport]:
-    """One report per count in ``n_effs``, in order; equal counts share one.
+    """One full analytic report per count in ``n_effs``, in order.
 
-    ``evaluate_point`` is pure, so each distinct count is evaluated once.
-    The reports are kept only for this call: nothing is cached across calls.
+    The per-call constants (the chain geometry, the frame times and the
+    delay constants) are computed once. Each distinct count is then
+    solved once and its report built in one pass that shares the powers
+    of ``1 - tau``. Every field is the same float operations, in the same
+    order, as composing ``solve_fixed_point`` with the metric functions
+    ``access_probabilities``, ``delay_state_probabilities``,
+    ``throughput`` and ``total_delay``, so the reports match that
+    composition bit for bit. Equal counts share one report, kept only for
+    this call: nothing is cached across calls.
+
+    Raises ValueError for a negative count, and when a report's delay or
+    throughput is not finite, as when the population or the timings are
+    too large for a float.
     """
-    reports = {n_eff: evaluate_point(timings, n_eff, model_mode)
-               for n_eff in dict.fromkeys(n_effs)}
+    geometry = geometry_from(timings)
+    slot_us, payload_us = timings.slot_us, timings.payload_us
+    t_s, t_c = frame_times(timings)
+    # total_delay's charges: a transmission, a collision, the mean initial backoff
+    t_single_tx = (timings.rts_us + timings.cts_us + 3.0 * timings.sifs_us + payload_us
+                   + timings.ack_us + timings.difs_us)
+    t_single_coll = timings.rts_us + timings.difs_us
+    cw_star = timings.cw_min * slot_us / 2.0
+    reports = {}
+    for n in dict.fromkeys(n_effs):
+        if n < 0:
+            raise ValueError(f"n must be >= 0 (got {n})")
+        if n > 0:
+            s = solve_fixed_point(n, geometry, model_mode)
+            tau, p_c, p_b = s.tau, s.p_c, s.p_b
+        else:
+            tau, p_c, p_b = 0.0, 0.0, 0.0
+        if not 0.0 <= tau <= 1.0:
+            raise ValueError(f"tau must be in [0, 1] (got {tau})")
+        q = 1.0 - tau
+        p_emp = _pow(q, n)
+        p_tr = 1.0 - p_emp
+        if n == 0:
+            p_su, p_suc, p_own, p_pair = 1.0, 0.0, 0.0, 0.0
+        else:
+            # p_pair is the tagged-pair collision state, total_delay's collision count
+            q_others = _pow(q, n - 1.0)
+            others = max(n - 1.0, 0.0)
+            p_own = tau * q_others
+            p_suc = others * tau * q_others
+            p_pair = others * tau * tau * _pow(q, n - 2.0)
+            if p_tr <= 0.0 or n <= 1.0:
+                p_su = 1.0
+            elif q == 0.0:
+                p_su = 0.0
+            else:
+                p_su = min(1.0, n * tau * q_others / p_tr)
+        if p_tr == 0.0:
+            rate = 0.0
+        else:
+            rate = p_su * p_tr * payload_us / ((1.0 - p_tr) * slot_us + p_tr * p_su * t_s
+                                               + p_tr * (1.0 - p_su) * t_c)
+        t_td_us = (t_single_tx * (p_tr * n) + t_single_coll * (p_pair * n) + cw_star
+                   + slot_us * p_emp * n)
+        if not math.isfinite(t_td_us + rate):
+            raise ValueError(
+                f"the delay or throughput at n_eff {n:g} is not finite "
+                f"(t_td_us {t_td_us:g}, throughput {rate:g}); "
+                "the population or the timings are too large")
+        reports[n] = PerfReport(n, tau, p_tr, p_su, p_su, rate,
+                                p_emp, p_suc, p_own, p_c, p_b, t_td_us)
     return [reports[n_eff] for n_eff in n_effs]
+
+
+def evaluate_point(
+    timings: MacTimings,
+    n_eff: float,
+    model_mode: str = "busy_aware",
+) -> PerfReport:
+    """Full analytic report for ``n_eff`` contenders: ``evaluate_points``
+    of the one count."""
+    return evaluate_points(timings, [n_eff], model_mode)[0]
 
 
 def simulate_points(timings: MacTimings, counts: list[int], slots: int,

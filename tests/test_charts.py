@@ -51,6 +51,14 @@ def test_chart_skips_non_finite_points():
     root = ET.fromstring(svg)
     polys = [e for e in root.iter() if e.tag.endswith("polyline")]
     assert len(polys[0].attrib["points"].split()) == 2
+    # an infinite x once stretched the x ticks to the largest float, drew
+    # x = 5 at pixel 2702 and wrote an "inf,34.00" point
+    series = [("a", [0.0, 5.0, math.inf], [1.0, 2.0, 3.0])]
+    svg = line_chart("d", "x", "y", series)
+    [points] = [e.attrib["points"] for e in ET.fromstring(svg).iter()
+                if e.tag.endswith("polyline")]
+    assert points == _reference_points(series)[0] == "62.00,394.00 590.00,214.00"
+    assert _points_outside_plot(svg) == []
 
 
 def test_chart_of_non_finite_points_is_pinned():
@@ -70,8 +78,8 @@ def test_chart_of_non_finite_points_is_pinned():
 
 def _reference_points(series: list[tuple[str, list[float], list[float]]]) -> list[str]:
     """Each series' polyline points as the chart once drew them: one
-    ``"%.2f,%.2f"`` format per point whose y is finite."""
-    xs_all = [x for _, xs, _ in series for x in xs]
+    ``"%.2f,%.2f"`` format per point whose x and y are finite."""
+    xs_all = [x for _, xs, _ in series for x in xs if math.isfinite(x)]
     ys_all = [y for _, _, ys in series for y in ys if math.isfinite(y)]
     x_ticks = _nice_ticks(min(xs_all, default=math.nan), max(xs_all, default=math.nan))
     y_ticks = _nice_ticks(min(ys_all, default=math.nan), max(ys_all, default=math.nan))
@@ -83,7 +91,7 @@ def _reference_points(series: list[tuple[str, list[float], list[float]]]) -> lis
     y_base = _MARGIN_TOP + plot_h
     return [" ".join("%.2f,%.2f" % (_MARGIN_LEFT + (x * x_scale - x_lo) / x_span * plot_w,
                                     y_base - (y * y_scale - y_lo) / y_span * plot_h)
-                     for x, y in zip(xs, ys) if math.isfinite(y))
+                     for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y))
             for _, xs, ys in series]
 
 
@@ -133,8 +141,7 @@ def test_polylines_match_one_format_per_point(series):
     root = ET.fromstring(own)
     points = [e.attrib["points"] for e in root.iter() if e.tag.endswith("polyline")]
     assert points == _reference_points(series)
-    if all(math.isfinite(x) for _, xs, _ in series for x in xs):
-        assert _points_outside_plot(own) == []
+    assert _points_outside_plot(own) == []
 
 
 def test_threshold_sweep_charts_share_one_axis(tmp_path, monkeypatch, capsys):
