@@ -7,9 +7,10 @@ Commands::
     dangermac compare    analytic model vs slot simulation, side by side
     dangermac scenario   per-trial granted-contender counts
 
-All commands are deterministic for a given seed and emit CSV with floats
-printed at 9 significant digits. Exit codes: 0 success, 1 usage or
-validation error or a run too large for memory, 3 I/O failure.
+All commands are deterministic and emit CSV with floats printed at 9
+significant digits. Each command accepts the flags of only the config keys
+it reads. Exit codes: 0 success, 1 usage or validation error or a run too
+large for memory, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ _CELL = "%.9g"
 _REPORT_FORMAT = ",".join([_CELL] * len(REPORT_COLUMNS))
 _POINT_COLUMNS = ["n_vehicles", "threshold_m", *REPORT_COLUMNS, "model_mode"]
 _SWEEP_COLUMNS = ["x"] + _POINT_COLUMNS[1:]
-_SIM_COLUMNS = ["sim_tau", "sim_p_su", "sim_payload_fraction"]
 _SCENARIO_COLUMNS = ["trial", "threshold_m", "n_eff"]
 # The quantities compare checks, in column order.
 _CHECKED = ("tau", "p_su", "s", "col_frac")
@@ -67,15 +67,28 @@ def _emit(args, filename: str, text: str) -> None:
         sys.stdout.write(text)
 
 
-# Every config field is a flag of the same name; values stay strings here
-# and are parsed and checked by ``config.load_config``.
+# Each config key a command reads is a flag of the same name; values stay
+# strings here and are parsed and checked by ``config.load_config``. A
+# ``--config`` file may hold every key, since one file serves all commands.
 _CONFIG_FIELDS = MacTimings._fields + ScenarioConfig._fields
+_POINT_KEYS = (*MacTimings._fields, "n_vehicles", "road_length_m", "threshold_m",
+               "model_mode", "danger_metric")
+# sweep reads neither trials nor rng_seed: it solves at the exact expected
+# count and samples nothing. The sweep workloads of perfbench/workloads.py
+# pass --trials and --seed, so sweep accepts both until those argvs drop them.
+_SWEEP_KEYS = (*MacTimings._fields, "n_vehicles", "road_length_m", "trials", "rng_seed",
+               "model_mode", "danger_metric")
+# rts_us and cts_us enter only t_td_us, which compare does not print;
+# n_vehicles and rng_seed are the defaults of --n-list and --seeds
+_COMPARE_KEYS = (*(k for k in MacTimings._fields if k not in ("rts_us", "cts_us")),
+                 "n_vehicles", "rng_seed")
+_SCENARIO_KEYS = ("n_vehicles", "road_length_m", "trials", "rng_seed", "danger_metric")
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, keys: tuple[str, ...]) -> None:
     group = parser.add_argument_group("configuration")
     group.add_argument("--config", metavar="PATH", help="JSON config file")
-    for key in _CONFIG_FIELDS:
+    for key in keys:
         flags = ["--" + key.replace("_", "-")]
         if key == "rng_seed":
             flags.insert(0, "--seed")
@@ -146,8 +159,6 @@ def cmd_sweep(args) -> int:
                 f"unknown metric {metric!r} (choose from {', '.join(SWEEP_METRICS)})")
     if args.svg and not args.out:
         raise ValueError("--svg requires --out")
-    if args.compare_sim and args.sim_slots < 1:
-        raise ValueError("--sim-slots must be >= 1")
 
     # Rows run x-major: each x has one count per curve, the benchmark curve
     # (its whole population) last.
@@ -175,15 +186,7 @@ def cmd_sweep(args) -> int:
     # a filtered row's threshold_m label is its own x
     lines = [f"{x},{x if curve == 'filtered' else curve},{texts[n]},{cfg.model_mode}"
              for (x, curve), n in zip(product(map(_fmt, xs), curves), n_effs)]
-
-    header = list(_SWEEP_COLUMNS)
-    if args.compare_sim:
-        header += _SIM_COLUMNS
-        sims = simulate_points(timings, [round(n) for n in n_effs], args.sim_slots,
-                               cfg.rng_seed)
-        lines = [f"{line},{_csv_line(sim)}" for line, sim in zip(lines, sims)]
-
-    _emit(args, "sweep.csv", _csv_text(header, lines))
+    _emit(args, "sweep.csv", _csv_text(_SWEEP_COLUMNS, lines))
 
     if args.svg:
         x_values = [float(x) for x in xs]
@@ -257,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_point = sub.add_parser("point", help="evaluate one configuration")
     p_point.add_argument("--out", metavar="DIR")
-    _add_config_flags(p_point)
+    _add_config_flags(p_point, _POINT_KEYS)
     p_point.set_defaults(func=cmd_point)
 
     p_sweep = sub.add_parser("sweep", help="sweep an axis and emit CSV/SVG")
@@ -268,11 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--thresholds", default="300,500,700",
                          help="curve thresholds for the n_vehicles axis")
     p_sweep.add_argument("--metrics", default=",".join(SWEEP_METRICS))
-    p_sweep.add_argument("--compare-sim", action="store_true")
-    p_sweep.add_argument("--sim-slots", type=int, default=100_000)
     p_sweep.add_argument("--svg", action="store_true")
     p_sweep.add_argument("--out", metavar="DIR")
-    _add_config_flags(p_sweep)
+    _add_config_flags(p_sweep, _SWEEP_KEYS)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cmp = sub.add_parser("compare", help="analytic model vs slot simulation")
@@ -280,13 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--slots", type=int, default=200_000)
     p_cmp.add_argument("--seeds", help="simulator seeds, e.g. 1,2,3")
     p_cmp.add_argument("--out", metavar="DIR")
-    _add_config_flags(p_cmp)
+    _add_config_flags(p_cmp, _COMPARE_KEYS)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_scn = sub.add_parser("scenario", help="per-trial granted contender counts")
     p_scn.add_argument("--thresholds", default="300,500,700")
     p_scn.add_argument("--out", metavar="DIR")
-    _add_config_flags(p_scn)
+    _add_config_flags(p_scn, _SCENARIO_KEYS)
     p_scn.set_defaults(func=cmd_scenario)
     return parser
 

@@ -68,6 +68,7 @@ class ScenarioConfig(NamedTuple):
     transmit filter entirely (benchmark behaviour, every vehicle contends).
     ``trials`` sizes only the ``scenario`` command; ``point`` and ``sweep``
     use the exact expected contender count and sample no placements.
+    ``rng_seed`` seeds ``scenario`` and is ``compare``'s default ``--seeds``.
     """
 
     n_vehicles: int = 50

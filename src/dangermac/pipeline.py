@@ -8,11 +8,11 @@ frame times and the delay constants), then solves each distinct count
 once and builds its report in one pass. That pass repeats, operation for
 operation, what the ``metrics`` functions compute, which remain the
 component API and the reference the tests hold it to bit for bit.
-``evaluate_point`` is ``evaluate_points`` of one count, and
-``simulate_points`` is the simulator counterpart, one result per count
-with each distinct count run once. A contender count may be an expected
-value, hence fractional; zero contenders skip the solve or the run and
-give a silent network.
+``evaluate_point`` is ``evaluate_points`` of one count. A contender count
+there may be an expected value, hence fractional; zero contenders skip the
+solve and give a silent network. ``simulate_points``, the simulator
+counterpart that ``compare`` runs, takes whole station counts of at least
+one and runs each.
 """
 
 from __future__ import annotations
@@ -141,21 +141,19 @@ def simulate_points(timings: MacTimings, counts: list[int], slots: int,
                     seed: int) -> list[tuple[float, float, float]]:
     """Measured ``(tau, p_su, throughput)`` per station count, in order.
 
-    Each distinct nonzero count is run once, ``slots`` slots at ``seed``;
-    count 0 is the silent network ``(0.0, 1.0, 0.0)``. ``tau`` is attempts
-    per station-slot, ``p_su`` successes per busy slot (1 when none was
-    busy), and ``throughput`` the chain's formula at the measured access,
-    ``p_tr = tx_slots / slots``. Nothing is kept between calls.
+    Each count is run ``slots`` slots at ``seed``; ``run`` rejects a count
+    below 1. ``tau`` is attempts per station-slot, ``p_su`` successes per
+    busy slot (1 when none was busy), and ``throughput`` the chain's
+    formula at the measured access, ``p_tr = tx_slots / slots``.
     """
     geometry = geometry_from(timings)
-    measured = {0: (0.0, 1.0, 0.0)}
+    measured = []
     for n in counts:
-        if n not in measured:
-            sim = run(n, slots, geometry, seed)
-            p_su = sim.success_slots / sim.tx_slots if sim.tx_slots else 1.0
-            access = AccessProbabilities(p_tr=sim.tx_slots / slots, p_su=p_su)
-            measured[n] = (sim.attempts / (n * slots), p_su, throughput(access, timings))
-    return [measured[n] for n in counts]
+        sim = run(n, slots, geometry, seed)
+        p_su = sim.success_slots / sim.tx_slots if sim.tx_slots else 1.0
+        access = AccessProbabilities(p_tr=sim.tx_slots / slots, p_su=p_su)
+        measured.append((sim.attempts / (n * slots), p_su, throughput(access, timings)))
+    return measured
 
 
 # Metric names accepted by the sweep command, in canonical order, and the

@@ -160,8 +160,7 @@ def test_c08_threshold_trends_match_reported_orderings():
 def test_c09_cli_reruns_are_byte_identical(tmp_path, capsys):
     started = time.perf_counter()
     commands = {
-        "point": ["point", "--trials", "50", "--threshold-m", "300",
-                  "--seed", "5"],
+        "point": ["point", "--threshold-m", "300"],
         "sweep": ["sweep", "--values", "1..8", "--trials", "50", "--seed", "5"],
         "compare": ["compare", "--n-list", "1,3", "--slots", "20000",
                     "--seeds", "5"],

@@ -38,9 +38,8 @@ def test_point_defaults_is_unfiltered_baseline(capsys):
 
 
 def test_point_saturated_threshold_equals_baseline(capsys):
-    code, base, _ = run_cli(capsys, "point", "--trials", "50")
-    code2, filt, _ = run_cli(capsys, "point", "--trials", "50",
-                             "--threshold-m", "1001")
+    code, base, _ = run_cli(capsys, "point")
+    code2, filt, _ = run_cli(capsys, "point", "--threshold-m", "1001")
     assert code == code2 == 0
     header, base_rows = parse_csv(base)
     _, filt_rows = parse_csv(filt)
@@ -53,7 +52,7 @@ def test_point_saturated_threshold_equals_baseline(capsys):
 
 
 def test_point_zero_threshold_reports_idle_network(capsys):
-    code, out, _ = run_cli(capsys, "point", "--trials", "20", "--threshold-m", "0")
+    code, out, _ = run_cli(capsys, "point", "--threshold-m", "0")
     assert code == 0
     header, rows = parse_csv(out)
     row = dict(zip(header, rows[0]))
@@ -175,20 +174,10 @@ def test_sweep_writes_files(tmp_path, capsys):
     assert "<svg" in (out / "pdr.svg").read_text()
 
 
-def test_sweep_compare_sim_appends_columns(capsys):
-    code, out, _ = run_cli(capsys, "sweep", "--values", "2,3", "--trials", "10",
-                           "--compare-sim", "--sim-slots", "2000")
-    assert code == 0
-    header, rows = parse_csv(out)
-    assert header[-3:] == ["sim_tau", "sim_p_su", "sim_payload_fraction"]
-    assert all(len(r) == len(header) for r in rows)
-
-
 def test_io_failure_exit_code(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("x")
-    code, _, err = run_cli(capsys, "point", "--trials", "5",
-                           "--out", str(blocker / "sub"))
+    code, _, err = run_cli(capsys, "point", "--out", str(blocker / "sub"))
     assert code == 3
 
 
@@ -474,44 +463,6 @@ def test_compare_rejects_negative_seed(capsys):
     assert "--seeds values must all be >= 0" in err
 
 
-def test_sweep_rejects_zero_sim_slots(capsys):
-    code, _, err = run_cli(capsys, "sweep", "--values", "2", "--compare-sim",
-                           "--sim-slots", "0")
-    assert code == 1
-    assert "--sim-slots must be >= 1" in err
-
-
-def test_sweep_compare_sim_runs_once_per_station_count(capsys, monkeypatch):
-    import dangermac.pipeline as pipeline
-    from dangermac.config import MacTimings
-    from dangermac.pipeline import simulate_points
-    from dangermac.slotsim import run
-
-    argv = ["sweep", "--values", "1..6", "--compare-sim", "--sim-slots", "3000",
-            "--seed", "7"]
-    calls = []
-
-    def counting_run(n, *args):
-        calls.append(n)
-        return run(n, *args)
-
-    monkeypatch.setattr(pipeline, "run", counting_run)
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
-    header, rows = parse_csv(out)
-    n_sims = [int(round(float(row[2]))) for row in rows]
-    assert sorted(calls) == sorted(set(n_sims) - {0})
-    assert len(calls) < len(rows)
-
-    # every row holds exactly the bytes its own run would have written
-    timings = MacTimings()
-    for row, n_sim in zip(rows, n_sims):
-        [expected] = simulate_points(timings, [n_sim], 3000, 7)
-        if n_sim == 0:
-            assert expected == (0.0, 1.0, 0.0)
-        assert row[-3:] == [format(v, ".9g") for v in expected]
-
-
 def test_threshold_sweep_solves_each_distinct_count_once(capsys, monkeypatch):
     # 1,001 thresholds plus the benchmark, but only 472 distinct non-zero
     # counts: from 493 m on the expected count rounds to exactly 50
@@ -567,8 +518,7 @@ def test_non_finite_air_times_rejected(capsys, argv, names):
 
 @pytest.mark.parametrize("argv", [
     ["compare", "--n-list", "1," + str(10**300), "--slots", "1"],
-    ["sweep", "--values", "1," + str(10**300), "--compare-sim", "--sim-slots", "1"],
-], ids=["compare", "sweep-compare-sim"])
+], ids=["compare"])
 def test_simulator_rejects_population_too_large_for_a_list(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
@@ -626,8 +576,8 @@ def test_point_row_matches_the_same_count_in_a_sweep(capsys):
     assert row.split(",")[1:] == point_row.split(",")[1:]
 
 
-# compare's whole CSV and sweep --compare-sim"s simulator columns, pinned at
-# every printed digit: the simulator"s stream, its counts and the formula
+# compare's whole CSV and the simulator columns of a second run, pinned at
+# every printed digit: the simulator's stream, its counts and the formula
 # that turns them into tau, p_su, throughput and collision fraction.
 COMPARE_GOLDEN = [
     "n,seed,slots,tau_classic,tau_busy,tau_sim,tau_err_classic,tau_err_busy,"
@@ -644,31 +594,14 @@ COMPARE_GOLDEN = [
     "0.505081134,0.00623376424,0.00357109932",
 ]
 
-SWEEP_SIM_GOLDEN = [
-    "1,300,0,1,0",
-    "1,500,0,1,0",
-    "1,700,0,1,0",
-    "1,benchmark,0.227,1,0.843571122",
-    "2,300,0.227,1,0.843571122",
-    "2,500,0.187666667,0.893909627,0.766943328",
-    "2,700,0.187666667,0.893909627,0.766943328",
-    "2,benchmark,0.187666667,0.893909627,0.766943328",
-    "3,300,0.187666667,0.893909627,0.766943328",
-    "3,500,0.150111111,0.828970332,0.71540331",
-    "3,700,0.150111111,0.828970332,0.71540331",
-    "3,benchmark,0.150111111,0.828970332,0.71540331",
-    "4,300,0.150111111,0.828970332,0.71540331",
-    "4,500,0.124583333,0.800650936,0.692927218",
-    "4,700,0.124583333,0.800650936,0.692927218",
-    "4,benchmark,0.124583333,0.800650936,0.692927218",
-    "5,300,0.106333333,0.776212833,0.673100418",
-    "5,500,0.106333333,0.776212833,0.673100418",
-    "5,700,0.106333333,0.776212833,0.673100418",
-    "5,benchmark,0.106333333,0.776212833,0.673100418",
-    "6,300,0.101944444,0.763248451,0.663830654",
-    "6,500,0.101944444,0.763248451,0.663830654",
-    "6,700,0.101944444,0.763248451,0.663830654",
-    "6,benchmark,0.101944444,0.763248451,0.663830654",
+# n, tau_sim, p_su_sim and s_sim of compare --n-list 1..6 --slots 3000 --seeds 7
+SIM_GOLDEN = [
+    "1,0.227,1,0.843571122",
+    "2,0.187666667,0.893909627,0.766943328",
+    "3,0.150111111,0.828970332,0.71540331",
+    "4,0.124583333,0.800650936,0.692927218",
+    "5,0.106333333,0.776212833,0.673100418",
+    "6,0.101944444,0.763248451,0.663830654",
 ]
 
 
@@ -677,12 +610,12 @@ def test_compare_golden_rows(capsys):
                            "--seeds", "1")
     assert code == 0
     assert out.splitlines() == COMPARE_GOLDEN
-    code, out, _ = run_cli(capsys, "sweep", "--values", "1..6", "--compare-sim",
-                           "--sim-slots", "3000", "--seed", "7")
+    code, out, _ = run_cli(capsys, "compare", "--n-list", "1..6", "--slots", "3000",
+                           "--seeds", "7")
     assert code == 0
     header, rows = parse_csv(out)
-    assert header[-3:] == ["sim_tau", "sim_p_su", "sim_payload_fraction"]
-    assert [",".join([row[0], row[1], *row[-3:]]) for row in rows] == SWEEP_SIM_GOLDEN
+    columns = [header.index(name) for name in ("n", "tau_sim", "p_su_sim", "s_sim")]
+    assert [",".join(row[i] for i in columns) for row in rows] == SIM_GOLDEN
 
 
 # sha256 of every file each sweep writes. The CSV and SVG writers may change
@@ -709,20 +642,10 @@ SWEEP_FILE_DIGESTS = {
         "throughput.svg": "6008198fff9b0ac30bff8b353f3ce7ab5b53bdb64673cc8d44822405d8c26025",
         "total_delay.svg": "4d17a1847804ce99631dfe4ca8b310abea328cdf68764d4162a9fc707c9aef21",
     },
-    ("sweep", "--values", "1..8", "--compare-sim", "--sim-slots", "2000", "--svg"): {
-        "n_eff.svg": "c80fcefe8bebca75c5150fc6d1ef0b9f1607369386320606b128ea127291603a",
-        "p_bus.svg": "b8dae64d27b1612004ee4de4bb2d251c3e95593b3b0478d32abe3822cc083c58",
-        "p_col.svg": "e699aaa5d9b11d45b46610fff747022ef948b2e1d1e59e629f3baa63ed313136",
-        "pdr.svg": "2f2f54443e02cdc9a77156a29279cdd122106305819ee2c1e26062bb29072108",
-        "sweep.csv": "39aa54d26cda10b5d4b00ead15f072b25a1eab1e616f299fb4af5ae89ec2ecbe",
-        "tau.svg": "5f7cf75c099aa43b9a051f3ae2f1e9b72d58c40206f63a812e59409b49def717",
-        "throughput.svg": "024c83add5097a9c0da028f8c413e976cade15553a99c1d8de08dd96ba86e0e4",
-        "total_delay.svg": "6070c0d2c35b2a9690e4ae860407dbfc332220cae7086dc9513002327cfd4d0c",
-    },
 }
 
 
-@pytest.mark.parametrize("argv", list(SWEEP_FILE_DIGESTS), ids=["threshold", "default", "sim"])
+@pytest.mark.parametrize("argv", list(SWEEP_FILE_DIGESTS), ids=["threshold", "default"])
 def test_sweep_output_bytes_are_pinned(tmp_path, capsys, argv):
     code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path))
     assert code == 0
@@ -733,11 +656,10 @@ def test_sweep_output_bytes_are_pinned(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["point", "--threshold-m", "350"],
-    ["sweep", "--values", "1..6", "--compare-sim", "--sim-slots", "2000"],
     ["sweep", "--x-axis", "threshold_m", "--values", "0,0.001,1e300", "--n-vehicles", "7"],
     ["compare", "--n-list", "1,5", "--slots", "2000", "--seeds", "0,1"],
     ["scenario", "--trials", "3", "--thresholds", "0,1e-300,350"],
-], ids=["point", "sweep-sim", "sweep-threshold", "compare", "scenario"])
+], ids=["point", "sweep-threshold", "compare", "scenario"])
 def test_csv_cells_need_no_quoting(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0

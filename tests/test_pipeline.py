@@ -181,34 +181,6 @@ def test_metric_value_reads_its_column():
         metric_value(report, "p_c")
 
 
-def test_simulate_points_gives_a_silent_network_at_count_zero(monkeypatch):
-    def no_run(*args):
-        raise AssertionError("count 0 needs no run")
-
-    monkeypatch.setattr(pipeline, "run", no_run)
-    assert simulate_points(MacTimings(), [0, 0], 100, 1) == [(0.0, 1.0, 0.0)] * 2
-    assert simulate_points(MacTimings(), [], 100, 1) == []
-
-
-def test_simulate_points_runs_each_distinct_count_once(monkeypatch):
-    calls = []
-
-    def counting_run(n, *args):
-        calls.append((n, *args))
-        return run(n, *args)
-
-    monkeypatch.setattr(pipeline, "run", counting_run)
-    timings = MacTimings(cw_min=15)
-    counts = [5, 0, 3, 5, 0, 3, 1]
-    measured = simulate_points(timings, counts, 500, 2)
-    g = geometry_from(timings)
-    assert calls == [(5, 500, g, 2), (3, 500, g, 2), (1, 500, g, 2)]
-    assert measured[0] == measured[3] and measured[2] == measured[5]
-    # nothing is kept between calls
-    simulate_points(timings, counts, 500, 2)
-    assert len(calls) == 6
-
-
 def test_simulate_points_reads_each_run_from_its_counts():
     # tau = attempts / (n slots), p_su = success_slots / tx_slots (1 when
     # no slot was busy), throughput at p_tr = tx_slots / slots
