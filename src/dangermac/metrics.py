@@ -11,11 +11,11 @@ is the exact expected number of granted contenders
 delivery ratios clamped into [0, 1].
 
 These functions are the component API: the delay breakdown and the two
-slot states that are not report columns come from them. They are also
-the reference for ``pipeline.evaluate_points``, which builds each report
-in one pass with the same float operations in the same order and calls
-none of the per-count functions here; the tests compare the two bit for
-bit.
+slot states that are not report columns come from them. Each reads one
+private definition of its formula (``_slot_terms``, ``_rate``,
+``_delay_charges`` and ``_delay``), which ``pipeline.evaluate_points``
+calls too to build each report in one pass, and ``simulate_points`` for
+the measured throughput.
 """
 
 from __future__ import annotations
@@ -70,20 +70,36 @@ def _pow(base: float, exponent: float) -> float:
     return base ** exponent
 
 
-def access_probabilities(tau: float, n: float) -> AccessProbabilities:
-    """Slot occupancy and success probabilities for n independent stations."""
+def _slot_terms(tau: float, n: float) -> tuple[float, ...]:
+    """``(p_emp, p_tr, p_su, p_suc, p_own, p_pair)`` for n stations at ``tau``.
+
+    The one definition of the slot-state terms. ``p_pair`` is the tagged
+    pair's collision state, ``DelayStates.p_col``.
+    """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1] (got {tau})")
-    if n < 0:
+    if not n >= 0:
         raise ValueError(f"n must be >= 0 (got {n})")
     q = 1.0 - tau
-    p_tr = 1.0 - _pow(q, n)
+    p_emp = _pow(q, n)
+    p_tr = 1.0 - p_emp
+    if n == 0:
+        return p_emp, p_tr, 1.0, 0.0, 0.0, 0.0
+    q_others = _pow(q, n - 1.0)
+    others = max(n - 1.0, 0.0)
     if p_tr <= 0.0 or n <= 1.0:
         p_su = 1.0  # alone, or silent: every transmission (vacuously) succeeds
     elif q == 0.0:
         p_su = 0.0
     else:
-        p_su = min(1.0, n * tau * _pow(q, n - 1.0) / p_tr)
+        p_su = min(1.0, n * tau * q_others / p_tr)
+    return (p_emp, p_tr, p_su, others * tau * q_others, tau * q_others,
+            others * tau * tau * _pow(q, n - 2.0))
+
+
+def access_probabilities(tau: float, n: float) -> AccessProbabilities:
+    """Slot occupancy and success probabilities for n independent stations."""
+    _, p_tr, p_su, *_ = _slot_terms(tau, n)
     return AccessProbabilities(p_tr=p_tr, p_su=p_su)
 
 
@@ -104,6 +120,15 @@ def frame_times(t: MacTimings) -> tuple[float, float]:
     return t_s, t_c
 
 
+def _rate(p_tr: float, p_su: float, slot_us: float, payload_us: float,
+          t_s: float, t_c: float) -> float:
+    """The throughput ratio at access ``(p_tr, p_su)`` and frame times ``(t_s, t_c)``."""
+    if p_tr == 0.0:
+        return 0.0
+    return p_su * p_tr * payload_us / ((1.0 - p_tr) * slot_us + p_tr * p_su * t_s
+                                       + p_tr * (1.0 - p_su) * t_c)
+
+
 def throughput(ap: AccessProbabilities, t: MacTimings) -> float:
     """Normalized saturation throughput: payload air time per channel time.
 
@@ -111,9 +136,7 @@ def throughput(ap: AccessProbabilities, t: MacTimings) -> float:
     ``frame_times`` (Bianchi, IEEE JSAC 18(3), 2000).
     """
     t_s, t_c = frame_times(t)
-    denom = ((1.0 - ap.p_tr) * t.slot_us + ap.p_tr * ap.p_su * t_s
-             + ap.p_tr * (1.0 - ap.p_su) * t_c)
-    return 0.0 if ap.p_tr == 0.0 else ap.p_su * ap.p_tr * t.payload_us / denom
+    return _rate(ap.p_tr, ap.p_su, t.slot_us, t.payload_us, t_s, t_c)
 
 
 def delay_state_probabilities(tau: float, n: float) -> DelayStates:
@@ -128,23 +151,30 @@ def delay_state_probabilities(tau: float, n: float) -> DelayStates:
     geometry) ``p_emp`` is 0.9988 and ``p_own`` 0.2854; at tau = 2/3
     (``cw_min`` 1) ``p_own`` is 1.989. ROADMAP items 6 and 7 plan the mend.
     """
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must be in [0, 1] (got {tau})")
-    if n < 0:
-        raise ValueError(f"n must be >= 0 (got {n})")
-    q = 1.0 - tau
-    p_emp = _pow(q, n)
-    if n == 0:
-        return DelayStates(p_emp=p_emp, p_suc=0.0, p_own=0.0, p_col=0.0,
-                           p_bus=1.0 - p_emp)
-    others = max(n - 1.0, 0.0)
-    p_own = tau * _pow(q, n - 1.0)
-    p_suc = others * tau * _pow(q, n - 1.0)
-    p_col = others * tau * tau * _pow(q, n - 2.0)
+    p_emp, _, _, p_suc, p_own, p_col = _slot_terms(tau, n)
     # subtract the left-to-right partial sum so the five-term total is an
     # exact 1.0 when re-added in field order
     p_bus = 1.0 - (p_emp + p_suc + p_own + p_col)
     return DelayStates(p_emp=p_emp, p_suc=p_suc, p_own=p_own, p_col=p_col, p_bus=p_bus)
+
+
+def _delay_charges(t: MacTimings) -> tuple[float, float, float, float]:
+    """Per-event delay charges in us: a transmission, a collision, the mean
+    initial backoff and an idle slot."""
+    return (t.rts_us + t.cts_us + 3.0 * t.sifs_us + t.payload_us + t.ack_us + t.difs_us,
+            t.rts_us + t.difs_us, t.cw_min * t.slot_us / 2.0, t.slot_us)
+
+
+def _delay(charges: tuple[float, float, float, float], p_tr: float, p_col: float,
+           p_emp: float, n: float) -> tuple[float, ...]:
+    """``DelayBreakdown``'s fields, in order, for ``n`` transmitters."""
+    t_single_tx, t_single_coll, cw_star, slot_us = charges
+    n_transmission = p_tr * n
+    n_collision = p_col * n
+    t_tt = t_single_tx * n_transmission
+    t_tc = t_single_coll * n_collision
+    t_emp = slot_us * p_emp * n
+    return n_transmission, n_collision, t_tt, t_tc, cw_star, t_emp, t_tt + t_tc + cw_star + t_emp
 
 
 def total_delay(
@@ -160,23 +190,7 @@ def total_delay(
     probability, mirroring how the event counts are formed. The mean
     initial backoff is half the minimum window in slot time.
     """
-    if n_transmitter < 0:
+    if not n_transmitter >= 0:
         raise ValueError(f"n_transmitter must be >= 0 (got {n_transmitter})")
-    n_transmission = p_tr * n_transmitter
-    n_collision = states.p_col * n_transmitter
-    t_single_tx = (t.rts_us + t.cts_us + 3.0 * t.sifs_us + t.payload_us
-                   + t.ack_us + t.difs_us)
-    t_single_coll = t.rts_us + t.difs_us
-    t_tt = t_single_tx * n_transmission
-    t_tc = t_single_coll * n_collision
-    cw_star = t.cw_min * t.slot_us / 2.0
-    t_emp = t.slot_us * states.p_emp * n_transmitter
-    return DelayBreakdown(
-        n_transmission=n_transmission,
-        n_collision=n_collision,
-        t_tt_us=t_tt,
-        t_tc_us=t_tc,
-        cw_star_us=cw_star,
-        t_emp_us=t_emp,
-        t_td_us=t_tt + t_tc + cw_star + t_emp,
-    )
+    return DelayBreakdown(*_delay(_delay_charges(t), p_tr, states.p_col, states.p_emp,
+                                  n_transmitter))

@@ -4,10 +4,10 @@
 turns a list of effective contender counts into complete performance
 reports, one flat record per count whose fields are the report's CSV
 columns. It computes the per-call constants once (the chain geometry, the
-frame times and the delay constants), then solves each distinct count
-once and builds its report in one pass. That pass repeats, operation for
-operation, what the ``metrics`` functions compute, which remain the
-component API and the reference the tests hold it to bit for bit.
+frame times and the delay charges), then solves each distinct count once
+and builds its report from the private formula helpers of ``metrics``,
+which the public metric functions read too: each formula has one
+definition.
 ``evaluate_point`` is ``evaluate_points`` of one count. A contender count
 there may be an expected value, hence fractional; zero contenders skip the
 solve and give a silent network. ``simulate_points``, the simulator
@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .config import MacTimings
 from .markov import ChainGeometry, solve_fixed_point
-from .metrics import AccessProbabilities, _pow, frame_times, throughput
+from .metrics import _delay, _delay_charges, _rate, _slot_terms, frame_times
 from .slotsim import run
 
 
@@ -60,63 +60,33 @@ def evaluate_points(
     """One full analytic report per count in ``n_effs``, in order.
 
     The per-call constants (the chain geometry, the frame times and the
-    delay constants) are computed once. Each distinct count is then
-    solved once and its report built in one pass that shares the powers
-    of ``1 - tau``. Every field is the same float operations, in the same
-    order, as composing ``solve_fixed_point`` with the metric functions
-    ``access_probabilities``, ``delay_state_probabilities``,
-    ``throughput`` and ``total_delay``, so the reports match that
-    composition bit for bit. Equal counts share one report, kept only for
-    this call: nothing is cached across calls.
+    delay charges) are computed once. Each distinct count is then solved
+    once and its report built from ``metrics``' slot-state, throughput and
+    delay helpers, the definitions that ``access_probabilities``,
+    ``delay_state_probabilities``, ``throughput`` and ``total_delay``
+    read, so the reports equal that composition bit for bit. Equal counts
+    share one report, kept only for this call: nothing is cached across
+    calls.
 
-    Raises ValueError for a negative count, and when a report's delay or
-    throughput is not finite, as when the population or the timings are
-    too large for a float.
+    Raises ValueError for a negative or NaN count, and when a report's
+    delay or throughput is not finite, as when the population or the
+    timings are too large for a float.
     """
     geometry = geometry_from(timings)
     slot_us, payload_us = timings.slot_us, timings.payload_us
     t_s, t_c = frame_times(timings)
-    # total_delay's charges: a transmission, a collision, the mean initial backoff
-    t_single_tx = (timings.rts_us + timings.cts_us + 3.0 * timings.sifs_us + payload_us
-                   + timings.ack_us + timings.difs_us)
-    t_single_coll = timings.rts_us + timings.difs_us
-    cw_star = timings.cw_min * slot_us / 2.0
+    charges = _delay_charges(timings)
     reports = {}
     for n in dict.fromkeys(n_effs):
-        if n < 0:
-            raise ValueError(f"n must be >= 0 (got {n})")
         if n > 0:
             s = solve_fixed_point(n, geometry, model_mode)
             tau, p_c, p_b = s.tau, s.p_c, s.p_b
         else:
             tau, p_c, p_b = 0.0, 0.0, 0.0
-        if not 0.0 <= tau <= 1.0:
-            raise ValueError(f"tau must be in [0, 1] (got {tau})")
-        q = 1.0 - tau
-        p_emp = _pow(q, n)
-        p_tr = 1.0 - p_emp
-        if n == 0:
-            p_su, p_suc, p_own, p_pair = 1.0, 0.0, 0.0, 0.0
-        else:
-            # p_pair is the tagged-pair collision state, total_delay's collision count
-            q_others = _pow(q, n - 1.0)
-            others = max(n - 1.0, 0.0)
-            p_own = tau * q_others
-            p_suc = others * tau * q_others
-            p_pair = others * tau * tau * _pow(q, n - 2.0)
-            if p_tr <= 0.0 or n <= 1.0:
-                p_su = 1.0
-            elif q == 0.0:
-                p_su = 0.0
-            else:
-                p_su = min(1.0, n * tau * q_others / p_tr)
-        if p_tr == 0.0:
-            rate = 0.0
-        else:
-            rate = p_su * p_tr * payload_us / ((1.0 - p_tr) * slot_us + p_tr * p_su * t_s
-                                               + p_tr * (1.0 - p_su) * t_c)
-        t_td_us = (t_single_tx * (p_tr * n) + t_single_coll * (p_pair * n) + cw_star
-                   + slot_us * p_emp * n)
+        # a negative or NaN count skips the solve, and _slot_terms rejects it
+        p_emp, p_tr, p_su, p_suc, p_own, p_pair = _slot_terms(tau, n)
+        rate = _rate(p_tr, p_su, slot_us, payload_us, t_s, t_c)
+        t_td_us = _delay(charges, p_tr, p_pair, p_emp, n)[-1]
         if not math.isfinite(t_td_us + rate):
             raise ValueError(
                 f"the delay or throughput at n_eff {n:g} is not finite "
@@ -144,15 +114,16 @@ def simulate_points(timings: MacTimings, counts: list[int], slots: int,
     Each count is run ``slots`` slots at ``seed``; ``run`` rejects a count
     below 1. ``tau`` is attempts per station-slot, ``p_su`` successes per
     busy slot (1 when none was busy), and ``throughput`` the chain's
-    formula at the measured access, ``p_tr = tx_slots / slots``.
+    ratio (``metrics._rate``) at the measured ``p_tr = tx_slots / slots``.
     """
     geometry = geometry_from(timings)
+    t_s, t_c = frame_times(timings)
     measured = []
     for n in counts:
         sim = run(n, slots, geometry, seed)
         p_su = sim.success_slots / sim.tx_slots if sim.tx_slots else 1.0
-        access = AccessProbabilities(p_tr=sim.tx_slots / slots, p_su=p_su)
-        measured.append((sim.attempts / (n * slots), p_su, throughput(access, timings)))
+        rate = _rate(sim.tx_slots / slots, p_su, timings.slot_us, timings.payload_us, t_s, t_c)
+        measured.append((sim.attempts / (n * slots), p_su, rate))
     return measured
 
 

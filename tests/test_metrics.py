@@ -1,7 +1,10 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
-from dangermac.config import MacTimings
+from dangermac.config import MODEL_MODES, MacTimings
 from dangermac.markov import ChainGeometry, solve_fixed_point
 from dangermac.metrics import (
     access_probabilities,
@@ -11,6 +14,7 @@ from dangermac.metrics import (
     throughput,
     total_delay,
 )
+from dangermac.pipeline import evaluate_points
 
 
 def test_access_single_station():
@@ -166,3 +170,22 @@ def test_metrics_track_solved_chain_monotonically():
         rates.append(throughput(ap, t))
     assert all(a >= b for a, b in zip(pdrs, pdrs[1:]))
     assert all(a >= b for a, b in zip(rates, rates[1:]))
+
+
+def test_formula_layer_rejects_bad_tau_and_population():
+    def rejects(message, call, *args):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(*args)
+
+    for states in (access_probabilities, delay_state_probabilities):
+        for tau in (-0.1, 1.5, math.nan):
+            rejects(f"tau must be in [0, 1] (got {tau})", states, tau, 5)
+        for n in (-1, math.nan):
+            rejects(f"n must be >= 0 (got {n})", states, 0.1, n)
+    states = delay_state_probabilities(0.1, 5)
+    for n in (-1, math.nan):
+        rejects(f"n_transmitter must be >= 0 (got {n})", total_delay, states, 0.5, n,
+                MacTimings())
+    for mode in MODEL_MODES:
+        rejects("n must be >= 0 (got -1.0)", evaluate_points, MacTimings(), [5.0, -1.0], mode)
+        rejects("n must be >= 0 (got nan)", evaluate_points, MacTimings(), [math.nan], mode)

@@ -59,23 +59,32 @@ def test_evaluate_points_solves_each_distinct_count_once(monkeypatch):
 
 
 def test_evaluate_points_builds_each_report_in_one_pass(monkeypatch):
-    geometries = []
+    geometries, frames = [], []
+    frame_times = metrics.frame_times
 
     def counting_geometry_from(timings):
         geometries.append(timings)
         return geometry_from(timings)
+
+    def counting_frame_times(timings):
+        frames.append(timings)
+        return frame_times(timings)
 
     def refuse(*args):
         raise AssertionError("a per-count metric function ran")
 
     monkeypatch.setattr(pipeline, "geometry_from", counting_geometry_from)
     for module in (pipeline, metrics):
+        monkeypatch.setattr(module, "frame_times", counting_frame_times)
         for name in ("access_probabilities", "delay_state_probabilities", "throughput",
                      "total_delay"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     timings = MacTimings()
     assert len(evaluate_points(timings, COUNTS, "busy_aware")) == len(COUNTS)
-    assert geometries == [timings]
+    assert geometries == frames == [timings]
+    # the simulator's throughput takes the same per-call frame times
+    assert len(simulate_points(timings, [1, 2, 5], 500, 0)) == 3
+    assert geometries == frames == [timings] * 2
 
 
 def _reference_report(timings: MacTimings, n_eff: float, model_mode: str) -> PerfReport:
