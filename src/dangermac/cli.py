@@ -9,20 +9,21 @@ Commands::
 
 All commands are deterministic and emit CSV with floats printed at 9
 significant digits. Each command accepts the flags of only the config keys
-it reads. Exit codes: 0 success, 1 usage or validation error or a run too
-large for memory, 3 I/O failure.
+it reads, and a list flag's values are parsed and checked as its config
+key's are. A flag that another flag would override is an error. Exit
+codes: 0 success, 1 usage or validation error or a run too large for
+memory, 3 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from itertools import product
 from pathlib import Path
 
 from .charts import line_chart, x_axis
-from .config import CHOICES, MacTimings, ScenarioConfig, load_config
+from .config import (CHOICES, ConfigError, MacTimings, ScenarioConfig, _coerce, load_config,
+                     validate_scenario)
 from .pipeline import (REPORT_COLUMNS, SWEEP_METRICS, evaluate_points, metric_column,
                        simulate_points)
 from .scenario import expected_n_eff, n_eff_samples
@@ -31,25 +32,16 @@ _CELL = "%.9g"
 _REPORT_FORMAT = ",".join([_CELL] * len(REPORT_COLUMNS))
 _POINT_COLUMNS = ["n_vehicles", "threshold_m", *REPORT_COLUMNS, "model_mode"]
 _SWEEP_COLUMNS = ["x"] + _POINT_COLUMNS[1:]
+_THRESHOLDS = "300,500,700"  # the default --thresholds
 _SCENARIO_COLUMNS = ["trial", "threshold_m", "n_eff"]
+_SCENARIO_FORMAT = f"%d,{_CELL},%d"
 # The quantities compare checks, in column order.
 _CHECKED = ("tau", "p_su", "s", "col_frac")
 _COMPARE_COLUMNS = ["n", "seed", "slots"]
 for _name in _CHECKED:
     _COMPARE_COLUMNS += [f"{_name}_classic", f"{_name}_busy", f"{_name}_sim",
                          f"{_name}_err_classic", f"{_name}_err_busy"]
-
-
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    return _CELL % value
-
-
-def _csv_line(row: list) -> str:
-    return ",".join(map(_fmt, row))
+_COMPARE_FORMAT = ",".join(["%d"] * 3 + [_CELL] * (len(_COMPARE_COLUMNS) - 3))
 
 
 def _csv_text(header: list[str], lines: list[str]) -> str:
@@ -79,7 +71,8 @@ _POINT_KEYS = (*MacTimings._fields, "n_vehicles", "road_length_m", "threshold_m"
 _SWEEP_KEYS = (*MacTimings._fields, "n_vehicles", "road_length_m", "trials", "rng_seed",
                "model_mode", "danger_metric")
 # rts_us and cts_us enter only t_td_us, which compare does not print;
-# n_vehicles and rng_seed are the defaults of --n-list and --seeds
+# n_vehicles and rng_seed are the defaults of --n-list and --seeds, and
+# an error beside them
 _COMPARE_KEYS = (*(k for k in MacTimings._fields if k not in ("rts_us", "cts_us")),
                  "n_vehicles", "rng_seed")
 _SCENARIO_KEYS = ("n_vehicles", "road_length_m", "trials", "rng_seed", "danger_metric")
@@ -97,54 +90,58 @@ def _add_config_flags(parser: argparse.ArgumentParser, keys: tuple[str, ...]) ->
 
 
 def _build_config(args) -> tuple[MacTimings, ScenarioConfig]:
-    text = None
-    if args.config:
-        text = Path(args.config).read_text()
-    overrides = {}
-    for key in _CONFIG_FIELDS:
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    return load_config(text, overrides)
+    text = Path(args.config).read_text() if args.config else None
+    flags = {key: getattr(args, key, None) for key in _CONFIG_FIELDS}
+    return load_config(text, {key: value for key, value in flags.items() if value is not None})
 
 
-def _parse_numbers(text: str, kind, what: str) -> list:
-    text = text.strip()
-    if not text:
-        raise ValueError(f"{what} must not be empty")
-    if ".." in text:
-        lo_text, _, hi_text = text.partition("..")
-        try:
-            lo, hi = int(lo_text), int(hi_text)
-        except ValueError:
-            raise ValueError(f"bad range for {what}: {text!r}") from None
-        values = [kind(v) for v in range(lo, hi + 1)]
-    else:
-        try:
-            values = [kind(part) for part in text.split(",")]
-        except ValueError:
-            raise ValueError(f"bad value list for {what}: {text!r}") from None
-        if any(abs(v) == math.inf for v in values):
-            raise ValueError(f"{what} values must be finite (got {text!r})")
-    if not values:
-        raise ValueError(f"{what} must not be empty")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ValueError(f"{what} must be strictly increasing")
+def _parse_numbers(text: str, key: str, flag: str) -> list:
+    """The values of config key ``key`` that ``flag`` lists, as ``a,b,c`` or an
+    inclusive integer range ``lo..hi``: coerced, checked and strictly increasing."""
+    lo, dots, hi = text.partition("..")
+    try:
+        if dots:
+            try:
+                span = range(int(lo), int(hi) + 1)
+            except ValueError:
+                raise ValueError(f"bad range for {flag}: {text!r}") from None
+            # coercing the endpoints' text shows a float key's overflow as inf
+            kind = type(_coerce(key, lo))
+            _coerce(key, hi)
+            values = list(map(kind, span))
+        else:
+            values = [_coerce(key, part) for part in text.split(",")] if text.strip() else []
+        if not values:
+            raise ValueError(f"{flag} must not be empty")
+        if any(b <= a for a, b in zip(values, values[1:])):
+            raise ValueError(f"{flag} must be strictly increasing")
+        for value in (values[0], values[-1]):  # so the ends bound every value
+            validate_scenario(ScenarioConfig(**{key: value}))
+    except ConfigError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
     return values
+
+
+def _report_lines(timings: MacTimings, model_mode: str, rows: list) -> tuple[list, list]:
+    """The CSV lines and reports of ``(x text, threshold_m cell, n_eff)`` rows;
+    equal counts share one report, so each distinct count is formatted once."""
+    n_effs = [n for _, _, n in rows]
+    reports = evaluate_points(timings, n_effs, model_mode)
+    texts = {n: _REPORT_FORMAT % r for n, r in dict(zip(n_effs, reports)).items()}
+    lines = [f"{x},{cell},{texts[n]},{model_mode}" for x, cell, n in rows]
+    return lines, reports
 
 
 def cmd_point(args) -> int:
     timings, cfg = _build_config(args)
     if cfg.threshold_m is None:
-        label = "benchmark"
-        n_eff = float(cfg.n_vehicles)
+        row = (str(cfg.n_vehicles), "benchmark", float(cfg.n_vehicles))
     else:
-        label = _fmt(cfg.threshold_m)
-        n_eff = expected_n_eff(cfg.n_vehicles, cfg.road_length_m, [cfg.threshold_m],
-                               cfg.danger_metric)[0]
-    [report] = evaluate_points(timings, [n_eff], cfg.model_mode)
-    row = [cfg.n_vehicles, label, *report, cfg.model_mode]
-    _emit(args, "point.csv", _csv_text(_POINT_COLUMNS, [_csv_line(row)]))
+        row = (str(cfg.n_vehicles), _CELL % cfg.threshold_m,
+               expected_n_eff(cfg.n_vehicles, cfg.road_length_m, [cfg.threshold_m],
+                              cfg.danger_metric)[0])
+    lines, _ = _report_lines(timings, cfg.model_mode, [row])
+    _emit(args, "point.csv", _csv_text(_POINT_COLUMNS, lines))
     return 0
 
 
@@ -157,35 +154,38 @@ def cmd_sweep(args) -> int:
         if metric not in SWEEP_METRICS:
             raise ValueError(
                 f"unknown metric {metric!r} (choose from {', '.join(SWEEP_METRICS)})")
+        if metrics.count(metric) > 1:
+            raise ValueError(f"--metrics names {metric!r} more than once")
     if args.svg and not args.out:
         raise ValueError("--svg requires --out")
+
+    # --values gives the x values, so the flag that would give them too is refused
+    flag, given = (("--n-vehicles", args.n_vehicles) if args.x_axis == "n_vehicles"
+                   else ("--thresholds", args.thresholds))
+    if given is not None:
+        raise ValueError(f"{flag} does not apply on the {args.x_axis} axis, "
+                         "where --values gives the x values")
 
     # Rows run x-major: each x has one count per curve, the benchmark curve
     # (its whole population) last.
     if args.x_axis == "n_vehicles":
-        xs = _parse_numbers(args.values, int, "--values")
-        if xs[0] < 1 or xs[-1] > sys.float_info.max:
-            raise ValueError(
-                "--values must all be >= 1 and fit in a float for the n_vehicles axis")
-        thresholds = _parse_numbers(args.thresholds, float, "--thresholds")
-        curves = [_fmt(t) for t in thresholds] + ["benchmark"]
-        n_effs = [n for x in xs
-                  for n in expected_n_eff(x, cfg.road_length_m, thresholds, cfg.danger_metric)
-                  + [float(x)]]
+        xs = _parse_numbers(args.values, "n_vehicles", "--values")
+        thresholds = _parse_numbers(_THRESHOLDS if args.thresholds is None else args.thresholds,
+                                    "threshold_m", "--thresholds")
+        curves = [*map(_CELL.__mod__, thresholds), "benchmark"]
+        rows = [(text, curve, n) for x, text in zip(xs, map(str, xs))
+                for curve, n in zip(curves, [*expected_n_eff(x, cfg.road_length_m, thresholds,
+                                                              cfg.danger_metric), float(x)])]
     else:
-        xs = _parse_numbers(args.values, float, "--values")
-        if xs[0] < 0:
-            raise ValueError("--values must all be >= 0 for the threshold_m axis")
+        xs = _parse_numbers(args.values, "threshold_m", "--values")
         curves = ["filtered", "benchmark"]
-        n_effs = [n for mean in expected_n_eff(cfg.n_vehicles, cfg.road_length_m, xs,
-                                               cfg.danger_metric)
-                  for n in (mean, float(cfg.n_vehicles))]
-    reports = evaluate_points(timings, n_effs, cfg.model_mode)
-    # equal counts share one report, so each distinct count is formatted once
-    texts = {n: _REPORT_FORMAT % r for n, r in dict(zip(n_effs, reports)).items()}
-    # a filtered row's threshold_m label is its own x
-    lines = [f"{x},{x if curve == 'filtered' else curve},{texts[n]},{cfg.model_mode}"
-             for (x, curve), n in zip(product(map(_fmt, xs), curves), n_effs)]
+        whole = float(cfg.n_vehicles)
+        # a filtered row's threshold_m cell is its own x
+        rows = [row for text, mean in zip(map(_CELL.__mod__, xs),
+                                          expected_n_eff(cfg.n_vehicles, cfg.road_length_m,
+                                                         xs, cfg.danger_metric))
+                for row in ((text, text, mean), (text, "benchmark", whole))]
+    lines, reports = _report_lines(timings, cfg.model_mode, rows)
     _emit(args, "sweep.csv", _csv_text(_SWEEP_COLUMNS, lines))
 
     if args.svg:
@@ -203,14 +203,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     timings, cfg = _build_config(args)
-    n_list = (_parse_numbers(args.n_list, int, "--n-list")
+    if args.n_list is not None and args.n_vehicles is not None:
+        raise ValueError("--n-vehicles and --n-list both give the populations; pass one")
+    if args.seeds is not None and args.rng_seed is not None:
+        raise ValueError("--seed and --seeds both give the seeds; pass one")
+    n_list = (_parse_numbers(args.n_list, "n_vehicles", "--n-list")
               if args.n_list is not None else [cfg.n_vehicles])
-    if n_list[0] < 1 or n_list[-1] > sys.float_info.max:
-        raise ValueError("--n-list values must all be >= 1 and fit in a float")
-    seeds = (_parse_numbers(args.seeds, int, "--seeds")
+    seeds = (_parse_numbers(args.seeds, "rng_seed", "--seeds")
              if args.seeds is not None else [cfg.rng_seed])
-    if seeds[0] < 0:
-        raise ValueError("--seeds values must all be >= 0")
     if args.slots < 1:
         raise ValueError("--slots must be >= 1")
 
@@ -225,7 +225,7 @@ def cmd_compare(args) -> int:
     models = [[(r.tau, r.p_su, r.throughput) for r in evaluate_points(timings, counts, mode)]
               for mode in ("classic", "busy_aware")]
     runs = [simulate_points(timings, n_list, args.slots, seed) for seed in seeds]
-    rows = []
+    lines = []
     for i, n in enumerate(n_list):
         for seed, sim in zip(seeds, runs):
             row = [n, seed, args.slots]
@@ -233,17 +233,17 @@ def cmd_compare(args) -> int:
             checked = [(*source[i], 1.0 - source[i][1]) for source in (*models, sim)]
             for a_cl, a_bu, s in zip(*checked):
                 row += [a_cl, a_bu, s, rel_err(a_cl, s), rel_err(a_bu, s)]
-            rows.append(row)
-    _emit(args, "compare.csv", _csv_text(_COMPARE_COLUMNS, list(map(_csv_line, rows))))
+            lines.append(_COMPARE_FORMAT % tuple(row))
+    _emit(args, "compare.csv", _csv_text(_COMPARE_COLUMNS, lines))
     return 0
 
 
 def cmd_scenario(args) -> int:
     _, cfg = _build_config(args)
-    thresholds = _parse_numbers(args.thresholds, float, "--thresholds")
+    thresholds = _parse_numbers(args.thresholds, "threshold_m", "--thresholds")
     samples = n_eff_samples(cfg.n_vehicles, cfg.road_length_m, thresholds,
                             cfg.trials, cfg.rng_seed, cfg.danger_metric)
-    lines = [_csv_line([trial, threshold, count])
+    lines = [_SCENARIO_FORMAT % (trial, threshold, count)
              for trial, counts in enumerate(samples)
              for threshold, count in zip(thresholds, counts)]
     _emit(args, "scenario.csv", _csv_text(_SCENARIO_COLUMNS, lines))
@@ -268,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
                          default="n_vehicles")
     p_sweep.add_argument("--values", default="1..50",
                          help="comma list or inclusive range like 1..50")
-    p_sweep.add_argument("--thresholds", default="300,500,700",
-                         help="curve thresholds for the n_vehicles axis")
+    p_sweep.add_argument("--thresholds", help="curve thresholds for the n_vehicles "
+                                              f"axis (default {_THRESHOLDS})")
     p_sweep.add_argument("--metrics", default=",".join(SWEEP_METRICS))
     p_sweep.add_argument("--svg", action="store_true")
     p_sweep.add_argument("--out", metavar="DIR")
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_scn = sub.add_parser("scenario", help="per-trial granted contender counts")
-    p_scn.add_argument("--thresholds", default="300,500,700")
+    p_scn.add_argument("--thresholds", default=_THRESHOLDS)
     p_scn.add_argument("--out", metavar="DIR")
     _add_config_flags(p_scn, _SCENARIO_KEYS)
     p_scn.set_defaults(func=cmd_scenario)

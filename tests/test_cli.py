@@ -460,7 +460,7 @@ def test_compare_rejects_negative_seed(capsys):
                              "--seeds", "-1")
     assert code == 1
     assert out == ""
-    assert "--seeds values must all be >= 0" in err
+    assert err == "error: --seeds: rng_seed must be >= 0 (got -1)\n"
 
 
 def test_threshold_sweep_solves_each_distinct_count_once(capsys, monkeypatch):
@@ -574,6 +574,19 @@ def test_point_row_matches_the_same_count_in_a_sweep(capsys):
     assert code == 0
     [row] = [line for line in out.splitlines() if line.startswith("350,350,")]
     assert row.split(",")[1:] == point_row.split(",")[1:]
+
+
+def test_point_rows_are_the_sweep_rows_of_their_count(capsys):
+    # point and sweep build their rows in one place: after the first cell
+    # (n_vehicles in point, x in sweep) the bytes of a row are the same
+    code, out, err = run_cli(capsys, "sweep", "--values", "7", "--thresholds", "350")
+    assert (code, err) == (0, "")
+    filtered, benchmark = out.splitlines()[1:]
+    for argv, sweep_row in ((["--threshold-m", "350"], filtered), ([], benchmark)):
+        code, out, err = run_cli(capsys, "point", "--n-vehicles", "7", *argv)
+        assert (code, err) == (0, "")
+        [point_row] = out.splitlines()[1:]
+        assert point_row.split(",", 1)[1] == sweep_row.split(",", 1)[1]
 
 
 # compare's whole CSV and the simulator columns of a second run, pinned at

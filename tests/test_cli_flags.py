@@ -6,7 +6,8 @@ import json
 import pytest
 
 from dangermac.cli import main
-from dangermac.config import MacTimings, ScenarioConfig, config_to_dict, load_config
+from dangermac.config import (ConfigError, MacTimings, ScenarioConfig, config_to_dict,
+                              load_config)
 
 TIMINGS = MacTimings._fields
 CONFIG_KEYS = TIMINGS + ScenarioConfig._fields
@@ -22,16 +23,21 @@ ACCEPTS = {
     "scenario": ("n_vehicles", "road_length_m", "trials", "rng_seed", "danger_metric"),
 }
 # sweep reads neither; it accepts both for perfbench's sweep argvs
-IGNORED = {("sweep", "trials"), ("sweep", "rng_seed")}
+IGNORED = {"trials", "rng_seed"}
 
-# A cheap run of each command; the scenario thresholds are small enough that
-# the counts, and so the seed, matter.
+# A cheap run of each command, and of sweep on each axis ("sweep" is the
+# threshold_m axis); the scenario thresholds are small enough that the
+# counts, and so the seed, matter.
 BASE = {
     "point": ["point", "--threshold-m", "300"],
     "sweep": ["sweep", "--x-axis", "threshold_m", "--values", "100,300"],
+    "sweep_n_vehicles_axis": ["sweep", "--values", "2,5"],
     "compare": ["compare", "--slots", "2000"],
     "scenario": ["scenario", "--trials", "3", "--thresholds", "5,10,20"],
 }
+# On the n_vehicles axis --values gives the populations, so --n-vehicles,
+# which sweep accepts for the threshold_m axis, is an error there.
+REFUSED = {("sweep_n_vehicles_axis", "n_vehicles")}
 # One value of each key that differs from both the default and BASE.
 ALTERNATIVE = {
     "difs_us": "50", "sifs_us": "16", "slot_us": "9", "prop_delay_us": "2",
@@ -48,18 +54,22 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("command, key",
-                         [(c, k) for c in ACCEPTS for k in CONFIG_KEYS],
-                         ids=[f"{c}-{k}" for c in ACCEPTS for k in CONFIG_KEYS])
-def test_a_flag_is_accepted_only_where_it_changes_the_output(capsys, command, key):
-    code, base, err = run_cli(capsys, BASE[command])
+@pytest.mark.parametrize("case, key",
+                         [(c, k) for c in BASE for k in CONFIG_KEYS],
+                         ids=[f"{c}-{k}" for c in BASE for k in CONFIG_KEYS])
+def test_a_flag_is_accepted_only_where_it_changes_the_output(capsys, case, key):
+    command = BASE[case][0]
+    code, base, err = run_cli(capsys, BASE[case])
     assert (code, err) == (0, ""), err
     flag = "--" + key.replace("_", "-")
-    code, out, err = run_cli(capsys, [*BASE[command], flag, ALTERNATIVE[key]])
+    code, out, err = run_cli(capsys, [*BASE[case], flag, ALTERNATIVE[key]])
     if key not in ACCEPTS[command]:
         assert (code, out) == (1, "")
         assert err.startswith("usage: dangermac") and f"unrecognized arguments: {flag}" in err
-    elif (command, key) in IGNORED:
+    elif (case, key) in REFUSED:
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+    elif command == "sweep" and key in IGNORED:
         assert (code, out, err) == (0, base, "")
     else:
         assert (code, err) == (0, ""), err
@@ -88,3 +98,50 @@ def test_removed_and_unread_flags_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (1, "")
     assert err.startswith("usage: dangermac")
+
+
+# A run, and flags that would override part of it or repeat a chart name.
+@pytest.mark.parametrize("argv, extra", [
+    (["sweep", "--values", "1..3"], ["--n-vehicles", "7"]),
+    (["sweep", "--x-axis", "threshold_m", "--values", "100,300"], ["--thresholds", "300"]),
+    (["compare", "--slots", "2000", "--n-list", "5"], ["--n-vehicles", "7"]),
+    (["compare", "--slots", "2000", "--seeds", "1"], ["--seed", "2"]),
+    (["sweep", "--values", "2,3"], ["--metrics", "pdr,tau,pdr"]),
+], ids=["sweep-n-vehicles", "sweep-thresholds", "compare-n-vehicles", "compare-seed",
+        "sweep-metrics"])
+def test_a_flag_another_flag_would_override_is_refused(capsys, argv, extra):
+    assert run_cli(capsys, argv)[0] == 0
+    code, out, err = run_cli(capsys, [*argv, *extra])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and extra[0] in err and err.count("\n") == 1
+
+
+# Every flag that lists values of a config key, the key and a run around it.
+LIST_FLAGS = {
+    "sweep-values-n_vehicles": ("n_vehicles", ["sweep", "--values"]),
+    "sweep-values-threshold_m": ("threshold_m", ["sweep", "--x-axis", "threshold_m",
+                                                 "--values"]),
+    "sweep-thresholds": ("threshold_m", ["sweep", "--values", "2", "--thresholds"]),
+    "scenario-thresholds": ("threshold_m", ["scenario", "--trials", "2", "--thresholds"]),
+    "compare-n-list": ("n_vehicles", ["compare", "--slots", "100", "--n-list"]),
+    "compare-seeds": ("rng_seed", ["compare", "--slots", "100", "--seeds"]),
+}
+# A value below each key's bound; argparse reads "-1" as a value, not a flag.
+BELOW = {"n_vehicles": "0", "threshold_m": "-1", "rng_seed": "-1"}
+INTEGER_KEYS = {"n_vehicles", "rng_seed"}
+
+
+@pytest.mark.parametrize("case, value", [
+    (case, value) for case, (key, _) in LIST_FLAGS.items()
+    for value in (BELOW[key], "nan", "inf", *(["1.5"] if key in INTEGER_KEYS else []))
+])
+def test_a_list_flag_checks_its_values_as_config_does(capsys, case, value):
+    key, argv = LIST_FLAGS[case]
+    flag = argv[-1]
+    code, out, err = run_cli(capsys, [*argv, value])
+    assert (code, out) == (1, "")
+    # one line: the flag, then config's own message for the key
+    assert err.startswith(f"error: {flag}: {key} must be ") and err.count("\n") == 1, err
+    with pytest.raises(ConfigError) as raised:
+        load_config(None, {key: value})
+    assert err == f"error: {flag}: {raised.value}\n"
