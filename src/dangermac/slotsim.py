@@ -11,15 +11,24 @@ A successful station redraws at stage 0; every station involved in a
 collision advances one stage (capped at the top) and redraws over its new
 window. ``run`` is deterministic given its seed.
 
-The calendar is one binary heap holding one int key per station,
-``(due slot << bits) | station``, so stepping from one transmission slot
-to the next skips idle stretches and never scans all n stations.
+The calendar is a timing wheel (Varghese & Lauck, SOSP 1987): a fixed
+ring of 1,024 per-slot station lists that the run scans a lap at a time,
+with the rare counter of 1,023 or more parked in a small overflow heap.
+Memory is O(1,024 + n) for every window the config accepts. An attempt
+costs O(1) calendar work where a heap of n keys cost O(log n): at the
+default geometry, 200,000 slots, seed 1 (2-core Xeon, Python 3.11.7,
+medians of 10 runs), 0.29, 0.42, 0.71 and 0.77 us per attempt on the heap
+became 0.31, 0.38, 0.54 and 0.40 us at n = 2, 5, 50 and 500. The price
+is the idle slots the scan steps over, 19-29 ns each, which shows only
+in sparse runs: n = 2 at w0 1024 takes 1.24 ms per 50,000 slots, where
+the heap took 0.10 ms.
 """
 
 from __future__ import annotations
 
-import heapq
 import sys
+from heapq import heapify, heappop, heappush
+from itertools import compress, islice
 from math import floor
 from random import Random
 from typing import NamedTuple
@@ -38,20 +47,28 @@ class SimStats(NamedTuple):
 def run(n: int, slots: int, g: ChainGeometry, seed: int) -> SimStats:
     """Simulate ``slots`` slots after discarding a 1% warm-up stretch.
 
-    Implemented event to event over a calendar queue: with every counter
+    Implemented event to event over a timing wheel: with every counter
     ticking each slot, a station drawing counter c in slot t transmits
-    next in slot t + 1 + c. The calendar is one binary heap of n keys
-    ``(due slot << bits) | station`` with ``bits = n.bit_length()``, so a
-    slot's transmitters leave it in index order. The second-smallest key
-    is a child of the root, so a success is seen by reading ``heap[1]``
-    and ``heap[2]`` and costs one ``heapreplace``; each station in a
-    collision is ``heapreplace``d too, to a slot past t. Two padding keys
-    past the horizon keep both children present for n = 1 and 2. A
-    counter is ``floor(u * window)`` of the next ``Random(seed).random()``
-    uniform, one draw per attempt; since ``u <= 1 - 2**-53``, the rounded
-    product stays below the window and needs no clamp. The stations start
-    in index order and a slot's transmitters redraw in index order, which
-    fixes the draw order a slot-by-slot replay must follow.
+    next in slot t + 1 + c. Slot s's stations are listed in
+    ``ring[s % 1024]``, and a lap scans the ring with
+    ``compress(islice(offsets, i0, stop), islice(ring, i0, stop))`` over a
+    list ``offsets`` of the ring's indices, which skips empty lists in C,
+    so an idle slot runs no Python bytecode and allocates nothing. A list
+    with one station is a success; a longer one is sorted, so a
+    collision's stations redraw in index order. A counter below 1,023
+    lands in a later list of this lap or an earlier one of the next,
+    never in the list being read. A larger counter, possible only in a
+    window above 1,023, waits in an overflow heap as the key
+    ``(due slot << bits) | station`` with ``bits = n.bit_length()``, and
+    each lap starts by moving the keys due in it onto the ring. The
+    stations start in that heap, as if each had drawn in slot -1.
+
+    A counter is ``floor(u * window)`` of the next
+    ``Random(seed).random()`` uniform, one draw per attempt; since
+    ``u <= 1 - 2**-53``, the rounded product stays below the window and
+    needs no clamp. The stations start in index order and a slot's
+    transmitters redraw in index order, which fixes the draw order a
+    slot-by-slot replay must follow.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1 (got {n})")
@@ -71,43 +88,58 @@ def run(n: int, slots: int, g: ChainGeometry, seed: int) -> SimStats:
     stages = [0] * n
     bits = n.bit_length()
     mask = (1 << bits) - 1
-    step = 1 << bits  # one slot later
     warmup = slots // 100
     horizon = warmup + slots
 
-    # the two padding keys lie past the horizon and keep heap[1] and
-    # heap[2] valid for n = 1 and 2
-    heap = [horizon << bits] * 2
-    for j in range(n):
-        heap.append((floor(draw() * w0) << bits) | j)
-    heapq.heapify(heap)
-    replace = heapq.heapreplace
+    ring = [[] for _ in range(1024)]
+    offsets = list(range(1024))  # a range would make an int per slot scanned
+    # ahead[i + c] is ring[(i + 1 + c) % 1024] for i < 1024 and c < 1023:
+    # the list of the slot a counter c drawn in ring slot i is due in
+    ahead = (ring * 2)[1:]
+    overflow = [(floor(draw() * w0) << bits) | j for j in range(n)]
+    heapify(overflow)
 
     # run the warm-up, then the measured slots, with the counts reset between
+    t = 0
     for end in (warmup, horizon):
         success_slots = collision_slots = collided = tagged_pair_slots = 0
-        limit = end << bits
-        while (key := heap[0]) < limit:
-            # keys below nxt are due in this slot
-            nxt = (key | mask) + 1
-            if heap[1] >= nxt and heap[2] >= nxt:
-                # the second-smallest key is a child of the root: one due
-                stages[key & mask] = 0
-                replace(heap, key + step + (floor(draw() * w0) << bits))
-                success_slots += 1
-                continue
-            first = key & mask
-            before = collided
-            while key < nxt:
-                j = key & mask
-                stages[j] = stage = up[stages[j]]
-                # the new slot is a later one, so j is not popped again here
-                replace(heap, key + step + (floor(draw() * windows[stage]) << bits))
-                collided += 1
-                key = heap[0]
-            collision_slots += 1
-            if first == 0 and collided - before == 2:
-                tagged_pair_slots += 1
+        while t < end:
+            i0 = t & 1023
+            base = t - i0
+            if not i0:
+                limit = (base + 1024) << bits
+                while overflow and overflow[0] < limit:
+                    key = heappop(overflow)
+                    ring[(key >> bits) & 1023].append(key & mask)
+            stop = min(end - base, 1024)
+            for i in compress(islice(offsets, i0, stop), islice(ring, i0, stop)):
+                here = ring[i]
+                j = here.pop()
+                if not here:  # one due: a success
+                    stages[j] = 0
+                    c = floor(draw() * w0)
+                    if c < 1023:
+                        ahead[i + c].append(j)
+                    else:
+                        heappush(overflow, ((base + i + 1 + c) << bits) | j)
+                    success_slots += 1
+                    continue
+                here.append(j)
+                here.sort()
+                m = len(here)
+                collided += m
+                collision_slots += 1
+                if m == 2 and here[0] == 0:
+                    tagged_pair_slots += 1
+                for j in here:
+                    stages[j] = stage = up[stages[j]]
+                    c = floor(draw() * windows[stage])
+                    if c < 1023:
+                        ahead[i + c].append(j)
+                    else:
+                        heappush(overflow, ((base + i + 1 + c) << bits) | j)
+                here.clear()
+            t = base + stop
 
     return SimStats(slots, success_slots + collision_slots, success_slots,
                     success_slots + collided, tagged_pair_slots)

@@ -1,5 +1,7 @@
+import heapq
 import math
 import random
+import tracemalloc
 from dataclasses import dataclass
 from typing import get_type_hints
 
@@ -29,7 +31,7 @@ def test_default_timings_have_geometry_g():
     assert geometry_from(TIMINGS) == G
 
 
-# Slot-by-slot reference model: the oracle that ``run``'s one-heap calendar
+# Slot-by-slot reference model: the oracle that ``run``'s timing wheel
 # must replay exactly. It draws one scalar uniform per counter, floored by
 # the window, in station-index order, which is the order ``run`` reads
 # its ``random.Random(seed)`` stream in. Any generator with a scalar
@@ -181,10 +183,96 @@ def test_run_matches_slot_by_slot_reference():
     cases += [(G, n, 4 + i) for i, n in enumerate((2, 4, 7, 9, 16, 17))]
     # a window that never grows, and a wide one with ten stages
     cases += [(ChainGeometry(0, 2), 5, 10), (ChainGeometry(10, 8), 9, 11)]
+    # counters of 1,023 or more, which pass the wheel through its overflow
+    # heap: six of this run's draws are, some at the start
+    cases += [(ChainGeometry(1, 1500), 3, 12)]
     for g, n, seed in cases:
         fast = run(n, 5000, g, seed)
         slow = _reference_run(n, 5000, g, seed)
         assert fast == slow
+
+
+def _heap_run(n: int, slots: int, g: ChainGeometry, seed: int) -> SimStats:
+    """``run`` over a heap calendar: the fast reference ``run`` must equal.
+
+    One binary heap holds one int key per station, ``(due slot << bits) |
+    station``, so a slot's transmitters leave it in index order. The
+    second-smallest key is a child of the root, so a success is seen by
+    reading ``heap[1]`` and ``heap[2]``; two padding keys past the horizon
+    keep both present for n = 1 and 2. Same draws in the same order as
+    ``run``, at O(log n) per attempt.
+    """
+    draw = random.Random(seed).random
+    top = g.max_stage
+    windows = [float(g.window(i)) for i in range(top + 1)]
+    w0 = windows[0]
+    up = [min(i + 1, top) for i in range(top + 1)]
+    stages = [0] * n
+    bits = n.bit_length()
+    mask = (1 << bits) - 1
+    step = 1 << bits  # one slot later
+    warmup = slots // 100
+    horizon = warmup + slots
+    heap = [horizon << bits] * 2
+    for j in range(n):
+        heap.append((math.floor(draw() * w0) << bits) | j)
+    heapq.heapify(heap)
+    replace = heapq.heapreplace
+    for end in (warmup, horizon):
+        success_slots = collision_slots = collided = tagged_pair_slots = 0
+        limit = end << bits
+        while (key := heap[0]) < limit:
+            nxt = (key | mask) + 1  # keys below nxt are due in this slot
+            if heap[1] >= nxt and heap[2] >= nxt:
+                stages[key & mask] = 0
+                replace(heap, key + step + (math.floor(draw() * w0) << bits))
+                success_slots += 1
+                continue
+            first = key & mask
+            before = collided
+            while key < nxt:
+                j = key & mask
+                stages[j] = stage = up[stages[j]]
+                replace(heap, key + step + (math.floor(draw() * windows[stage]) << bits))
+                collided += 1
+                key = heap[0]
+            collision_slots += 1
+            if first == 0 and collided - before == 2:
+                tagged_pair_slots += 1
+    return SimStats(slots, success_slots + collision_slots, success_slots,
+                    success_slots + collided, tagged_pair_slots)
+
+
+# the wheel's edges: a window either side of its 1,024 slots, and runs
+# ending either side of the 100-slot warm-up and of a lap
+_EDGE_W0 = st.sampled_from([1023, 1024, 1025])
+_EDGE_SLOTS = st.sampled_from([99, 100, 101, 1023, 1024, 1025])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 300),
+       w0=st.one_of(_EDGE_W0, st.integers(2, 3000)),
+       max_stage=st.integers(0, 8),  # 3,000 * 2**8 is within the 2**32 window cap
+       slots=st.one_of(_EDGE_SLOTS, st.integers(1, 30_000)),
+       seed=st.integers(0, 2**64))
+def test_run_matches_heap_reference(n, w0, max_stage, slots, seed):
+    g = ChainGeometry(max_stage, w0)
+    assert run(n, slots, g, seed) == _heap_run(n, slots, g, seed)
+
+
+def test_widest_windows_run_in_bounded_memory():
+    # 2**16- to 2**32-slot windows at 10**6 slots, where almost every
+    # counter passes the wheel; a ring sized to the window, capped at the
+    # run's slots, would hold 10**6 lists, 65 MB
+    g = ChainGeometry(16, 65536)
+    tracemalloc.start()
+    try:
+        stats = run(2, 10**6, g, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8_000_000
+    assert stats == _heap_run(2, 10**6, g, 0)
 
 
 def _renewal_throughput(stats: SimStats, timings: MacTimings) -> float:
@@ -370,6 +458,14 @@ def test_one_draw_per_station_and_attempt(monkeypatch, g, n):
     assert fake.calls == n + stats.attempts
 
 
+def test_counter_due_on_a_lap_start_waits_for_that_lap(monkeypatch):
+    # One station at w0 = 2048 starts with counter 1024, due in slot 1024:
+    # the first slot of the wheel's second lap, which shares slot 0's list.
+    # Its next counter, 2027, is due past the 1,111-slot horizon.
+    stats = _run_with_uniforms(monkeypatch, [0.5], 0.99, 1, 1100, ChainGeometry(0, 2048))
+    assert (stats.tx_slots, stats.success_slots) == (1, 1)
+
+
 def test_largest_uniform_draws_top_counter(monkeypatch):
     # Every counter is window - 1: two stations at w0 = 2 both draw 1 and
     # collide every other slot, in slots 1, 3, 5, 7, 9.
@@ -382,8 +478,9 @@ def test_largest_uniform_draws_top_counter(monkeypatch):
 def test_tagged_pair_counted_when_station_zero_is_listed_last(monkeypatch):
     # w0 = 8. Station 0 draws 2 and station 1 draws 0. Station 1 succeeds
     # in slot 0 and draws 4; station 0 succeeds in slot 2 and draws 2. Both
-    # are then due in slot 5, station 1 booked first; the heap keys sort by
-    # index within a slot, so station 0 still comes out first.
+    # are then due in slot 5, station 1 listed first; a slot's list is
+    # sorted by index before its stations redraw, so station 0 still comes
+    # out first.
     stats = _run_with_uniforms(monkeypatch, [0.3, 0.0, 0.6, 0.3], 0.99,
                                2, 6, ChainGeometry(3, 8))
     assert (stats.tx_slots, stats.success_slots, stats.tx_slots - stats.success_slots) == (
