@@ -8,7 +8,6 @@ reads it as a dict and ``_fields`` names its fields.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from typing import NamedTuple, get_type_hints
@@ -177,6 +176,8 @@ def load_config(
     """
     merged: dict = {}
     if text is not None and text.strip():
+        import json  # here, so that a run without a config file never loads it
+
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:

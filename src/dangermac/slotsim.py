@@ -9,7 +9,11 @@ and the slot access probabilities.
 
 A successful station redraws at stage 0; every station involved in a
 collision advances one stage (capped at the top) and redraws over its new
-window. ``run`` is deterministic given its seed.
+window. A counter over window w is ``getrandbits(k)`` with
+``k = (w - 1).bit_length()``, drawn again while it is w or more: exactly
+uniform on every window the config accepts, one 32-bit Mersenne-Twister
+word per draw up to w = 2**32, and under two draws on average. ``run`` is
+deterministic given its seed.
 
 The calendar is a timing wheel (Varghese & Lauck, SOSP 1987): a fixed
 ring of 1,024 per-slot station lists that the run scans a lap at a time,
@@ -17,11 +21,12 @@ with the rare counter of 1,023 or more parked in a small overflow heap.
 Memory is O(1,024 + n) for every window the config accepts. An attempt
 costs O(1) calendar work where a heap of n keys cost O(log n): at the
 default geometry, 200,000 slots, seed 1 (2-core Xeon, Python 3.11.7,
-medians of 10 runs), 0.29, 0.42, 0.71 and 0.77 us per attempt on the heap
-became 0.31, 0.38, 0.54 and 0.40 us at n = 2, 5, 50 and 500. The price
-is the idle slots the scan steps over, 19-29 ns each, which shows only
-in sparse runs: n = 2 at w0 1024 takes 1.24 ms per 50,000 slots, where
-the heap took 0.10 ms.
+medians of 10 runs), an attempt takes 0.28, 0.29, 0.33 and 0.37 us at
+n = 2, 5, 50 and 500. The wheel steps over idle slots at 19-29 ns each,
+which shows in sparse runs: n = 2 at w0 1024 takes 1.24 ms per 50,000
+slots, where a heap took 0.10 ms. A lap in which every station waits in
+the overflow heap is not scanned: the run jumps to the lap of the first
+due key, so n = 2 at 2**32-slot windows takes 1.2 ms per 10**6 slots.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from __future__ import annotations
 import sys
 from heapq import heapify, heappop, heappush
 from itertools import compress, islice
-from math import floor
 from random import Random
 from typing import NamedTuple
 
@@ -63,12 +67,14 @@ def run(n: int, slots: int, g: ChainGeometry, seed: int) -> SimStats:
     each lap starts by moving the keys due in it onto the ring. The
     stations start in that heap, as if each had drawn in slot -1.
 
-    A counter is ``floor(u * window)`` of the next
-    ``Random(seed).random()`` uniform, one draw per attempt; since
-    ``u <= 1 - 2**-53``, the rounded product stays below the window and
-    needs no clamp. The stations start in index order and a slot's
-    transmitters redraw in index order, which fixes the draw order a
-    slot-by-slot replay must follow.
+    A counter is drawn from ``Random(seed).getrandbits`` by the rule in
+    the module docstring, from a per-stage ``(bits, window)`` table. The
+    stations start in index order and a slot's transmitters redraw in
+    index order, which fixes the draw order a slot-by-slot replay must
+    follow. A lap that starts with every station in the overflow heap is
+    empty, so the run moves to the lap of the heap's first due slot, or
+    to the lap holding the end of the warm-up or of the run if that comes
+    first, and the warm-up split stays where it was.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1 (got {n})")
@@ -78,12 +84,11 @@ def run(n: int, slots: int, g: ChainGeometry, seed: int) -> SimStats:
         raise ValueError(f"slots must be >= 1 (got {slots})")
     if seed < 0:  # Random(-s) would silently replay Random(s)
         raise ValueError(f"seed must be >= 0 (got {seed})")
-    draw = Random(seed).random
+    rand = Random(seed).getrandbits
     top = g.max_stage
-    # u * int window converts the window to this same float, so float
-    # windows leave every product as it was
-    windows = [float(g.window(i)) for i in range(top + 1)]
-    w0 = windows[0]
+    # each stage's (bits, window) for the draw rule above
+    draws = [((w - 1).bit_length(), w) for w in map(g.window, range(top + 1))]
+    k0, w0 = draws[0]
     up = [min(i + 1, top) for i in range(top + 1)]  # stage after a collision
     stages = [0] * n
     bits = n.bit_length()
@@ -96,7 +101,12 @@ def run(n: int, slots: int, g: ChainGeometry, seed: int) -> SimStats:
     # ahead[i + c] is ring[(i + 1 + c) % 1024] for i < 1024 and c < 1023:
     # the list of the slot a counter c drawn in ring slot i is due in
     ahead = (ring * 2)[1:]
-    overflow = [(floor(draw() * w0) << bits) | j for j in range(n)]
+    overflow = []
+    for j in range(n):
+        c = rand(k0)
+        while c >= w0:
+            c = rand(k0)
+        overflow.append((c << bits) | j)
     heapify(overflow)
 
     # run the warm-up, then the measured slots, with the counts reset between
@@ -104,6 +114,10 @@ def run(n: int, slots: int, g: ChainGeometry, seed: int) -> SimStats:
     for end in (warmup, horizon):
         success_slots = collision_slots = collided = tagged_pair_slots = 0
         while t < end:
+            if not t & 1023 and len(overflow) == n:
+                # the ring is empty: go to the lap the first key is due in,
+                # or to the lap of the stretch's end if that comes first
+                t = min(overflow[0] >> bits, end) & -1024
             i0 = t & 1023
             base = t - i0
             if not i0:
@@ -117,7 +131,9 @@ def run(n: int, slots: int, g: ChainGeometry, seed: int) -> SimStats:
                 j = here.pop()
                 if not here:  # one due: a success
                     stages[j] = 0
-                    c = floor(draw() * w0)
+                    c = rand(k0)
+                    while c >= w0:
+                        c = rand(k0)
                     if c < 1023:
                         ahead[i + c].append(j)
                     else:
@@ -133,7 +149,10 @@ def run(n: int, slots: int, g: ChainGeometry, seed: int) -> SimStats:
                     tagged_pair_slots += 1
                 for j in here:
                     stages[j] = stage = up[stages[j]]
-                    c = floor(draw() * windows[stage])
+                    k, w = draws[stage]
+                    c = rand(k)
+                    while c >= w:
+                        c = rand(k)
                     if c < 1023:
                         ahead[i + c].append(j)
                     else:

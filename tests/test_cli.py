@@ -305,13 +305,15 @@ def test_python_dash_m_entry_points():
 
 
 # Runs the command line once in a fresh interpreter, then reports on stderr
-# which of numpy and dataclasses got imported: the records are NamedTuples,
-# and dataclasses alone loads inspect, ast and dis.
+# which of numpy, dataclasses and json got imported: the records are
+# NamedTuples, dataclasses alone loads inspect, ast and dis, and json is
+# read only with a config file.
 _RUN_AND_REPORT_IMPORTS = """
 import sys
 from dangermac.cli import main
 code = main(sys.argv[1:])
-print(",".join(m for m in ("numpy", "dataclasses") if m in sys.modules), file=sys.stderr)
+print(",".join(m for m in ("numpy", "dataclasses", "json") if m in sys.modules),
+      file=sys.stderr)
 sys.exit(code)
 """
 
@@ -331,8 +333,8 @@ def run_fresh(*argv):
     ["scenario", "--trials", "20"],
 ], ids=["point", "sweep", "compare", "scenario"])
 def test_analytic_commands_start_without_numpy(capsys, argv):
-    # no command loads numpy or dataclasses, and the fresh interpreter
-    # writes the same bytes as this one, where the tests have loaded both
+    # no command loads numpy, dataclasses or json, and the fresh interpreter
+    # writes the same bytes as this one, where the tests have loaded them
     code, out, loaded = run_fresh(*argv)
     assert code == 0
     assert out.count("\n") >= 2  # header and at least one row
@@ -597,24 +599,24 @@ COMPARE_GOLDEN = [
     "p_su_classic,p_su_busy,p_su_sim,p_su_err_classic,p_su_err_busy,s_classic,"
     "s_busy,s_sim,s_err_classic,s_err_busy,col_frac_classic,col_frac_busy,"
     "col_frac_sim,col_frac_err_classic,col_frac_err_busy",
-    "5,1,50000,0.110522667,0.109473093,0.109928,0.00540960608,0.00413822621,"
-    "0.780422882,0.78247953,0.784997287,0.00582728822,0.00320734474,0.677122376,"
-    "0.678743649,0.680912544,0.00556630743,0.00318527767,0.219577118,0.21752047,"
-    "0.215002713,0.0212760359,0.0117103495",
-    "50,1,50000,0.0257735634,0.0256842182,0.0256368,0.00533465158,0.00184961356,"
-    "0.491770309,0.493115171,0.494918866,0.00636176337,0.00364442542,0.436030625,"
-    "0.437184951,0.43877495,0.00625451543,0.00362372297,0.508229691,0.506884829,"
-    "0.505081134,0.00623376424,0.00357109932",
+    "5,1,50000,0.110522667,0.109473093,0.109004,0.0139322151,0.00430344821,"
+    "0.780422882,0.78247953,0.783498109,0.00392499692,0.00130004033,0.677122376,"
+    "0.678743649,0.679565395,0.00359497256,0.00120922272,0.219577118,0.21752047,"
+    "0.216501891,0.0142041608,0.00470471246",
+    "50,1,50000,0.0257735634,0.0256842182,0.0255724,0.00786642614,0.0043726116,"
+    "0.491770309,0.493115171,0.496359157,0.00924501492,0.0065355619,0.436030625,"
+    "0.437184951,0.440009571,0.00904286158,0.00641945085,0.508229691,0.506884829,"
+    "0.503640843,0.00911134963,0.00644107014",
 ]
 
 # n, tau_sim, p_su_sim and s_sim of compare --n-list 1..6 --slots 3000 --seeds 7
 SIM_GOLDEN = [
-    "1,0.227,1,0.843571122",
-    "2,0.187666667,0.893909627,0.766943328",
-    "3,0.150111111,0.828970332,0.71540331",
-    "4,0.124583333,0.800650936,0.692927218",
-    "5,0.106333333,0.776212833,0.673100418",
-    "6,0.101944444,0.763248451,0.663830654",
+    "1,0.225333333,1,0.843350191",
+    "2,0.1885,0.897660819,0.770166504",
+    "3,0.148,0.836842105,0.721838045",
+    "4,0.1235,0.809756098,0.700507174",
+    "5,0.103533333,0.795886076,0.689348251",
+    "6,0.0997222222,0.757316203,0.658444625",
 ]
 
 

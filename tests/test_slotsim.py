@@ -1,5 +1,4 @@
 import heapq
-import math
 import random
 import tracemalloc
 from dataclasses import dataclass
@@ -32,12 +31,10 @@ def test_default_timings_have_geometry_g():
 
 
 # Slot-by-slot reference model: the oracle that ``run``'s timing wheel
-# must replay exactly. It draws one scalar uniform per counter, floored by
-# the window, in station-index order, which is the order ``run`` reads
-# its ``random.Random(seed)`` stream in. Any generator with a scalar
-# ``random()`` method serves.
-
-Uniforms = random.Random | np.random.Generator
+# must replay exactly. A counter over window w is getrandbits(k) with
+# k = (w - 1).bit_length(), drawn again while it is w or more. Stations
+# draw in station-index order, which is the order ``run`` reads its
+# ``random.Random(seed)`` stream in.
 
 
 @dataclass
@@ -53,11 +50,14 @@ class SlotOutcome:
     collision: bool
 
 
-def _counter(rng: Uniforms, window: int) -> int:
-    return min(int(rng.random() * window), window - 1)
+def _counter(rng: random.Random, window: int) -> int:
+    k = (window - 1).bit_length()
+    while (counter := rng.getrandbits(k)) >= window:
+        pass
+    return counter
 
 
-def init_stations(n: int, g: ChainGeometry, rng: Uniforms) -> list[StationState]:
+def init_stations(n: int, g: ChainGeometry, rng: random.Random) -> list[StationState]:
     """Fresh stations at stage 0 with uniform counters over the base window."""
     return [StationState(stage=0, counter=_counter(rng, g.w0)) for _ in range(n)]
 
@@ -65,7 +65,7 @@ def init_stations(n: int, g: ChainGeometry, rng: Uniforms) -> list[StationState]
 def step_slot(
     stations: list[StationState],
     g: ChainGeometry,
-    rng: Uniforms,
+    rng: random.Random,
 ) -> SlotOutcome:
     """Advance every station by one slot, mutating ``stations`` in place."""
     transmitters = tuple(j for j, s in enumerate(stations) if s.counter == 0)
@@ -85,20 +85,20 @@ def step_slot(
 
 
 def test_init_stations_stage_zero_uniform_window():
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     stations = init_stations(10, G, rng)
     assert all(s.stage == 0 for s in stations)
     assert all(0 <= s.counter < 8 for s in stations)
 
 
 def test_init_stations_deterministic():
-    a = [s.counter for s in init_stations(20, G, np.random.default_rng(5))]
-    b = [s.counter for s in init_stations(20, G, np.random.default_rng(5))]
+    a = [s.counter for s in init_stations(20, G, random.Random(5))]
+    b = [s.counter for s in init_stations(20, G, random.Random(5))]
     assert a == b
 
 
 def test_init_counters_uniform_chi_square():
-    rng = np.random.default_rng(1234)
+    rng = random.Random(1234)
     counters = [s.counter for s in init_stations(100_000, G, rng)]
     observed = np.bincount(counters, minlength=8)
     expected = len(counters) / 8
@@ -107,7 +107,7 @@ def test_init_counters_uniform_chi_square():
 
 
 def test_step_single_station_never_collides():
-    rng = np.random.default_rng(2)
+    rng = random.Random(2)
     stations = init_stations(1, G, rng)
     successes = 0
     for _ in range(2000):
@@ -120,7 +120,7 @@ def test_step_single_station_never_collides():
 
 
 def test_step_two_at_zero_collide_and_escalate():
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     stations = [StationState(0, 0), StationState(0, 0), StationState(2, 4)]
     outcome = step_slot(stations, G, rng)
     assert outcome.collision and not outcome.success
@@ -132,7 +132,7 @@ def test_step_two_at_zero_collide_and_escalate():
 
 
 def test_step_success_resets_stage():
-    rng = np.random.default_rng(4)
+    rng = random.Random(4)
     stations = [StationState(4, 0), StationState(1, 7)]
     outcome = step_slot(stations, G, rng)
     assert outcome.success
@@ -141,7 +141,7 @@ def test_step_success_resets_stage():
 
 
 def test_stage_never_exceeds_cap():
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     g = ChainGeometry(2, 2)  # tiny windows force frequent collisions
     stations = init_stations(8, g, rng)
     for _ in range(5000):
@@ -202,9 +202,9 @@ def _heap_run(n: int, slots: int, g: ChainGeometry, seed: int) -> SimStats:
     keep both present for n = 1 and 2. Same draws in the same order as
     ``run``, at O(log n) per attempt.
     """
-    draw = random.Random(seed).random
+    rng = random.Random(seed)
     top = g.max_stage
-    windows = [float(g.window(i)) for i in range(top + 1)]
+    windows = [g.window(i) for i in range(top + 1)]
     w0 = windows[0]
     up = [min(i + 1, top) for i in range(top + 1)]
     stages = [0] * n
@@ -215,7 +215,7 @@ def _heap_run(n: int, slots: int, g: ChainGeometry, seed: int) -> SimStats:
     horizon = warmup + slots
     heap = [horizon << bits] * 2
     for j in range(n):
-        heap.append((math.floor(draw() * w0) << bits) | j)
+        heap.append((_counter(rng, w0) << bits) | j)
     heapq.heapify(heap)
     replace = heapq.heapreplace
     for end in (warmup, horizon):
@@ -225,7 +225,7 @@ def _heap_run(n: int, slots: int, g: ChainGeometry, seed: int) -> SimStats:
             nxt = (key | mask) + 1  # keys below nxt are due in this slot
             if heap[1] >= nxt and heap[2] >= nxt:
                 stages[key & mask] = 0
-                replace(heap, key + step + (math.floor(draw() * w0) << bits))
+                replace(heap, key + step + (_counter(rng, w0) << bits))
                 success_slots += 1
                 continue
             first = key & mask
@@ -233,7 +233,7 @@ def _heap_run(n: int, slots: int, g: ChainGeometry, seed: int) -> SimStats:
             while key < nxt:
                 j = key & mask
                 stages[j] = stage = up[stages[j]]
-                replace(heap, key + step + (math.floor(draw() * windows[stage]) << bits))
+                replace(heap, key + step + (_counter(rng, windows[stage]) << bits))
                 collided += 1
                 key = heap[0]
             collision_slots += 1
@@ -275,6 +275,20 @@ def test_widest_windows_run_in_bounded_memory():
     assert stats == _heap_run(2, 10**6, g, 0)
 
 
+@pytest.mark.parametrize("w0, seed, first", [(2**14, 53, [10_111, 13_978]),
+                                              (2**20, 3, [249_523, 621_429])])
+def test_warm_up_ends_inside_a_skipped_gap(w0, seed, first):
+    # Two stations whose first counters are both past the 10,000-slot
+    # warm-up, which ends 784 slots into a lap: the run jumps over the
+    # empty laps before them, and the warm-up split must hold across the
+    # jump. At w0 = 2**14 the first transmission comes 111 slots after the
+    # warm-up, in the same lap; at 2**20 it comes hundreds of laps later.
+    g = ChainGeometry(0, w0)
+    rng = random.Random(seed)
+    assert [rng.getrandbits(w0.bit_length() - 1) for _ in range(2)] == first
+    assert run(2, 10**6, g, seed) == _heap_run(2, 10**6, g, seed)
+
+
 def _renewal_throughput(stats: SimStats, timings: MacTimings) -> float:
     # the count-based renewal form: payload air time over the channel time
     # of the counted idle, success and collision slots
@@ -309,8 +323,8 @@ def test_measured_throughput_matches_renewal_form(timings):
 
 
 @pytest.mark.parametrize("n, tx, success, collision, tagged_pairs, attempts", [
-    (5, 22116, 17361, 4755, 1763, 27482),
-    (50, 36606, 18117, 18489, 476, 64092),
+    (5, 21949, 17197, 4752, 1769, 27251),
+    (50, 36530, 18132, 18398, 459, 63931),
 ])
 def test_benchmark_stream_is_pinned(n, tx, success, collision, tagged_pairs, attempts):
     # compare_sim's simulator runs; the small-n replay above cannot see a
@@ -396,63 +410,82 @@ def test_invalid_arguments():
         run(5, 100, G, -1)
 
 
-_LARGEST_UNIFORM = math.nextafter(1.0, 0.0)
+class _FakeBits:
+    """Stands in for ``random.Random``: ``getrandbits(k)`` hands out
+    ``values`` in order, then ``fill``, and counts its calls in ``calls``.
+    Every value must fit in ``k`` bits, and ``k`` must be ``bits`` when
+    given."""
 
-# 2, 3, 3 * 2**30 and each power of two up to 2**32 with its neighbours:
-# the largest uniform times the window rounds to below it, so run needs
-# no clamp
-_BOUNDARY_WINDOWS = sorted({2, 3, 3 * 2**30} | {
+    def __init__(self, values, fill, bits=None):
+        self.values = iter(values)
+        self.fill = fill
+        self.bits = bits
+        self.calls = 0
+
+    def getrandbits(self, k):
+        assert self.bits in (None, k)
+        self.calls += 1
+        value = next(self.values, self.fill)
+        assert 0 <= value < 1 << k
+        return value
+
+
+def _run_with_bits(monkeypatch, fake, n, slots, g):
+    monkeypatch.setattr(slotsim, "Random", lambda seed: fake)
+    return run(n, slots, g, 0)
+
+
+# 2, 3, 3 * 2**30 and each power of two up to 2**32 with its neighbours
+_DRAW_WINDOWS = sorted({2, 3, 3 * 2**30} | {
     2**k + d for k in range(2, 33) for d in (-1, 0, 1)} - {2**32 + 1})
 
 
-@pytest.mark.parametrize("window", _BOUNDARY_WINDOWS)
-def test_counter_stays_below_window_at_largest_uniform(window):
-    assert int(_LARGEST_UNIFORM * window) == window - 1
-    assert math.floor(_LARGEST_UNIFORM * float(window)) == window - 1
+@pytest.mark.parametrize("window", [w for w in _DRAW_WINDOWS if w <= 2**12 + 1])
+def test_first_counters_take_every_value_once(monkeypatch, window):
+    # window stations draw their first counters from one pass over every
+    # k-bit value in a shuffled order: the values below the window are the
+    # counters, each once, and the rest are drawn again. Every slot up to
+    # the window then holds one transmitter; each redraws window - 1 and
+    # comes back one window later, so every counted slot is a success.
+    k = (window - 1).bit_length()
+    values = list(range(1 << k))
+    random.Random(window).shuffle(values)
+    fake = _FakeBits(values, window - 1, bits=k)
+    stats = _run_with_bits(monkeypatch, fake, window, window, ChainGeometry(0, window))
+    assert stats.success_slots == stats.tx_slots == stats.attempts == window
+    assert fake.calls == (1 << k) + window + window // 100
 
 
-# every window the config accepts: w0 >= 2 and w0 * 2**stage <= 2**32
-_CONFIG_WINDOWS = st.integers(0, 31).flatmap(
-    lambda stage: st.integers(2, 2**32 >> stage).map(lambda w0: w0 << stage))
+@pytest.mark.parametrize("window", _DRAW_WINDOWS)
+def test_counter_at_or_above_window_is_drawn_again(monkeypatch, window):
+    # One station: 2**k - 1 and the window itself, where they fit in k
+    # bits and are not below the window, are drawn again; the counter is
+    # then window - 1, so the station sends once, in slot window - 1,
+    # and its next counter is due past the run. 2**32 takes k = 32.
+    k = (window - 1).bit_length()
+    redrawn = sorted(v for v in {(1 << k) - 1, window} if window <= v < 1 << k)
+    fake = _FakeBits([*redrawn, window - 1], window - 1, bits=k)
+    stats = _run_with_bits(monkeypatch, fake, 1, window, ChainGeometry(0, window))
+    assert (stats.tx_slots, stats.success_slots) == (1, 1)
+    assert fake.calls == len(redrawn) + 2
 
 
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
-@given(_CONFIG_WINDOWS)
-def test_counter_stays_below_every_config_window(window):
-    # the float product is monotone in the uniform, so the largest uniform
-    # bounds every draw
-    assert math.floor(_LARGEST_UNIFORM * float(window)) == window - 1
+class _CountingRandom(random.Random):
+    calls = 0
 
-
-class _FixedUniforms:
-    """Stands in for ``random.Random``: ``random`` hands out ``values`` in
-    order, then ``fill``, and counts its calls in ``calls``."""
-
-    def __init__(self, values, fill):
-        self.values = list(values)
-        self.fill = fill
-        self.calls = 0
-
-    def random(self):
+    def getrandbits(self, k):
         self.calls += 1
-        return self.values.pop(0) if self.values else self.fill
-
-
-def _run_with_uniforms(monkeypatch, values, fill, n, slots, g):
-    fake = _FixedUniforms(values, fill)
-    monkeypatch.setattr(slotsim, "Random", lambda seed: fake)
-    return run(n, slots, g, 0)
+        return super().getrandbits(k)
 
 
 @pytest.mark.parametrize("g, n", [(G, 1), (G, 2), (G, 5), (G, 50), (ChainGeometry(2, 2), 8)],
                          ids=["n1", "n2", "n5", "n50", "n8-tiny-windows"])
 def test_one_draw_per_station_and_attempt(monkeypatch, g, n):
-    # below 100 slots there is no warm-up: one draw per station to start,
-    # then one per attempt
-    rng = random.Random(n)
-    fake = _FixedUniforms([rng.random() for _ in range(100 * n)], 0.5)
-    monkeypatch.setattr(slotsim, "Random", lambda seed: fake)
-    stats = run(n, 99, g, 0)
+    # below 100 slots there is no warm-up, and every window is a power of
+    # two, so no value is drawn again: one draw per station to start, then
+    # one per attempt
+    fake = _CountingRandom(n)
+    stats = _run_with_bits(monkeypatch, fake, n, 99, g)
     assert stats.success_slots > 0
     assert n == 1 or stats.tx_slots > stats.success_slots  # some collide
     assert fake.calls == n + stats.attempts
@@ -462,17 +495,9 @@ def test_counter_due_on_a_lap_start_waits_for_that_lap(monkeypatch):
     # One station at w0 = 2048 starts with counter 1024, due in slot 1024:
     # the first slot of the wheel's second lap, which shares slot 0's list.
     # Its next counter, 2027, is due past the 1,111-slot horizon.
-    stats = _run_with_uniforms(monkeypatch, [0.5], 0.99, 1, 1100, ChainGeometry(0, 2048))
+    stats = _run_with_bits(monkeypatch, _FakeBits([1024], 2027), 1, 1100,
+                           ChainGeometry(0, 2048))
     assert (stats.tx_slots, stats.success_slots) == (1, 1)
-
-
-def test_largest_uniform_draws_top_counter(monkeypatch):
-    # Every counter is window - 1: two stations at w0 = 2 both draw 1 and
-    # collide every other slot, in slots 1, 3, 5, 7, 9.
-    stats = _run_with_uniforms(monkeypatch, [], float(np.nextafter(1.0, 0.0)),
-                               2, 10, ChainGeometry(0, 2))
-    assert (stats.tx_slots, stats.tx_slots - stats.success_slots) == (5, 5)
-    assert stats.tagged_pair_slots == 5
 
 
 def test_tagged_pair_counted_when_station_zero_is_listed_last(monkeypatch):
@@ -481,8 +506,8 @@ def test_tagged_pair_counted_when_station_zero_is_listed_last(monkeypatch):
     # are then due in slot 5, station 1 listed first; a slot's list is
     # sorted by index before its stations redraw, so station 0 still comes
     # out first.
-    stats = _run_with_uniforms(monkeypatch, [0.3, 0.0, 0.6, 0.3], 0.99,
-                               2, 6, ChainGeometry(3, 8))
+    stats = _run_with_bits(monkeypatch, _FakeBits([2, 0, 4, 2], 7), 2, 6,
+                           ChainGeometry(3, 8))
     assert (stats.tx_slots, stats.success_slots, stats.tx_slots - stats.success_slots) == (
         3, 2, 1)
     assert stats.tagged_pair_slots == 1
