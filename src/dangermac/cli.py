@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 from .charts import line_chart, x_axis
@@ -35,8 +36,9 @@ _SWEEP_COLUMNS = ["x"] + _POINT_COLUMNS[1:]
 _THRESHOLDS = "300,500,700"  # the default --thresholds
 _SCENARIO_COLUMNS = ["trial", "threshold_m", "n_eff"]
 _SCENARIO_FORMAT = f"%d,{_CELL},%d"
-# The quantities compare checks, in column order.
-_CHECKED = ("tau", "p_su", "s", "col_frac")
+# The quantities compare checks, in column order, each read off a report.
+_CHECKED = {"tau": attrgetter("tau"), "p_su": attrgetter("p_su"),
+            "s": attrgetter("throughput"), "col_frac": lambda report: 1.0 - report.p_su}
 _COMPARE_COLUMNS = ["n", "seed", "slots"]
 for _name in _CHECKED:
     _COMPARE_COLUMNS += [f"{_name}_classic", f"{_name}_busy", f"{_name}_sim",
@@ -97,7 +99,8 @@ def _build_config(args) -> tuple[MacTimings, ScenarioConfig]:
 
 def _parse_numbers(text: str, key: str, flag: str) -> list:
     """The values of config key ``key`` that ``flag`` lists, as ``a,b,c`` or an
-    inclusive integer range ``lo..hi``: coerced, checked and strictly increasing."""
+    inclusive integer range ``lo..hi``: coerced, checked, strictly increasing
+    and, for a float key, each written as its own ``_CELL`` cell."""
     lo, dots, hi = text.partition("..")
     try:
         if dots:
@@ -115,6 +118,11 @@ def _parse_numbers(text: str, key: str, flag: str) -> list:
             raise ValueError(f"{flag} must not be empty")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError(f"{flag} must be strictly increasing")
+        if type(values[0]) is float:  # each is written as a cell, so the cells must differ
+            cells = list(map(_CELL.__mod__, values))
+            for a, b, cell, next_cell in zip(values, values[1:], cells, cells[1:]):
+                if cell == next_cell:
+                    raise ValueError(f"{flag}: {a!r} and {b!r} both print as {cell}")
         for value in (values[0], values[-1]):  # so the ends bound every value
             validate_scenario(ScenarioConfig(**{key: value}))
     except ConfigError as exc:
@@ -150,10 +158,8 @@ def cmd_sweep(args) -> int:
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     if not metrics:
         raise ValueError("at least one metric is required")
+    columns = list(map(metric_column, metrics))  # refuses an unknown name
     for metric in metrics:
-        if metric not in SWEEP_METRICS:
-            raise ValueError(
-                f"unknown metric {metric!r} (choose from {', '.join(SWEEP_METRICS)})")
         if metrics.count(metric) > 1:
             raise ValueError(f"--metrics names {metric!r} more than once")
     if args.svg and not args.out:
@@ -193,8 +199,7 @@ def cmd_sweep(args) -> int:
         axis = x_axis(x_values)
         x_label = ("number of vehicles" if args.x_axis == "n_vehicles"
                    else "danger threshold (m)")
-        for metric in metrics:
-            column = metric_column(metric)
+        for metric, column in zip(metrics, columns):
             series = [(curve, x_values, list(map(column, reports[j::len(curves)])))
                       for j, curve in enumerate(curves)]
             _emit(args, f"{metric}.svg", line_chart(metric, x_label, metric, series, axis))
@@ -222,16 +227,14 @@ def cmd_compare(args) -> int:
         return abs(analytic - simulated) / abs(simulated)
 
     counts = [float(n) for n in n_list]
-    models = [[(r.tau, r.p_su, r.throughput) for r in evaluate_points(timings, counts, mode)]
-              for mode in ("classic", "busy_aware")]
+    models = [evaluate_points(timings, counts, mode) for mode in ("classic", "busy_aware")]
     runs = [simulate_points(timings, n_list, args.slots, seed) for seed in seeds]
     lines = []
     for i, n in enumerate(n_list):
         for seed, sim in zip(seeds, runs):
             row = [n, seed, args.slots]
-            # the _CHECKED values of the two chains and the run: (tau, p_su, s), 1 - p_su
-            checked = [(*source[i], 1.0 - source[i][1]) for source in (*models, sim)]
-            for a_cl, a_bu, s in zip(*checked):
+            for get in _CHECKED.values():
+                a_cl, a_bu, s = (get(source[i]) for source in (*models, sim))
                 row += [a_cl, a_bu, s, rel_err(a_cl, s), rel_err(a_bu, s)]
             lines.append(_COMPARE_FORMAT % tuple(row))
     _emit(args, "compare.csv", _csv_text(_COMPARE_COLUMNS, lines))

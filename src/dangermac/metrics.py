@@ -13,9 +13,9 @@ delivery ratios clamped into [0, 1].
 These functions are the component API: the delay breakdown and the two
 slot states that are not report columns come from them. Each reads one
 private definition of its formula (``_slot_terms``, ``_rate``,
-``_delay_charges`` and ``_delay``), which ``pipeline.evaluate_points``
-calls too to build each report in one pass, and ``simulate_points`` for
-the measured throughput.
+``_delay_charges`` and ``_delay``), which ``pipeline``'s one report
+builder reads too: ``evaluate_points`` feeds it the chain's terms and
+``simulate_points`` a run's measured ratios.
 """
 
 from __future__ import annotations

@@ -1,18 +1,14 @@
 """Glue between the chain solver, the slot simulator and the metric set.
 
-``evaluate_points``, the one evaluation path every CLI command takes,
-turns a list of effective contender counts into complete performance
-reports, one flat record per count whose fields are the report's CSV
-columns. It computes the per-call constants once (the chain geometry, the
-frame times and the delay charges), then solves each distinct count once
-and builds its report from the private formula helpers of ``metrics``,
-which the public metric functions read too: each formula has one
-definition.
-``evaluate_point`` is ``evaluate_points`` of one count. A contender count
-there may be an expected value, hence fractional; zero contenders skip the
-solve and give a silent network. ``simulate_points``, the simulator
-counterpart that ``compare`` runs, takes whole station counts of at least
-one and runs each.
+Every CLI command reads ``PerfReport``s, one flat record per count whose
+fields are the report's CSV columns, and one private builder makes them
+all from a count's tau, slot terms and collision and busy probabilities.
+``evaluate_points`` feeds it from the chain's fixed point, solving each
+distinct count once. A count there may be an expected value, hence
+fractional; zero contenders skip the solve and give a silent network.
+``evaluate_point`` is ``evaluate_points`` of one count. ``simulate_points``,
+which ``compare`` runs beside the chain, feeds it from the ``SimStats`` of
+one run per whole station count.
 """
 
 from __future__ import annotations
@@ -52,6 +48,29 @@ def geometry_from(timings: MacTimings) -> ChainGeometry:
     return ChainGeometry(max_stage=timings.max_stage, w0=timings.w0)
 
 
+def _report_builder(timings: MacTimings):
+    """The one maker of a ``PerfReport``: ``build(n, tau, terms, p_c, p_b)``
+    with ``terms`` in ``_slot_terms``' order. It applies ``_rate``, ``_delay``,
+    the finite check and the field order; the frame times and delay charges
+    of ``timings`` are taken once, here."""
+    slot_us, payload_us = timings.slot_us, timings.payload_us
+    t_s, t_c = frame_times(timings)
+    charges = _delay_charges(timings)
+
+    def build(n, tau, terms, p_c, p_b) -> PerfReport:
+        p_emp, p_tr, p_su, p_suc, p_own, p_pair = terms
+        rate = _rate(p_tr, p_su, slot_us, payload_us, t_s, t_c)
+        t_td_us = _delay(charges, p_tr, p_pair, p_emp, n)[-1]
+        if not math.isfinite(t_td_us + rate):
+            raise ValueError(
+                f"the delay or throughput at n_eff {n:g} is not finite "
+                f"(t_td_us {t_td_us:g}, throughput {rate:g}); "
+                "the population or the timings are too large")
+        return PerfReport(n, tau, p_tr, p_su, p_su, rate, p_emp, p_suc, p_own, p_c, p_b, t_td_us)
+
+    return build
+
+
 def evaluate_points(
     timings: MacTimings,
     n_effs: list[float],
@@ -59,23 +78,14 @@ def evaluate_points(
 ) -> list[PerfReport]:
     """One full analytic report per count in ``n_effs``, in order.
 
-    The per-call constants (the chain geometry, the frame times and the
-    delay charges) are computed once. Each distinct count is then solved
-    once and its report built from ``metrics``' slot-state, throughput and
-    delay helpers, the definitions that ``access_probabilities``,
-    ``delay_state_probabilities``, ``throughput`` and ``total_delay``
-    read, so the reports equal that composition bit for bit. Equal counts
-    share one report, kept only for this call: nothing is cached across
-    calls.
-
-    Raises ValueError for a negative or NaN count, and when a report's
-    delay or throughput is not finite, as when the population or the
-    timings are too large for a float.
+    Each distinct count is solved once, and ``_report_builder`` makes its
+    report from ``metrics``' helpers, the definitions the public metric
+    functions read, so the reports equal their composition bit for bit.
+    Equal counts share one report, kept only for this call. Raises
+    ValueError for a negative or NaN count, and as the builder does.
     """
     geometry = geometry_from(timings)
-    slot_us, payload_us = timings.slot_us, timings.payload_us
-    t_s, t_c = frame_times(timings)
-    charges = _delay_charges(timings)
+    build = _report_builder(timings)
     reports = {}
     for n in dict.fromkeys(n_effs):
         if n > 0:
@@ -84,16 +94,7 @@ def evaluate_points(
         else:
             tau, p_c, p_b = 0.0, 0.0, 0.0
         # a negative or NaN count skips the solve, and _slot_terms rejects it
-        p_emp, p_tr, p_su, p_suc, p_own, p_pair = _slot_terms(tau, n)
-        rate = _rate(p_tr, p_su, slot_us, payload_us, t_s, t_c)
-        t_td_us = _delay(charges, p_tr, p_pair, p_emp, n)[-1]
-        if not math.isfinite(t_td_us + rate):
-            raise ValueError(
-                f"the delay or throughput at n_eff {n:g} is not finite "
-                f"(t_td_us {t_td_us:g}, throughput {rate:g}); "
-                "the population or the timings are too large")
-        reports[n] = PerfReport(n, tau, p_tr, p_su, p_su, rate,
-                                p_emp, p_suc, p_own, p_c, p_b, t_td_us)
+        reports[n] = build(n, tau, _slot_terms(tau, n), p_c, p_b)
     return [reports[n_eff] for n_eff in n_effs]
 
 
@@ -108,23 +109,29 @@ def evaluate_point(
 
 
 def simulate_points(timings: MacTimings, counts: list[int], slots: int,
-                    seed: int) -> list[tuple[float, float, float]]:
-    """Measured ``(tau, p_su, throughput)`` per station count, in order.
+                    seed: int) -> list[PerfReport]:
+    """One measured report per station count, in order, each from a run of
+    ``slots`` slots at ``seed`` (``run`` rejects a count below 1).
 
-    Each count is run ``slots`` slots at ``seed``; ``run`` rejects a count
-    below 1. ``tau`` is attempts per station-slot, ``p_su`` successes per
-    busy slot (1 when none was busy), and ``throughput`` the chain's
-    ratio (``metrics._rate``) at the measured ``p_tr = tx_slots / slots``.
+    Its fields are the run's ratios, averaged over the stations where a
+    quantity is per station: ``tau`` attempts per station-slot, ``p_emp``
+    and ``p_tr`` the idle and busy slots, ``p_su`` successes per busy slot
+    (1 when none was busy), ``p_col`` collided attempts per attempt (0 with
+    none) and ``p_bus`` the busy slots a station sees while not the lone
+    sender. ``throughput`` and ``t_td_us`` are the chain's formulas at them.
     """
     geometry = geometry_from(timings)
-    t_s, t_c = frame_times(timings)
-    measured = []
+    build = _report_builder(timings)
+    reports = []
     for n in counts:
         sim = run(n, slots, geometry, seed)
-        p_su = sim.success_slots / sim.tx_slots if sim.tx_slots else 1.0
-        rate = _rate(sim.tx_slots / slots, p_su, timings.slot_us, timings.payload_us, t_s, t_c)
-        measured.append((sim.attempts / (n * slots), p_su, rate))
-    return measured
+        tx, won, attempts = sim.tx_slots, sim.success_slots, sim.attempts
+        terms = ((slots - tx) / slots, tx / slots, won / tx if tx else 1.0,
+                 won * (n - 1) / (n * slots), won / (n * slots), sim.tagged_pair_slots / slots)
+        reports.append(build(float(n), attempts / (n * slots), terms,
+                             (attempts - won) / attempts if attempts else 0.0,
+                             (n * tx - won) / (n * slots)))
+    return reports
 
 
 # Metric names accepted by the sweep command, in canonical order, and the
@@ -151,7 +158,8 @@ def metric_column(metric: str) -> attrgetter:
     try:
         return attrgetter(_METRIC_COLUMNS[metric])
     except KeyError:
-        raise ValueError(f"unknown metric: {metric!r}") from None
+        raise ValueError(f"unknown metric: {metric!r} "
+                         f"(choose from {', '.join(SWEEP_METRICS)})") from None
 
 
 def metric_value(report: PerfReport, metric: str) -> float:

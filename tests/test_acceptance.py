@@ -87,12 +87,11 @@ def test_c05_simulation_validates_classic_chain():
     timings = MacTimings()
     assert geometry_from(timings) == ChainGeometry(5, 8)
     counts = [5, 10, 20]
-    for n, (sim_tau, sim_p_su, sim_s) in zip(
-            counts, simulate_points(timings, counts, 1_000_000, seed=1234)):
+    for n, sim in zip(counts, simulate_points(timings, counts, 1_000_000, seed=1234)):
         report = evaluate_point(timings, float(n), "classic")
-        assert abs(report.tau - sim_tau) / sim_tau <= 0.05
-        assert abs(report.p_su - sim_p_su) / sim_p_su <= 0.05
-        assert abs(report.throughput - sim_s) / sim_s <= 0.10
+        assert abs(report.tau - sim.tau) / sim.tau <= 0.05
+        assert abs(report.p_su - sim.p_su) / sim.p_su <= 0.05
+        assert abs(report.throughput - sim.throughput) / sim.throughput <= 0.10
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
     _report(5, "classic chain within 5%/10% of the slot simulation", started)

@@ -145,3 +145,29 @@ def test_a_list_flag_checks_its_values_as_config_does(capsys, case, value):
     with pytest.raises(ConfigError) as raised:
         load_config(None, {key: value})
     assert err == f"error: {flag}: {raised.value}\n"
+
+
+# Two floats that differ but agree to 9 significant digits, as a list and
+# as the ends of a range.
+CLASHES = {"300.0000001,300.0000002": "300.0000001 and 300.0000002 both print as 300",
+           "1000000000..1000000001": "1000000000.0 and 1000000001.0 both print as 1e+09"}
+
+
+@pytest.mark.parametrize("case, value", [
+    (case, value) for case, (key, _) in LIST_FLAGS.items() if key == "threshold_m"
+    for value in CLASHES
+])
+def test_a_float_list_flag_refuses_values_that_print_as_one_cell(capsys, case, value):
+    # each value is written as a 9-significant-digit cell, so two values
+    # that print alike would give rows the CSV cannot tell apart
+    _, argv = LIST_FLAGS[case]
+    code, out, err = run_cli(capsys, [*argv, value])
+    assert (code, out) == (1, "")
+    assert err == f"error: {argv[-1]}: {CLASHES[value]}\n"
+
+
+def test_an_unknown_metric_names_the_choices(capsys):
+    code, out, err = run_cli(capsys, ["sweep", "--values", "2,3", "--metrics", "pdr,nope"])
+    assert (code, out) == (1, "")
+    assert err == ("error: unknown metric: 'nope' (choose from pdr, throughput, "
+                   "total_delay, p_bus, p_col, n_eff, tau)\n")

@@ -184,7 +184,8 @@ def test_metric_value_reads_its_column():
     for metric, column in columns.items():
         assert metric_column(metric)(report) == getattr(report, column)
         assert metric_value(report, metric) == getattr(report, column)
-    with pytest.raises(ValueError, match="unknown metric: 'p_c'"):
+    with pytest.raises(ValueError, match=r"unknown metric: 'p_c' \(choose from pdr, "
+                                         r"throughput, total_delay, p_bus, p_col, n_eff, tau\)"):
         metric_column("p_c")
     with pytest.raises(ValueError, match="unknown metric: 'p_c'"):
         metric_value(report, "p_c")
@@ -203,7 +204,32 @@ def test_simulate_points_reads_each_run_from_its_counts():
                 sim = run(n, slots, g, seed)
                 p_su = sim.success_slots / sim.tx_slots if sim.tx_slots else 1.0
                 access = AccessProbabilities(p_tr=sim.tx_slots / slots, p_su=p_su)
-                assert measured == (sim.attempts / (n * slots), p_su,
-                                    throughput(access, timings)), (n, slots, seed)
+                assert measured.tau == sim.attempts / (n * slots), (n, slots, seed)
+                assert measured.p_su == measured.pdr == p_su, (n, slots, seed)
+                assert measured.throughput == throughput(access, timings), (n, slots, seed)
                 silent += sim.tx_slots == 0
     assert silent > 0  # a one-slot run can be idle
+
+
+def test_idle_simulated_run_reads_no_collision_and_no_throughput():
+    # a one-slot run is idle when no station's first counter is 0
+    timings = MacTimings(cw_min=15)
+    g = geometry_from(timings)
+    idle = 0
+    for n in (1, 2, 3):
+        for seed in range(10):
+            [report] = simulate_points(timings, [n], 1, seed)
+            if run(n, 1, g, seed).tx_slots == 0:
+                assert (report.p_tr, report.p_su, report.p_col, report.throughput) == (
+                    0.0, 1.0, 0.0, 0.0)
+                assert math.isfinite(report.t_td_us)
+                idle += 1
+    assert idle > 0
+
+
+def test_lone_simulated_station_never_collides_nor_sees_a_busy_slot():
+    for slots in (1, 7, 3000):
+        for seed in range(3):
+            [report] = simulate_points(MacTimings(), [1], slots, seed)
+            assert report.p_col == report.p_bus == 0.0, (slots, seed)
+            assert all(type(field) is float for field in report)

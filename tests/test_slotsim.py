@@ -1,7 +1,9 @@
 import heapq
+import math
 import random
 import tracemalloc
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import get_type_hints
 
 import numpy as np
@@ -13,15 +15,15 @@ from dangermac import slotsim
 from dangermac.config import MacTimings
 from dangermac.markov import ChainGeometry, solve_fixed_point
 from dangermac.metrics import access_probabilities, frame_times
-from dangermac.pipeline import geometry_from, simulate_points
+from dangermac.pipeline import PerfReport, geometry_from, simulate_points
 from dangermac.slotsim import SimStats, run
 
 G = ChainGeometry(5, 8)
 TIMINGS = MacTimings()  # its geometry is G
 
 
-def _measured(n: int, slots: int, seed: int) -> tuple[float, float, float]:
-    """``simulate_points``' measured (tau, p_su, throughput) of one run over G."""
+def _measured(n: int, slots: int, seed: int) -> PerfReport:
+    """``simulate_points``' measured report of one run over G."""
     [measured] = simulate_points(TIMINGS, [n], slots, seed)
     return measured
 
@@ -170,6 +172,47 @@ def _reference_run(n: int, slots: int, g: ChainGeometry, seed: int) -> SimStats:
                     tagged_pair_slots=tagged_pairs)
 
 
+def _replayed_ratios(n: int, slots: int, g: ChainGeometry, seed: int) -> dict:
+    """The exact ratios of a slot-by-slot replay, counted per station: its
+    attempts, its collided attempts and the busy slots it sees (slots in
+    which another station sends), each summed over the stations."""
+    rng = random.Random(seed)
+    stations = init_stations(n, g, rng)
+    warmup = slots // 100
+    attempts, collided, seen_busy = [0] * n, [0] * n, [0] * n
+    idle = 0
+    for slot in range(warmup + slots):
+        outcome = step_slot(stations, g, rng)
+        if slot < warmup:
+            continue
+        senders = outcome.transmitters
+        idle += not senders
+        for j in range(n):
+            sends = j in senders
+            attempts[j] += sends
+            collided[j] += sends and outcome.collision
+            seen_busy[j] += len(senders) > sends
+    sent = sum(attempts)
+    return {"tau": Fraction(sent, n * slots), "p_emp": Fraction(idle, slots),
+            "p_tr": Fraction(slots - idle, slots),
+            "p_col": Fraction(sum(collided), sent) if sent else Fraction(0),
+            "p_bus": Fraction(sum(seen_busy), n * slots)}
+
+
+@pytest.mark.parametrize("timings", [MacTimings(), MacTimings(cw_min=1, max_stage=2)],
+                         ids=["default", "tiny-windows"])
+def test_simulated_report_reads_the_replayed_ratios(timings):
+    # simulate_points' probabilities are the run's exact per-station ratios
+    g = geometry_from(timings)
+    for n in (1, 2, 5, 9):
+        for slots in (1, 7, 3000):
+            for seed in (0, 1):
+                [report] = simulate_points(timings, [n], slots, seed)
+                for field, ratio in _replayed_ratios(n, slots, g, seed).items():
+                    assert math.isclose(getattr(report, field), ratio, rel_tol=1e-12), (
+                        field, n, slots, seed)
+
+
 def test_sim_stats_are_integer_counts():
     stats = run(7, 2000, G, 3)
     assert all(kind is int for kind in get_type_hints(SimStats).values())
@@ -260,6 +303,20 @@ def test_run_matches_heap_reference(n, w0, max_stage, slots, seed):
     assert run(n, slots, g, seed) == _heap_run(n, slots, g, seed)
 
 
+# sparse runs: 2**14- to 2**16-slot windows and one to three stations, so
+# the ring is empty for most of the run and the run jumps from key to key;
+# at 10**5 slots and more the warm-up ends inside the first counters' gap
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 3),
+       w0=st.integers(2**14, 2**16),
+       max_stage=st.integers(0, 16),  # 2**16 * 2**16 is the 2**32 window cap
+       slots=st.one_of(st.integers(1, 3000), st.integers(10**5, 2 * 10**6)),
+       seed=st.integers(0, 2**64))
+def test_sparse_run_matches_heap_reference(n, w0, max_stage, slots, seed):
+    g = ChainGeometry(max_stage, w0)
+    assert run(n, slots, g, seed) == _heap_run(n, slots, g, seed)
+
+
 def test_widest_windows_run_in_bounded_memory():
     # 2**16- to 2**32-slot windows at 10**6 slots, where almost every
     # counter passes the wheel; a ring sized to the window, capped at the
@@ -312,7 +369,8 @@ def test_measured_throughput_matches_renewal_form(timings):
         for slots in (1, 7, 5000):
             for seed in range(4):
                 stats = run(n, slots, g, seed)
-                [(_, _, s)] = simulate_points(timings, [n], slots, seed)
+                [measured] = simulate_points(timings, [n], slots, seed)
+                s = measured.throughput
                 reference = _renewal_throughput(stats, timings)
                 if stats.tx_slots == 0:
                     assert s == reference == 0.0
@@ -353,39 +411,39 @@ def test_run_slot_conservation():
 def test_run_single_station():
     stats = run(1, 50_000, G, 3)
     assert stats.tx_slots == stats.success_slots
-    tau, p_su, _ = _measured(1, 50_000, 3)
-    assert p_su == 1.0
-    assert tau == pytest.approx(2 / 9, rel=0.05)
+    measured = _measured(1, 50_000, 3)
+    assert measured.p_su == 1.0
+    assert measured.tau == pytest.approx(2 / 9, rel=0.05)
 
 
 def test_contention_lowers_transmission_rate():
-    [(tau_50, _, _), (tau_10, _, _)] = simulate_points(TIMINGS, [50, 10], 100_000, 6)
-    assert tau_50 < tau_10
+    crowded, sparse = simulate_points(TIMINGS, [50, 10], 100_000, 6)
+    assert crowded.tau < sparse.tau
 
 
 def test_matches_classic_fixed_point():
-    tau, p_su_sim, _ = _measured(5, 200_000, 42)
+    measured = _measured(5, 200_000, 42)
     solution = solve_fixed_point(5, G, "classic")
-    assert tau == pytest.approx(solution.tau, rel=0.05)
+    assert measured.tau == pytest.approx(solution.tau, rel=0.05)
     p_su = access_probabilities(solution.tau, 5).p_su
-    assert p_su_sim == pytest.approx(p_su, rel=0.05)
+    assert measured.p_su == pytest.approx(p_su, rel=0.05)
 
 
 def test_dense_network_matches_classic_chain_and_throughput():
-    tau, _, s = _measured(50, 400_000, 2024)
+    measured = _measured(50, 400_000, 2024)
     solution = solve_fixed_point(50, G, "classic")
-    assert tau == pytest.approx(solution.tau, rel=0.05)
+    assert measured.tau == pytest.approx(solution.tau, rel=0.05)
     from dangermac.pipeline import evaluate_point
     report = evaluate_point(TIMINGS, 50.0, "classic")
-    assert s == pytest.approx(report.throughput, rel=0.10)
+    assert measured.throughput == pytest.approx(report.throughput, rel=0.10)
 
 
 def test_success_ratio_matches_product_form_at_observed_rate():
     # the analytic success probability assumes independent per-slot attempts;
     # feeding it the simulator's own attempt rate checks that approximation
-    tau, p_su, _ = _measured(50, 400_000, 2024)
-    ap = access_probabilities(tau, 50)
-    assert ap.p_su == pytest.approx(p_su, rel=0.05)
+    measured = _measured(50, 400_000, 2024)
+    ap = access_probabilities(measured.tau, 50)
+    assert ap.p_su == pytest.approx(measured.p_su, rel=0.05)
 
 
 def test_tagged_pairwise_collision_frequency():
@@ -397,8 +455,8 @@ def test_tagged_pairwise_collision_frequency():
 
 def test_fewer_contenders_succeed_more_often():
     for seed in (1, 2, 3):
-        [(_, thinned, _), (_, full, _)] = simulate_points(TIMINGS, [10, 20], 50_000, seed)
-        assert thinned >= full
+        thinned, full = simulate_points(TIMINGS, [10, 20], 50_000, seed)
+        assert thinned.p_su >= full.p_su
 
 
 def test_invalid_arguments():
