@@ -11,8 +11,8 @@ All commands are deterministic and emit CSV with floats printed at 9
 significant digits. Each command accepts the flags of only the config keys
 it reads, and a list flag's values are parsed and checked as its config
 key's are. A flag that another flag would override is an error. Exit
-codes: 0 success, 1 usage or validation error or a run too large for
-memory, 3 I/O failure.
+codes: 0 success, 1 usage or validation error, a run too large for
+memory or a simulator worker that died, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from pathlib import Path
 from .charts import line_chart, x_axis
 from .config import (CHOICES, ConfigError, MacTimings, ScenarioConfig, _coerce, load_config,
                      validate_scenario)
-from .pipeline import (REPORT_COLUMNS, SWEEP_METRICS, evaluate_points, metric_column,
-                       simulate_points)
+from .pipeline import (REPORT_COLUMNS, SWEEP_METRICS, WorkerError, evaluate_points,
+                       metric_column, simulate_runs)
 from .scenario import expected_n_eff, n_eff_samples
 
 _CELL = "%.9g"
@@ -157,8 +157,11 @@ def cmd_sweep(args) -> int:
     timings, cfg = _build_config(args)
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     if not metrics:
-        raise ValueError("at least one metric is required")
-    columns = list(map(metric_column, metrics))  # refuses an unknown name
+        raise ValueError("--metrics must not be empty")
+    try:
+        columns = list(map(metric_column, metrics))  # refuses an unknown name
+    except ValueError as exc:
+        raise ValueError(f"--metrics: {exc}") from None
     for metric in metrics:
         if metrics.count(metric) > 1:
             raise ValueError(f"--metrics names {metric!r} more than once")
@@ -228,15 +231,17 @@ def cmd_compare(args) -> int:
 
     counts = [float(n) for n in n_list]
     models = [evaluate_points(timings, counts, mode) for mode in ("classic", "busy_aware")]
-    runs = [simulate_points(timings, n_list, args.slots, seed) for seed in seeds]
+    # one row per (n, seed) job, and one call that runs every job side by side
+    jobs = [(n, seed) for n in n_list for seed in seeds]
+    chains = [pair for pair in zip(*models) for _ in seeds]
     lines = []
-    for i, n in enumerate(n_list):
-        for seed, sim in zip(seeds, runs):
-            row = [n, seed, args.slots]
-            for get in _CHECKED.values():
-                a_cl, a_bu, s = (get(source[i]) for source in (*models, sim))
-                row += [a_cl, a_bu, s, rel_err(a_cl, s), rel_err(a_bu, s)]
-            lines.append(_COMPARE_FORMAT % tuple(row))
+    for (n, seed), (classic, busy), sim in zip(jobs, chains,
+                                               simulate_runs(timings, jobs, args.slots)):
+        row = [n, seed, args.slots]
+        for get in _CHECKED.values():
+            a_cl, a_bu, s = get(classic), get(busy), get(sim)
+            row += [a_cl, a_bu, s, rel_err(a_cl, s), rel_err(a_bu, s)]
+        lines.append(_COMPARE_FORMAT % tuple(row))
     _emit(args, "compare.csv", _csv_text(_COMPARE_COLUMNS, lines))
     return 0
 
@@ -303,7 +308,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except ValueError as exc:  # ConfigError included
+    except (ValueError, WorkerError) as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

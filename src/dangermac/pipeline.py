@@ -6,14 +6,19 @@ all from a count's tau, slot terms and collision and busy probabilities.
 ``evaluate_points`` feeds it from the chain's fixed point, solving each
 distinct count once. A count there may be an expected value, hence
 fractional; zero contenders skip the solve and give a silent network.
-``evaluate_point`` is ``evaluate_points`` of one count. ``simulate_points``,
+``evaluate_point`` is ``evaluate_points`` of one count. ``simulate_runs``,
 which ``compare`` runs beside the chain, feeds it from the ``SimStats`` of
-one run per whole station count.
+one simulator run per ``(station count, seed)`` job, and
+``simulate_points`` is ``simulate_runs`` of several counts at one seed.
+The runs are independent and seeded, so ``_run_jobs`` runs them side by
+side in forked worker processes, one per usable CPU, and the reports are
+the same bytes whatever the number of workers.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -111,7 +116,17 @@ def evaluate_point(
 def simulate_points(timings: MacTimings, counts: list[int], slots: int,
                     seed: int) -> list[PerfReport]:
     """One measured report per station count, in order, each from a run of
-    ``slots`` slots at ``seed`` (``run`` rejects a count below 1).
+    ``slots`` slots at ``seed``: ``simulate_runs`` of the ``(count, seed)``
+    jobs."""
+    return simulate_runs(timings, [(n, seed) for n in counts], slots)
+
+
+def simulate_runs(timings: MacTimings, jobs: list[tuple[int, int]],
+                  slots: int) -> list[PerfReport]:
+    """One measured report per ``(count, seed)`` job, in order, each from a
+    run of ``slots`` slots (``run`` rejects a count below 1). The runs go
+    side by side in up to one process per usable CPU (``_run_jobs``), and
+    an error is the first failing job's, as in a loop over the jobs.
 
     Its fields are the run's ratios, averaged over the stations where a
     quantity is per station: ``tau`` attempts per station-slot, ``p_emp``
@@ -123,8 +138,9 @@ def simulate_points(timings: MacTimings, counts: list[int], slots: int,
     geometry = geometry_from(timings)
     build = _report_builder(timings)
     reports = []
-    for n in counts:
-        sim = run(n, slots, geometry, seed)
+    for (n, _), sim in zip(jobs, _run_jobs(jobs, slots, geometry)):
+        if isinstance(sim, Exception):
+            raise sim
         tx, won, attempts = sim.tx_slots, sim.success_slots, sim.attempts
         terms = ((slots - tx) / slots, tx / slots, won / tx if tx else 1.0,
                  won * (n - 1) / (n * slots), won / (n * slots), sim.tagged_pair_slots / slots)
@@ -132,6 +148,138 @@ def simulate_points(timings: MacTimings, counts: list[int], slots: int,
                              (attempts - won) / attempts if attempts else 0.0,
                              (n * tx - won) / (n * slots)))
     return reports
+
+
+class WorkerError(RuntimeError):
+    """A forked simulator worker ended without sending its results."""
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask where the OS has
+    one, so ``taskset`` limits it); 1 where ``os.fork`` is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _shares(costs: list, workers: int) -> list[list[int]]:
+    """Job indices per worker: longest job first, each to the worker with the
+    least cost so far, so the first worker holds the longest job."""
+    shares = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for j in sorted(range(len(costs)), key=costs.__getitem__, reverse=True):
+        w = loads.index(min(loads))
+        shares[w].append(j)
+        loads[w] += costs[j]
+    return shares
+
+
+def _worker_error(status: int) -> WorkerError:
+    """The error of a worker that ended with ``status`` (as
+    ``os.waitstatus_to_exitcode`` gives it, so -9 for SIGKILL) and no results."""
+    if status > 0:
+        return WorkerError(f"a simulator worker exited with status {status} "
+                           "without its results")
+    import signal
+
+    try:
+        name = f" ({signal.Signals(-status).name})"
+    except ValueError:  # a real-time signal has no name
+        name = ""
+    return WorkerError(f"a simulator worker was killed by signal {-status}{name}")
+
+
+def _run_share(jobs, share, slots, geometry) -> list:
+    """The outcome of each job of ``share``, in its order: the run's
+    ``SimStats``, or the exception the run raised."""
+    outcomes = []
+    for j in share:
+        n, seed = jobs[j]
+        try:
+            outcomes.append(run(n, slots, geometry, seed))
+        except Exception as exc:  # raised in job order by the caller
+            outcomes.append(exc)
+    return outcomes
+
+
+def _serve(write_end: int, jobs, share, slots, geometry):
+    """A forked worker's whole life: run ``share``, send the pickled outcomes
+    through ``write_end`` and end the process with status 0, or 1 if
+    anything failed, by ``os._exit``, so no parent cleanup or buffered
+    output runs twice."""
+    code = 1
+    try:
+        import pickle
+
+        data = memoryview(pickle.dumps(_run_share(jobs, share, slots, geometry)))
+        while data:
+            data = data[os.write(write_end, data):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_jobs(jobs: list[tuple[int, int]], slots: int, geometry: ChainGeometry) -> list:
+    """The outcome of ``run(n, slots, geometry, seed)`` for each ``(n, seed)``
+    in ``jobs``, in order: its ``SimStats``, or the exception it raised.
+
+    The jobs are dealt to ``min(len(jobs), usable CPUs)`` workers by
+    ``_shares``, with ``n`` as the cost. This process runs the first share
+    itself, so one worker forks nothing, and each other share runs in a
+    child made by ``os.fork`` that sends its outcomes back through a pipe.
+    Every run is seeded, so the outcomes are the same whatever the number
+    of workers. Every child is reaped before this returns or raises: on an
+    error or an interrupt the children still running are killed first. A
+    child that ends without its outcomes raises ``WorkerError``.
+    """
+    workers = max(1, min(len(jobs), _usable_cpus()))
+    own, *others = _shares([n for n, _ in jobs], workers)
+    outcomes = [None] * len(jobs)
+    children = {}  # pid -> (share, read end of its pipe), until reaped
+    reads = []     # every read end, closed at the end
+    try:
+        if others:
+            import pickle
+            import signal
+            import warnings
+        for share in others:
+            read_end, write_end = os.pipe()
+            reads.append(read_end)
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns that a fork while other threads run
+                    # (numpy's OpenBLAS threads, say) may deadlock the child,
+                    # if the child takes a lock another thread holds. This
+                    # child runs only pure-Python random, list and heapq code,
+                    # pickle and os.write, and takes no such lock.
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+                if pid == 0:
+                    _serve(write_end, jobs, share, slots, geometry)
+            finally:
+                os.close(write_end)  # the child never gets here
+            children[pid] = (share, read_end)
+        for j, outcome in zip(own, _run_share(jobs, own, slots, geometry)):
+            outcomes[j] = outcome
+        for pid, (share, read_end) in list(children.items()):
+            chunks = []
+            while chunk := os.read(read_end, 1 << 16):
+                chunks.append(chunk)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if status:
+                raise _worker_error(status)
+            for j, outcome in zip(share, pickle.loads(b"".join(chunks))):
+                outcomes[j] = outcome
+    finally:
+        for pid in children:  # signal was imported before the first fork
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for read_end in reads:
+            os.close(read_end)
+    return outcomes
 
 
 # Metric names accepted by the sweep command, in canonical order, and the

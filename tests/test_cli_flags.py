@@ -169,5 +169,14 @@ def test_a_float_list_flag_refuses_values_that_print_as_one_cell(capsys, case, v
 def test_an_unknown_metric_names_the_choices(capsys):
     code, out, err = run_cli(capsys, ["sweep", "--values", "2,3", "--metrics", "pdr,nope"])
     assert (code, out) == (1, "")
-    assert err == ("error: unknown metric: 'nope' (choose from pdr, throughput, "
+    assert err == ("error: --metrics: unknown metric: 'nope' (choose from pdr, throughput, "
                    "total_delay, p_bus, p_col, n_eff, tau)\n")
+
+
+@pytest.mark.parametrize("value, message", [
+    (",", "--metrics must not be empty"),
+    ("pdr,tau,pdr", "--metrics names 'pdr' more than once"),
+])
+def test_a_bad_metric_list_names_its_flag(capsys, value, message):
+    code, out, err = run_cli(capsys, ["sweep", "--values", "2,3", "--metrics", value])
+    assert (code, out, err) == (1, "", f"error: {message}\n")

@@ -1,5 +1,8 @@
 import math
+import os
 import sys
+import threading
+import time
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -27,7 +30,9 @@ from dangermac.pipeline import (
     metric_column,
     metric_value,
     simulate_points,
+    simulate_runs,
 )
+from dangermac.cli import main
 from dangermac.slotsim import run
 
 COUNTS = [5.0, 0.0, 12.5, 5.0, 0.0, 50.0, 12.5, 1.0]
@@ -233,3 +238,151 @@ def test_lone_simulated_station_never_collides_nor_sees_a_busy_slot():
             [report] = simulate_points(MacTimings(), [1], slots, seed)
             assert report.p_col == report.p_bus == 0.0, (slots, seed)
             assert all(type(field) is float for field in report)
+
+
+# (count, seed) jobs of mixed cost, with repeated counts and seeds
+JOBS = [(5, 1), (50, 0), (1, 3), (2, 1), (50, 2), (5, 0), (1, 1)]
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the usable CPU count the simulator map sees; after the test, no
+    child process may be left, running or unreaped."""
+    yield lambda count: monkeypatch.setattr(pipeline, "_usable_cpus", lambda: count)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def run_compare(capsys, *argv):
+    code = main(["compare", *argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_usable_cpus_reads_the_affinity_mask():
+    if hasattr(os, "sched_getaffinity"):
+        assert pipeline._usable_cpus() == len(os.sched_getaffinity(0))
+    assert pipeline._usable_cpus() >= 1
+
+
+def test_shares_deal_the_longest_jobs_first_to_the_least_loaded_worker():
+    costs = [n for n, _ in JOBS]
+    assert pipeline._shares(costs, 1) == [[1, 4, 0, 5, 3, 2, 6]]
+    assert pipeline._shares(costs, 2) == [[1, 0, 3], [4, 5, 2, 6]]
+    assert pipeline._shares(costs, 3) == [[1], [4], [0, 5, 3, 2, 6]]
+    assert pipeline._shares([], 1) == [[]]
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, len(JOBS) + 5])
+def test_run_jobs_equals_serial_runs(cpus, count):
+    cpus(count)
+    g = geometry_from(MacTimings(cw_min=15))
+    assert pipeline._run_jobs(JOBS, 3000, g) == [run(n, 3000, g, seed) for n, seed in JOBS]
+    timings = MacTimings()
+    assert simulate_runs(timings, JOBS, 2000) == [
+        simulate_points(timings, [n], 2000, seed)[0] for n, seed in JOBS]
+    assert simulate_points(timings, [1, 5, 50], 2000, 4) == simulate_runs(
+        timings, [(1, 4), (5, 4), (50, 4)], 2000)
+    assert simulate_runs(timings, [], 2000) == []
+
+
+def test_one_worker_forks_nothing(cpus, monkeypatch):
+    cpus(1)
+
+    def refuse():
+        raise AssertionError("forked with one worker")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    g = geometry_from(MacTimings())
+    assert pipeline._run_jobs(JOBS, 500, g) == [run(n, 500, g, seed) for n, seed in JOBS]
+
+
+def test_compare_output_is_the_same_for_every_worker_count(cpus, capsys):
+    argv = ["--n-list", "1,2,5,50", "--slots", "3000", "--seeds", "0,1,7"]
+    outputs = set()
+    for count in (1, 2, 5, 20):
+        cpus(count)
+        code, out, err = run_compare(capsys, *argv)
+        assert (code, err) == (0, "")
+        outputs.add(out)
+    assert len(outputs) == 1
+
+
+def test_an_error_raised_in_a_worker_reaches_the_command_line(cpus, capsys, monkeypatch):
+    # the parent runs the first share: reversed, the too-large count runs in the child
+    cpus(2)
+    shares = pipeline._shares
+    monkeypatch.setattr(pipeline, "_shares", lambda costs, workers: shares(costs, workers)[::-1])
+    code, out, err = run_compare(capsys, "--n-list", f"1,{10**300}", "--slots", "1")
+    assert (code, out) == (1, "")
+    assert err == f"error: n must be <= {sys.maxsize}\n"
+
+
+def test_the_first_failing_job_gives_the_error(cpus):
+    # the parent's own job fails too, but later in job order
+    cpus(3)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0 \(got -1\)$"):
+        simulate_runs(MacTimings(), [(2, 0), (5, -1), (10**40, 2)], 100)
+
+
+def _in_children_only(action):
+    """A ``run`` that does ``action`` in a forked worker and runs as usual in
+    this process."""
+    parent = os.getpid()
+
+    def patched(n, slots, g, seed):
+        if os.getpid() != parent:
+            return action()
+        return run(n, slots, g, seed)
+
+    return patched
+
+
+def test_a_killed_worker_is_one_error_line(cpus, capsys, monkeypatch):
+    cpus(2)
+    monkeypatch.setattr(pipeline, "run", _in_children_only(
+        lambda: os.kill(os.getpid(), 9)))
+    code, out, err = run_compare(capsys, "--n-list", "2,5", "--slots", "100")
+    assert (code, out) == (1, "")
+    assert err == "error: a simulator worker was killed by signal 9 (SIGKILL)\n"
+
+
+def test_a_worker_that_cannot_send_its_results_is_one_error_line(cpus, capsys, monkeypatch):
+    cpus(2)
+    monkeypatch.setattr(pipeline, "run", _in_children_only(lambda: lambda: None))  # unpicklable
+    code, out, err = run_compare(capsys, "--n-list", "2,5", "--slots", "100")
+    assert (code, out) == (1, "")
+    assert err == "error: a simulator worker exited with status 1 without its results\n"
+
+
+def test_an_interrupt_kills_the_running_workers(cpus, monkeypatch):
+    cpus(2)
+    parent = os.getpid()
+
+    def patched(n, slots, g, seed):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(30)
+
+    monkeypatch.setattr(pipeline, "run", patched)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        simulate_runs(MacTimings(), [(2, 0), (5, 0)], 100)
+    assert time.perf_counter() - start < 10
+
+
+def test_a_compare_beside_another_thread_raises_no_warning(cpus, capsys):
+    # Python 3.12+ warns at a fork while another thread runs; the suite's
+    # filterwarnings = error makes any warning fail this test
+    cpus(2)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        code, out, err = run_compare(capsys, "--n-list", "2,5,50", "--slots", "2000")
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 4
