@@ -37,7 +37,6 @@ from .pipeline import (
     metric_column,
     metric_value,
     simulate_points,
-    simulate_runs,
 )
 from .scenario import (
     apply_threshold,
@@ -59,6 +58,5 @@ __all__ = [
     "delay_state_probabilities", "evaluate_point", "evaluate_points",
     "expected_n_eff", "frame_times", "geometry_from", "load_config",
     "metric_column", "metric_value", "n_eff_samples", "pdr", "place_vehicles", "run",
-    "simulate_points", "simulate_runs", "solve_fixed_point", "throughput", "total_delay",
-    "trial_rng",
+    "simulate_points", "solve_fixed_point", "throughput", "total_delay", "trial_rng",
 ]

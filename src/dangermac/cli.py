@@ -25,8 +25,8 @@ from pathlib import Path
 from .charts import line_chart, x_axis
 from .config import (CHOICES, ConfigError, MacTimings, ScenarioConfig, _coerce, load_config,
                      validate_scenario)
-from .pipeline import (REPORT_COLUMNS, SWEEP_METRICS, WorkerError, evaluate_points,
-                       metric_column, simulate_runs)
+from .pipeline import (REPORT_COLUMNS, SWEEP_METRICS, WorkerError, _simulate_runs,
+                       evaluate_points, metric_column)
 from .scenario import expected_n_eff, n_eff_samples
 
 _CELL = "%.9g"
@@ -236,7 +236,7 @@ def cmd_compare(args) -> int:
     chains = [pair for pair in zip(*models) for _ in seeds]
     lines = []
     for (n, seed), (classic, busy), sim in zip(jobs, chains,
-                                               simulate_runs(timings, jobs, args.slots)):
+                                               _simulate_runs(timings, jobs, args.slots)):
         row = [n, seed, args.slots]
         for get in _CHECKED.values():
             a_cl, a_bu, s = get(classic), get(busy), get(sim)

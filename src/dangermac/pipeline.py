@@ -6,13 +6,13 @@ all from a count's tau, slot terms and collision and busy probabilities.
 ``evaluate_points`` feeds it from the chain's fixed point, solving each
 distinct count once. A count there may be an expected value, hence
 fractional; zero contenders skip the solve and give a silent network.
-``evaluate_point`` is ``evaluate_points`` of one count. ``simulate_runs``,
-which ``compare`` runs beside the chain, feeds it from the ``SimStats`` of
-one simulator run per ``(station count, seed)`` job, and
-``simulate_points`` is ``simulate_runs`` of several counts at one seed.
-The runs are independent and seeded, so ``_run_jobs`` runs them side by
-side in forked worker processes, one per usable CPU, and the reports are
-the same bytes whatever the number of workers.
+``evaluate_point`` is ``evaluate_points`` of one count.
+``simulate_points``, which ``compare`` runs beside the chain, feeds it from
+the ``SimStats`` of one simulator run per station count; ``compare`` hands
+all its ``(station count, seed)`` jobs to one call of its private twin
+``_simulate_runs``. The runs are independent and seeded, so ``_run_jobs``
+runs them side by side in forked worker processes, one per usable CPU, and
+the reports are the same bytes whatever the number of workers.
 """
 
 from __future__ import annotations
@@ -116,17 +116,9 @@ def evaluate_point(
 def simulate_points(timings: MacTimings, counts: list[int], slots: int,
                     seed: int) -> list[PerfReport]:
     """One measured report per station count, in order, each from a run of
-    ``slots`` slots at ``seed``: ``simulate_runs`` of the ``(count, seed)``
-    jobs."""
-    return simulate_runs(timings, [(n, seed) for n in counts], slots)
-
-
-def simulate_runs(timings: MacTimings, jobs: list[tuple[int, int]],
-                  slots: int) -> list[PerfReport]:
-    """One measured report per ``(count, seed)`` job, in order, each from a
-    run of ``slots`` slots (``run`` rejects a count below 1). The runs go
-    side by side in up to one process per usable CPU (``_run_jobs``), and
-    an error is the first failing job's, as in a loop over the jobs.
+    ``slots`` slots at ``seed`` (``run`` rejects a count below 1). The runs
+    go side by side in up to one process per usable CPU (``_run_jobs``),
+    and an error is the first failing count's, as in a loop over the counts.
 
     Its fields are the run's ratios, averaged over the stations where a
     quantity is per station: ``tau`` attempts per station-slot, ``p_emp``
@@ -135,6 +127,13 @@ def simulate_runs(timings: MacTimings, jobs: list[tuple[int, int]],
     none) and ``p_bus`` the busy slots a station sees while not the lone
     sender. ``throughput`` and ``t_td_us`` are the chain's formulas at them.
     """
+    return _simulate_runs(timings, [(n, seed) for n in counts], slots)
+
+
+def _simulate_runs(timings: MacTimings, jobs: list[tuple[int, int]],
+                   slots: int) -> list[PerfReport]:
+    """``simulate_points`` over ``(count, seed)`` jobs, so that ``compare``
+    runs every count at every seed in one map."""
     geometry = geometry_from(timings)
     build = _report_builder(timings)
     reports = []
@@ -164,16 +163,11 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _shares(costs: list, workers: int) -> list[list[int]]:
-    """Job indices per worker: longest job first, each to the worker with the
-    least cost so far, so the first worker holds the longest job."""
-    shares = [[] for _ in range(workers)]
-    loads = [0] * workers
-    for j in sorted(range(len(costs)), key=costs.__getitem__, reverse=True):
-        w = loads.index(min(loads))
-        shares[w].append(j)
-        loads[w] += costs[j]
-    return shares
+def _shares(counts: list[int], workers: int) -> list[list[int]]:
+    """Job indices per worker: the jobs sorted by station count, largest
+    first, and striped over the workers, so the first holds the largest."""
+    order = sorted(range(len(counts)), key=counts.__getitem__, reverse=True)
+    return [order[w::workers] for w in range(workers)]
 
 
 def _worker_error(status: int) -> WorkerError:
@@ -221,64 +215,119 @@ def _serve(write_end: int, jobs, share, slots, geometry):
         os._exit(code)
 
 
+def _fork(jobs, share, slots, geometry, sigterm) -> tuple[int, int]:
+    """Fork a worker that runs ``share`` (``_serve``): its pid and the read
+    end of the pipe it sends its outcomes through. The worker gets
+    ``sigterm`` back as its SIGTERM handler when that is not None. Raises
+    OSError, with no pipe left open, when no pipe or process can be made."""
+    import signal
+    import warnings
+
+    read_end, write_end = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns that a fork while other threads run
+            # (numpy's OpenBLAS threads, say) may deadlock the child, if the
+            # child takes a lock another thread holds. This child runs only
+            # pure-Python random, list and heapq code, pickle and os.write,
+            # and takes no such lock. Before Python 3.14 catch_warnings saves
+            # and restores the process-wide filter list, so a filter another
+            # thread sets during the fork is lost.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            if sigterm is not None:
+                signal.signal(signal.SIGTERM, sigterm)
+            _serve(write_end, jobs, share, slots, geometry)
+    except BaseException:
+        os.close(read_end)
+        raise
+    finally:
+        os.close(write_end)  # the child never gets here
+    return pid, read_end
+
+
 def _run_jobs(jobs: list[tuple[int, int]], slots: int, geometry: ChainGeometry) -> list:
     """The outcome of ``run(n, slots, geometry, seed)`` for each ``(n, seed)``
     in ``jobs``, in order: its ``SimStats``, or the exception it raised.
 
     The jobs are dealt to ``min(len(jobs), usable CPUs)`` workers by
-    ``_shares``, with ``n`` as the cost. This process runs the first share
-    itself, so one worker forks nothing, and each other share runs in a
-    child made by ``os.fork`` that sends its outcomes back through a pipe.
-    Every run is seeded, so the outcomes are the same whatever the number
-    of workers. Every child is reaped before this returns or raises: on an
-    error or an interrupt the children still running are killed first. A
-    child that ends without its outcomes raises ``WorkerError``.
+    ``_shares``. This process runs the first share itself, so one worker
+    forks nothing, and each other share runs in a child made by ``_fork``
+    that sends its outcomes back through a pipe; a share whose pipe or
+    process cannot be made runs here too. Every run is seeded, so the
+    outcomes are the same whatever the number of workers. Every child is
+    reaped before this returns or raises: on an error, an interrupt or a
+    SIGTERM the children still running are killed first. A child that
+    ends without its outcomes raises ``WorkerError``.
     """
     workers = max(1, min(len(jobs), _usable_cpus()))
     own, *others = _shares([n for n, _ in jobs], workers)
     outcomes = [None] * len(jobs)
-    children = {}  # pid -> (share, read end of its pipe), until reaped
-    reads = []     # every read end, closed at the end
+    children = {}   # pid -> (share, read end of its pipe), until reaped
+    sigterm = None  # SIGTERM's handler before this call set on_sigterm
+    held = []       # a SIGTERM held off during a fork, a reap or the cleanup
+    holding = False
+
+    def on_sigterm(signum, frame):
+        # SIGTERM's default action would end this process without running
+        # the finally below, and the children would run on: raise instead,
+        # but only while every child forked so far is in children (a fork
+        # takes about a millisecond, and a reaped pid must not be killed)
+        if holding:
+            held.append(signum)
+        else:
+            raise SystemExit(128 + signum)
+
+    def hold(on: bool):
+        nonlocal holding
+        holding = on
+        if not on and held:
+            raise SystemExit(128 + held.pop())
+
     try:
         if others:
             import pickle
             import signal
-            import warnings
-        for share in others:
-            read_end, write_end = os.pipe()
-            reads.append(read_end)
+
             try:
-                with warnings.catch_warnings():
-                    # Python 3.12+ warns that a fork while other threads run
-                    # (numpy's OpenBLAS threads, say) may deadlock the child,
-                    # if the child takes a lock another thread holds. This
-                    # child runs only pure-Python random, list and heapq code,
-                    # pickle and os.write, and takes no such lock.
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    pid = os.fork()
-                if pid == 0:
-                    _serve(write_end, jobs, share, slots, geometry)
-            finally:
-                os.close(write_end)  # the child never gets here
-            children[pid] = (share, read_end)
+                if signal.getsignal(signal.SIGTERM) == signal.SIG_DFL:
+                    sigterm = signal.signal(signal.SIGTERM, on_sigterm)
+            except ValueError:  # not the main thread, which alone sets handlers
+                pass
+        for share in others:
+            hold(True)
+            try:
+                pid, read_end = _fork(jobs, share, slots, geometry, sigterm)
+                children[pid] = (share, read_end)
+            except OSError:  # no pipe or process to spare (EMFILE, EAGAIN, ENOMEM)
+                own += share
+            hold(False)
         for j, outcome in zip(own, _run_share(jobs, own, slots, geometry)):
             outcomes[j] = outcome
         for pid, (share, read_end) in list(children.items()):
             chunks = []
             while chunk := os.read(read_end, 1 << 16):
                 chunks.append(chunk)
+            hold(True)  # the child is ending: reap it
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[pid]
+            os.close(read_end)
+            hold(False)
             if status:
                 raise _worker_error(status)
             for j, outcome in zip(share, pickle.loads(b"".join(chunks))):
                 outcomes[j] = outcome
     finally:
-        for pid in children:  # signal was imported before the first fork
+        holding = True
+        for pid, (_, read_end) in children.items():  # signal was imported to fork them
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for read_end in reads:
             os.close(read_end)
+        if sigterm is not None:
+            signal.signal(signal.SIGTERM, sigterm)
+            if held:  # a SIGTERM came while the children were killed
+                signal.raise_signal(signal.SIGTERM)
     return outcomes
 
 

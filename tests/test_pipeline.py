@@ -1,8 +1,12 @@
+import errno
 import math
 import os
+import signal
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -30,10 +34,11 @@ from dangermac.pipeline import (
     metric_column,
     metric_value,
     simulate_points,
-    simulate_runs,
 )
 from dangermac.cli import main
 from dangermac.slotsim import run
+
+simulate_runs = pipeline._simulate_runs
 
 COUNTS = [5.0, 0.0, 12.5, 5.0, 0.0, 50.0, 12.5, 1.0]
 
@@ -267,11 +272,11 @@ def test_usable_cpus_reads_the_affinity_mask():
     assert pipeline._usable_cpus() >= 1
 
 
-def test_shares_deal_the_longest_jobs_first_to_the_least_loaded_worker():
-    costs = [n for n, _ in JOBS]
-    assert pipeline._shares(costs, 1) == [[1, 4, 0, 5, 3, 2, 6]]
-    assert pipeline._shares(costs, 2) == [[1, 0, 3], [4, 5, 2, 6]]
-    assert pipeline._shares(costs, 3) == [[1], [4], [0, 5, 3, 2, 6]]
+def test_shares_stripe_the_jobs_largest_count_first():
+    counts = [n for n, _ in JOBS]
+    assert pipeline._shares(counts, 1) == [[1, 4, 0, 5, 3, 2, 6]]
+    assert pipeline._shares(counts, 2) == [[1, 0, 3, 6], [4, 5, 2]]
+    assert pipeline._shares(counts, 3) == [[1, 5, 6], [4, 3], [0, 2]]
     assert pipeline._shares([], 1) == [[]]
 
 
@@ -297,6 +302,21 @@ def test_one_worker_forks_nothing(cpus, monkeypatch):
     monkeypatch.setattr(os, "fork", refuse)
     g = geometry_from(MacTimings())
     assert pipeline._run_jobs(JOBS, 500, g) == [run(n, 500, g, seed) for n, seed in JOBS]
+
+
+@pytest.mark.parametrize("fails", ["pipe", "fork"])
+def test_a_share_that_cannot_fork_runs_in_this_process(cpus, monkeypatch, fails):
+    cpus(3)
+
+    def refuse(*args):
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, fails, refuse)
+    opened = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    g = geometry_from(MacTimings())
+    assert pipeline._run_jobs(JOBS, 500, g) == [run(n, 500, g, seed) for n, seed in JOBS]
+    if opened is not None:  # no pipe end is left open
+        assert len(os.listdir("/proc/self/fd")) == opened
 
 
 def test_compare_output_is_the_same_for_every_worker_count(cpus, capsys):
@@ -388,3 +408,75 @@ def test_a_compare_beside_another_thread_raises_no_warning(cpus, capsys):
     assert not thread.is_alive()
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == 4
+
+
+def test_the_sigterm_handler_is_set_only_while_workers_run(cpus, monkeypatch):
+    cpus(2)
+    seen = []
+    parent = os.getpid()
+
+    def patched(n, slots, g, seed):
+        if os.getpid() == parent:
+            seen.append(signal.getsignal(signal.SIGTERM))
+        return run(n, slots, g, seed)
+
+    monkeypatch.setattr(pipeline, "run", patched)
+    assert signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+    simulate_runs(MacTimings(), [(2, 0), (5, 0)], 100)
+    assert signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+    assert len(seen) == 1 and seen[0] != signal.SIG_DFL
+
+    # a handler someone else set stays as it is
+    def mine(signum, frame):
+        pass
+
+    seen.clear()
+    signal.signal(signal.SIGTERM, mine)
+    try:
+        simulate_runs(MacTimings(), [(2, 0), (5, 0)], 100)
+        assert seen == [mine] and signal.getsignal(signal.SIGTERM) is mine
+    finally:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+# a compare whose runs sleep, with two usable CPUs; each worker prints its
+# pid once it runs
+_SLEEPING_COMPARE = """
+import os, sys, time
+import dangermac.pipeline as pipeline
+from dangermac.cli import main
+
+parent = os.getpid()
+
+def run(n, slots, g, seed):
+    if os.getpid() != parent:
+        print(os.getpid(), flush=True)
+    time.sleep(60)
+
+pipeline._usable_cpus = lambda: 2
+pipeline.run = run
+sys.exit(main(["compare", "--n-list", "2,5", "--slots", "100"]))
+"""
+
+
+def test_a_sigterm_kills_the_workers_before_compare_ends():
+    if not hasattr(os, "fork"):
+        pytest.skip("the simulator map forks no worker without os.fork")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.Popen([sys.executable, "-c", _SLEEPING_COMPARE],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        worker = int(proc.stdout.readline())
+        proc.send_signal(signal.SIGTERM)
+        code = proc.wait(timeout=10)
+    finally:
+        proc.kill()
+    try:
+        os.kill(worker, signal.SIGKILL)
+        outlived = True
+    except ProcessLookupError:
+        outlived = False
+    _, stderr = proc.communicate()
+    assert not outlived, f"worker {worker} outlived compare"
+    assert (code, stderr) == (128 + signal.SIGTERM, "")
