@@ -395,6 +395,15 @@ def test_benchmark_stream_is_pinned(n, tx, success, collision, tagged_pairs, att
     assert stats.attempts == attempts
 
 
+def test_slow_path_stream_is_pinned():
+    # windows of 1,500 to 12,000 slots: not powers of two, so some counters
+    # are drawn again, and above 1,023, so some wait in the overflow heap.
+    # The pins above see only power-of-two windows below 1,023, where a
+    # counter never leaves the one-comparison path.
+    assert run(300, 20_000, ChainGeometry(3, 1500), 1) == SimStats(
+        slots=20000, tx_slots=5002, success_slots=4292, attempts=5793, tagged_pair_slots=5)
+
+
 def test_run_deterministic():
     assert run(10, 20_000, G, 77) == run(10, 20_000, G, 77)
     assert run(10, 20_000, G, 77) != run(10, 20_000, G, 78)
@@ -569,3 +578,28 @@ def test_tagged_pair_counted_when_station_zero_is_listed_last(monkeypatch):
     assert (stats.tx_slots, stats.success_slots, stats.tx_slots - stats.success_slots) == (
         3, 2, 1)
     assert stats.tagged_pair_slots == 1
+
+
+def test_collided_redraws_take_the_slow_paths(monkeypatch):
+    # Windows 1,500 and 3,000: above 1,023 and not powers of two. Both
+    # stations draw 150 and collide in slot 150. Station 0 redraws 4000,
+    # at or above its window, and draws again: 600, due in slot 751.
+    # Station 1 redraws 2000, which waits in the overflow heap for slot
+    # 2151. In slot 751 station 0 draws 1800 at w0 and draws again. From
+    # then on every draw is 1499, which waits in the heap and comes back
+    # 1,500 slots later.
+    g = ChainGeometry(1, 1500)
+    values = [150, 150, 4000, 600, 2000, 1800]
+    sends = [(150, [0, 1]), (751, [0]), (2151, [1]), (2251, [0]), (3651, [1]), (3751, [0])]
+    for slot, _ in sends:
+        for horizon in (slot, slot + 1):
+            # the run whose warm-up and measured stretch end at horizon; its
+            # warm-up, under 40 slots, ends before slot 150
+            slots = next(s for s in range(horizon) if s + s // 100 == horizon)
+            fake = _FakeBits(values, 1499)
+            stats = _run_with_bits(monkeypatch, fake, 2, slots, g)
+            sent = [stations for t, stations in sends if t < horizon]
+            assert stats == SimStats(
+                slots, len(sent), sum(len(s) == 1 for s in sent), sum(map(len, sent)),
+                sum(s == [0, 1] for s in sent)), horizon
+    assert fake.calls == 2 + 3 + 2 + 4  # the slot-3751 run: every draw above
