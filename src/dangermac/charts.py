@@ -3,10 +3,11 @@
 Output is deterministic: fixed palette, fixed tick logic, fixed float
 formatting. Good enough for eyeballing sweep trends next to the CSV.
 
-Each pixel coordinate is one ``%.2f`` format of one distinct value: an x
-axis formats each distinct finite x once, and charts that share their xs
-share one axis, while a chart formats each distinct finite y once. A point is
-the join of its two texts, so repeated values cost a lookup, not a format.
+One routine, ``_axis``, builds both axes of a chart: the ticks, their
+pixels and labels, and one ``%.2f`` format of the pixel of each distinct
+finite value. Charts that share their xs share one x axis, so its labels
+and texts are made once; each chart builds its own y axis. A point is the
+join of its two texts, so repeated values cost a lookup, not a format.
 """
 
 from __future__ import annotations
@@ -89,32 +90,41 @@ def _tick_labels(ticks: list[float]) -> list[str]:
 
 
 class Axis(NamedTuple):
-    """A chart's x axis: its ticks, their pixels, and the ``"%.2f,"`` pixel
-    text of each distinct finite x, so charts that share their xs format
-    them once."""
+    """A chart axis: its ticks, their pixels and labels, and the pixel text
+    of each distinct finite value, so charts that share an axis label and
+    format it once."""
 
     ticks: list[float]
     pixels: list[float]
+    labels: list[str]
     text: dict[float, str]
 
 
-def x_axis(xs: Iterable[float]) -> Axis:
-    """The x axis of charts whose series' xs all lie in ``xs``.
-
-    Its ticks cover the finite xs, and only those get a pixel text.
-    """
+def _axis(values: Iterable[float], origin: float, length: float, fmt: str) -> Axis:
+    """The axis whose ticks cover the finite ``values``: the first tick
+    lies at pixel ``origin`` and the last ``length`` pixels on (negative
+    for a y axis, which grows upwards). Each finite value's text is
+    ``fmt`` of its pixel; a value with no text is not drawn."""
     # first-seen order: min and max pick the same float (0.0 or -0.0) as
-    # they would over every finite x
-    distinct = dict.fromkeys(filter(math.isfinite, xs))
+    # they would over every finite value
+    distinct = dict.fromkeys(filter(math.isfinite, values))
     ticks = _nice_ticks(min(distinct, default=math.nan), max(distinct, default=math.nan))
     halve, lo, span = _frame(ticks)
 
-    def px(xs: Iterable[float]) -> list[float]:
+    # Data to pixels a list at a time: a call per point costs more than its arithmetic.
+    def px(vs: Iterable[float]) -> list[float]:
         if halve:
-            xs = [x / 2 for x in xs]
-        return [_MARGIN_LEFT + (x - lo) / span * _PLOT_W for x in xs]
+            vs = [v / 2 for v in vs]
+        return [origin + (v - lo) / span * length for v in vs]
 
-    return Axis(ticks, px(ticks), dict(zip(distinct, ["%.2f," % x for x in px(distinct)])))
+    return Axis(ticks, px(ticks), _tick_labels(ticks),
+                dict(zip(distinct, [fmt % p for p in px(distinct)])))
+
+
+def x_axis(xs: Iterable[float]) -> Axis:
+    """The x axis of charts whose series' xs all lie in ``xs``; its pixel
+    texts end in the comma that joins a point's x to its y."""
+    return _axis(xs, _MARGIN_LEFT, _PLOT_W, "%.2f,")
 
 
 def line_chart(
@@ -132,20 +142,8 @@ def line_chart(
     """
     if axis is None:
         axis = x_axis(chain.from_iterable(xs for _, xs, _ in series))
-    ys_finite = dict.fromkeys(filter(math.isfinite,
-                                     chain.from_iterable(ys for _, _, ys in series)))
-    y_ticks = _nice_ticks(min(ys_finite, default=math.nan), max(ys_finite, default=math.nan))
-    y_halve, y_lo, y_span = _frame(y_ticks)
-
-    # Data to pixels a list at a time: a call per point costs more than its arithmetic.
-    def py(ys: Iterable[float]) -> list[float]:
-        if y_halve:
-            ys = [y / 2 for y in ys]
-        return [_Y_BASE - (y - y_lo) / y_span * _PLOT_H for y in ys]
-
-    # each distinct finite y is formatted once; an x or y with no text is not drawn
-    y_text = dict(zip(ys_finite, ["%.2f" % y for y in py(ys_finite)]))
-    x_text = axis.text
+    y_axis = _axis(chain.from_iterable(ys for _, _, ys in series), _Y_BASE, -_PLOT_H, "%.2f")
+    x_text, y_text = axis.text, y_axis.text
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -153,12 +151,12 @@ def line_chart(
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" font-size="15">{title}</text>',
     ]
-    for x, label in zip(axis.pixels, _tick_labels(axis.ticks)):
+    for x, label in zip(axis.pixels, axis.labels):
         parts.append(f'<line x1="{x:.2f}" y1="{_MARGIN_TOP}" x2="{x:.2f}" '
                      f'y2="{_MARGIN_TOP + _PLOT_H}" stroke="#dddddd"/>')
         parts.append(f'<text x="{x:.2f}" y="{_MARGIN_TOP + _PLOT_H + 16}" '
                      f'text-anchor="middle">{label}</text>')
-    for y, label in zip(py(y_ticks), _tick_labels(y_ticks)):
+    for y, label in zip(y_axis.pixels, y_axis.labels):
         parts.append(f'<line x1="{_MARGIN_LEFT}" y1="{y:.2f}" '
                      f'x2="{_MARGIN_LEFT + _PLOT_W}" y2="{y:.2f}" stroke="#dddddd"/>')
         parts.append(f'<text x="{_MARGIN_LEFT - 6}" y="{y + 4:.2f}" '

@@ -180,3 +180,20 @@ def test_an_unknown_metric_names_the_choices(capsys):
 def test_a_bad_metric_list_names_its_flag(capsys, value, message):
     code, out, err = run_cli(capsys, ["sweep", "--values", "2,3", "--metrics", value])
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+# A flag's text or a config file's value that cannot be read.
+@pytest.mark.parametrize("argv, config, message", [
+    (["sweep", "--values", "1..x"], None, "bad range for --values: '1..x'"),
+    (["compare", "--slots", "0"], None, "--slots must be >= 1"),
+    (["point"], {"cw_min": True}, "cw_min must be a number or string, not a boolean"),
+    (["point"], {"model_mode": 5}, "model_mode must be a string (got 5)"),
+    (["point"], {"slot_us": [1]}, "slot_us must be a number (got [1])"),
+], ids=["values-range", "slots", "config-boolean", "config-string", "config-number"])
+def test_an_unreadable_value_is_one_error_line(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")

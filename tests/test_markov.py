@@ -463,7 +463,9 @@ def _bisection_root(n, g, mode):
 def test_fixed_point_matches_bisection(w0):
     for max_stage in range(17):
         g = ChainGeometry(max_stage, w0)
-        for n in (0.4, 1, 1.5, 2, 50, 149, 150, 1e4, 1e6):
+        # at n = 847, busy-aware over the default window, a Newton step leaves the
+        # bracket and the solve takes a midpoint step
+        for n in (0.4, 1, 1.5, 2, 50, 149, 150, 847, 1e4, 1e6):
             for mode in ("busy_aware", "classic"):
                 solution = solve_fixed_point(n, g, mode)
                 reference = _bisection_root(n, g, mode)

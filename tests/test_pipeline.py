@@ -117,6 +117,41 @@ def _reference_report(timings: MacTimings, n_eff: float, model_mode: str) -> Per
                       states.p_emp, states.p_suc, states.p_own, p_c, p_b, t_td_us)
 
 
+def _published_report(timings: MacTimings, n_eff: float, model_mode: str) -> PerfReport:
+    """The report written out from the published formulas, apart from
+    ``metrics``: p_tr, p_s and S of Bianchi (IEEE JSAC 18(3), 2000), and
+    the tagged states and delay total as README states them, each in the
+    order of operations that the report takes."""
+    if n_eff > 0:
+        s = solve_fixed_point(n_eff, geometry_from(timings), model_mode)
+        tau, p_c, p_b = s.tau, s.p_c, s.p_b
+    else:
+        tau, p_c, p_b = 0.0, 0.0, 0.0
+    n, t = n_eff, timings
+    q = 1.0 - tau  # above 0: tau is at most 2 / (w0 + 1) <= 2/3
+    p_tr = 1.0 - q ** n
+    # p_s = n tau (1 - tau)^(n-1) / p_tr, clamped into [0, 1]; a lone or
+    # silent station's transmissions all succeed
+    p_su = 1.0 if p_tr <= 0.0 or n <= 1.0 else min(1.0, n * tau * q ** (n - 1.0) / p_tr)
+    # S = p_s p_tr E[P] / ((1 - p_tr) sigma + p_tr p_s T_s + p_tr (1 - p_s) T_c)
+    t_s = (t.header_us + t.payload_us + t.sifs_us + t.prop_delay_us + t.ack_us + t.difs_us
+           + t.prop_delay_us)
+    t_c = t.header_us + t.payload_us + t.difs_us + t.prop_delay_us
+    rate = p_su * p_tr * t.payload_us / ((1.0 - p_tr) * t.slot_us + p_tr * p_su * t_s
+                                         + p_tr * (1.0 - p_su) * t_c)
+    # the tagged states, with no other station below one contender
+    others = max(n - 1.0, 0.0)
+    p_emp = q ** n
+    p_suc = others * tau * q ** (n - 1.0)
+    p_own = tau * q ** (n - 1.0)
+    p_pair = others * tau * tau * q ** (n - 2.0)
+    t_tx = t.rts_us + t.cts_us + 3.0 * t.sifs_us + t.payload_us + t.ack_us + t.difs_us
+    t_coll = t.rts_us + t.difs_us
+    t_td_us = (t_tx * (p_tr * n) + t_coll * (p_pair * n) + t.cw_min * t.slot_us / 2.0
+               + t.slot_us * p_emp * n)
+    return PerfReport(n_eff, tau, p_tr, p_su, p_su, rate, p_emp, p_suc, p_own, p_c, p_b, t_td_us)
+
+
 def _bits(report: PerfReport) -> list[tuple[str, str]]:
     """Each field's type and exact float, so that -0.0 and 0.0 differ."""
     return [(type(v).__name__, float(v).hex()) for v in report]
@@ -174,8 +209,10 @@ def test_evaluate_points_matches_the_metric_functions_bit_for_bit(timings, n_eff
             evaluate_points(timings, n_effs, mode)
         assert str(raised.value) == str(exc)
         return
+    published = {n: _bits(_published_report(timings, n, mode)) for n in expected}
     reports = evaluate_points(timings, n_effs, mode)
     assert [_bits(r) for r in reports] == [expected[n] for n in n_effs]
+    assert [_bits(r) for r in reports] == [published[n] for n in n_effs]
 
 
 def test_report_fields_are_its_csv_columns():

@@ -185,6 +185,19 @@ def test_expected_n_eff_rejects_bad_thresholds():
         expected_n_eff(50, 1000.0, [math.nan])
 
 
+@pytest.mark.parametrize("function, args, message", [
+    (place_vehicles, (0, 1000.0, trial_rng(1, 0)), "n must be >= 1 (got 0)"),
+    (place_vehicles, (5, 0.0, trial_rng(1, 0)), "road_length_m must be > 0 (got 0.0)"),
+    (assess_danger, ([0.0, 1.0], "nope"), "unknown danger metric: 'nope'"),
+    (expected_n_eff, (5, 1000.0, [10.0], "nope"), "unknown danger metric: 'nope'"),
+    (n_eff_samples, (5, 1000.0, [10.0], 0, 1), "trials must be >= 1 (got 0)"),
+], ids=["no-vehicle", "no-road", "danger-metric", "n-eff-metric", "no-trial"])
+def test_invalid_arguments_raise_one_message(function, args, message):
+    with pytest.raises(ValueError) as raised:
+        function(*args)
+    assert str(raised.value) == message
+
+
 def test_expected_n_eff_matches_independent_reimplementation():
     # same statistic from scratch: fresh stream, per-vehicle nearest distance
     # over all pairs, strict threshold, no shared code path

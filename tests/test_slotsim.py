@@ -425,6 +425,19 @@ def test_run_single_station():
     assert measured.tau == pytest.approx(2 / 9, rel=0.05)
 
 
+@pytest.mark.parametrize("cw_min", [7, 10])
+@pytest.mark.parametrize("n, slots", [(2, 10**6), (5, 10**6), (50, 10**5)])
+def test_single_stage_attempt_rate_is_the_renewal_rate(cw_min, n, slots):
+    # With one backoff stage a station's attempts are a renewal process of
+    # gaps uniform on 1..W, whatever the other stations do, so tau is
+    # 1/mu = 2/(W+1) with the renewal standard error sqrt(var/(mu^3 n slots)).
+    w = cw_min + 1
+    mu, var = (w + 1) / 2, (w * w - 1) / 12
+    [measured] = simulate_points(MacTimings(cw_min=cw_min, max_stage=0), [n], slots, 0)
+    z = (measured.tau - 1 / mu) / math.sqrt(var / (mu**3 * n * slots))
+    assert abs(z) <= 4, z
+
+
 def test_contention_lowers_transmission_rate():
     crowded, sparse = simulate_points(TIMINGS, [50, 10], 100_000, 6)
     assert crowded.tau < sparse.tau
