@@ -10,9 +10,11 @@ Commands::
 All commands are deterministic and emit CSV with floats printed at 9
 significant digits. Each command accepts the flags of only the config keys
 it reads, and a list flag's values are parsed and checked as its config
-key's are. A flag that another flag would override is an error. Exit
-codes: 0 success, 1 usage or validation error, a run too large for
-memory or a simulator worker that died, 3 I/O failure.
+key's are. A call builds the flags of its own command alone; usage, help
+and errors read as they do with every command's. A flag that another
+flag would override is an error. Exit codes: 0 success, 1 usage or
+validation error, a run too large for memory or a simulator worker that
+died, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -258,7 +260,16 @@ def cmd_scenario(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("point", "sweep", "compare", "scenario")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, with flags for ``command`` alone if named.
+
+    All four commands are registered with their help either way, so the
+    top-level usage, help and errors read the same; flags go only to
+    ``command``'s subparser, or to all four when ``command`` is None.
+    """
     parser = argparse.ArgumentParser(
         prog="dangermac",
         description="Danger-aware V2X MAC model: analytic chain, transmit "
@@ -267,41 +278,48 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_point = sub.add_parser("point", help="evaluate one configuration")
-    p_point.add_argument("--out", metavar="DIR")
-    _add_config_flags(p_point, _POINT_KEYS)
-    p_point.set_defaults(func=cmd_point)
+    if command in (None, "point"):
+        p_point.add_argument("--out", metavar="DIR")
+        _add_config_flags(p_point, _POINT_KEYS)
+        p_point.set_defaults(func=cmd_point)
 
     p_sweep = sub.add_parser("sweep", help="sweep an axis and emit CSV/SVG")
-    p_sweep.add_argument("--x-axis", choices=("n_vehicles", "threshold_m"),
-                         default="n_vehicles")
-    p_sweep.add_argument("--values", default="1..50",
-                         help="comma list or inclusive range like 1..50")
-    p_sweep.add_argument("--thresholds", help="curve thresholds for the n_vehicles "
-                                              f"axis (default {_THRESHOLDS})")
-    p_sweep.add_argument("--metrics", default=",".join(SWEEP_METRICS))
-    p_sweep.add_argument("--svg", action="store_true")
-    p_sweep.add_argument("--out", metavar="DIR")
-    _add_config_flags(p_sweep, _SWEEP_KEYS)
-    p_sweep.set_defaults(func=cmd_sweep)
+    if command in (None, "sweep"):
+        p_sweep.add_argument("--x-axis", choices=("n_vehicles", "threshold_m"),
+                             default="n_vehicles")
+        p_sweep.add_argument("--values", default="1..50",
+                             help="comma list or inclusive range like 1..50")
+        p_sweep.add_argument("--thresholds", help="curve thresholds for the n_vehicles "
+                                                  f"axis (default {_THRESHOLDS})")
+        p_sweep.add_argument("--metrics", default=",".join(SWEEP_METRICS))
+        p_sweep.add_argument("--svg", action="store_true")
+        p_sweep.add_argument("--out", metavar="DIR")
+        _add_config_flags(p_sweep, _SWEEP_KEYS)
+        p_sweep.set_defaults(func=cmd_sweep)
 
     p_cmp = sub.add_parser("compare", help="analytic model vs slot simulation")
-    p_cmp.add_argument("--n-list", help="contender counts, e.g. 5,10,20")
-    p_cmp.add_argument("--slots", type=int, default=200_000)
-    p_cmp.add_argument("--seeds", help="simulator seeds, e.g. 1,2,3")
-    p_cmp.add_argument("--out", metavar="DIR")
-    _add_config_flags(p_cmp, _COMPARE_KEYS)
-    p_cmp.set_defaults(func=cmd_compare)
+    if command in (None, "compare"):
+        p_cmp.add_argument("--n-list", help="contender counts, e.g. 5,10,20")
+        p_cmp.add_argument("--slots", type=int, default=200_000)
+        p_cmp.add_argument("--seeds", help="simulator seeds, e.g. 1,2,3")
+        p_cmp.add_argument("--out", metavar="DIR")
+        _add_config_flags(p_cmp, _COMPARE_KEYS)
+        p_cmp.set_defaults(func=cmd_compare)
 
     p_scn = sub.add_parser("scenario", help="per-trial granted contender counts")
-    p_scn.add_argument("--thresholds", default=_THRESHOLDS)
-    p_scn.add_argument("--out", metavar="DIR")
-    _add_config_flags(p_scn, _SCENARIO_KEYS)
-    p_scn.set_defaults(func=cmd_scenario)
+    if command in (None, "scenario"):
+        p_scn.add_argument("--thresholds", default=_THRESHOLDS)
+        p_scn.add_argument("--out", metavar="DIR")
+        _add_config_flags(p_scn, _SCENARIO_KEYS)
+        p_scn.set_defaults(func=cmd_scenario)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a named command gets only its own flags; --help, a bare call or an
+    # unknown word gets every command's
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -320,7 +338,7 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())
 
 
 if __name__ == "__main__":

@@ -15,18 +15,21 @@ counter-zero states: one attempt per D slots, T = 1 / D(p_c, p_b), where D
 is the mean number of slots per attempt. D sums each stage's mean
 occupancy per attempt weighted by the share of attempts made from that
 stage; those stage coefficients sum to exactly 1. ``_slots_per_attempt``
-is its one closed form, evaluated by Horner's rule over a per-solve tuple
-of ``(W_i, (W_i - 1) / 2)``; the tests check it against the per-stage
-form and a power iteration of the explicit transition matrix, and it
-returns dD/dp_c and dD/dp_b from the same pass. The model is closed over
-``n`` contenders by a bracketed Newton solve of tau = T(tau) in the
-collision probability, about 5 evaluations of D per solve.
+is its one closed form, evaluated by Horner's rule over a tuple of
+``(W_i, (W_i - 1) / 2)`` built once per geometry; the tests check it
+against the per-stage form and a power iteration of the explicit
+transition matrix, and it returns dD/dp_c and dD/dp_b from the same
+pass. The model is closed over ``n`` contenders by a bracketed Newton
+solve of tau = T(tau) in the collision probability, about 5 evaluations
+of D per solve.
 """
 
 from __future__ import annotations
 
 import sys
+from functools import lru_cache
 from math import expm1, log1p
+from operator import index
 from typing import NamedTuple
 
 from .config import MODEL_MODES
@@ -37,12 +40,15 @@ class ChainGeometry(NamedTuple("ChainGeometry", [("max_stage", int), ("w0", int)
 
     The constructor checks both fields, and so do ``pickle`` and
     ``copy``, which call it; ``_make`` and ``_replace`` skip the check,
-    and nothing calls them.
+    and nothing calls them. Both fields are made integers by
+    ``operator.index``, which refuses a float: ``_stage_terms`` caches
+    its table by geometry, and equal geometries must build equal tables.
     """
 
     __slots__ = ()
 
     def __new__(cls, max_stage: int, w0: int):
+        max_stage, w0 = index(max_stage), index(w0)
         if max_stage < 0:
             raise ValueError(f"max_stage must be >= 0 (got {max_stage})")
         if w0 < 2:
@@ -64,8 +70,10 @@ class FixedPointSolution(NamedTuple):
     residual: float
 
 
+@lru_cache(maxsize=64)
 def _stage_terms(g: ChainGeometry) -> tuple[tuple[int, float], ...]:
-    """``(W_i, (W_i - 1) / 2)`` for each stage, top stage first."""
+    """``(W_i, (W_i - 1) / 2)`` for each stage, top stage first; built once
+    per geometry, which is immutable and hashable, and shared by its solves."""
     stages = []
     w = g.window(g.max_stage)
     while w >= g.w0:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from dangermac.cli import main
+from dangermac.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -228,11 +229,61 @@ def test_byte_identical_reruns(tmp_path, capsys):
     assert digests[0] == digests[1]
 
 
+COMMANDS = ("point", "sweep", "compare", "scenario")
+HELP_AND_ERROR_ARGVS = [[], ["--help"], ["bogus"],
+                        *([command, "--help"] for command in COMMANDS),
+                        *([command, "--no-such-flag"] for command in COMMANDS)]
+
+
+def full_parser_output(capsys, argv):
+    """Exit code main gives, stdout and stderr of every command's parser on argv."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    return 0 if exc.value.code in (0, None) else 1, captured.out, captured.err
+
+
+def subparsers(parser):
+    action, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def flag_specs(parser):
+    return [(a.option_strings, a.dest, a.default, a.choices) for a in parser._actions]
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
     assert main(["sweep", "--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", HELP_AND_ERROR_ARGVS,
+                         ids=lambda argv: " ".join(argv) or "no args")
+def test_help_and_errors_read_as_with_every_commands_flags(capsys, argv):
+    # main builds only the named command's flags; what it prints must not show it
+    expected = full_parser_output(capsys, argv)
+    assert expected[1] or expected[2]
+    assert run_cli(capsys, *argv) == expected
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_one_commands_parser_has_that_commands_flags(command):
+    full, one = subparsers(build_parser()), subparsers(build_parser(command))
+    assert list(one) == list(full) == list(COMMANDS)
+    assert flag_specs(one[command]) == flag_specs(full[command])
+    for other in COMMANDS:
+        if other != command:
+            assert [a.dest for a in one[other]._actions] == ["help"]
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    expected = full_parser_output(capsys, ["sweep", "--help"])
+    monkeypatch.setattr(sys, "argv", ["dangermac", "sweep", "--help"])
+    assert main() == 0
+    assert capsys.readouterr() == expected[1:]
+    assert expected[1].startswith("usage: dangermac sweep")
 
 
 def test_point_large_population(capsys):

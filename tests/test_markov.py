@@ -168,6 +168,10 @@ def test_geometry_validation():
         ChainGeometry(-1, 8)
     with pytest.raises(ValueError, match=r"w0 must be >= 2 \(got 1\)"):
         ChainGeometry(2, 1)
+    # a float field would share the cached stage table of the equal int geometry
+    for fields in ((3, 16.0), (3.0, 16)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            ChainGeometry(*fields)
 
 
 def test_geometry_pickle_and_deepcopy_round_trip():
@@ -536,9 +540,15 @@ def test_fixed_point_does_not_depend_on_solve_order():
                                                [float(t) for t in range(1001)],
                                                cfg.danger_metric) if n > 0})
     assert len(counts) == 472
-    shuffled = counts[:]
+    # interleaved with two other geometries, and with each order solved from an
+    # empty stage-table cache, so a table cached under the wrong key shows
+    jobs = [(n, g) for n in counts
+            for g in (DEFAULT_GEOMETRY, ChainGeometry(0, 8), ChainGeometry(3, 16))]
+    shuffled = jobs[:]
     random.Random(3).shuffle(shuffled)
     for mode in MODEL_MODES:
-        solutions = [{n: solve_fixed_point(n, DEFAULT_GEOMETRY, mode) for n in order}
-                     for order in (counts, counts[::-1], shuffled)]
+        solutions = []
+        for order in (jobs, jobs[::-1], shuffled):
+            _stage_terms.cache_clear()
+            solutions.append({job: solve_fixed_point(*job, mode) for job in order})
         assert solutions[0] == solutions[1] == solutions[2]
