@@ -10,7 +10,6 @@ from .config import (
     ConfigError,
     MacTimings,
     ScenarioConfig,
-    config_to_dict,
     load_config,
 )
 from .markov import (
@@ -48,13 +47,13 @@ from .scenario import (
 )
 from .slotsim import SimStats, run
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"
 
 __all__ = [
     "AccessProbabilities", "ChainGeometry", "ConfigError", "DelayBreakdown",
     "DelayStates", "FixedPointSolution", "MacTimings",
     "PerfReport", "ScenarioConfig", "SimStats", "access_probabilities",
-    "apply_threshold", "assess_danger", "config_to_dict",
+    "apply_threshold", "assess_danger",
     "delay_state_probabilities", "evaluate_point", "evaluate_points",
     "expected_n_eff", "frame_times", "geometry_from", "load_config",
     "metric_column", "metric_value", "n_eff_samples", "pdr", "place_vehicles", "run",

@@ -4,18 +4,19 @@ Output is deterministic: fixed palette, fixed tick logic, fixed float
 formatting. Good enough for eyeballing sweep trends next to the CSV.
 
 One routine, ``_axis``, builds both axes of a chart: the ticks, their
-pixels and labels, and one ``%.2f`` format of the pixel of each distinct
-finite value. Charts that share their xs share one x axis, so its labels
-and texts are made once; each chart builds its own y axis. A point is the
-join of its two texts, so repeated values cost a lookup, not a format.
+pixels and labels, and one ``%.2f`` format of the pixel of each input
+value, by position. A chart takes one y value per distinct report and
+draws each series as one index into those values per x position, so a
+point is the join of two texts picked by position and no value is
+hashed. Charts that share their xs share one x axis, so its labels and
+texts are made once; each chart builds its y axis once over its values.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from itertools import chain
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#7f7f7f", "#ff7f0e", "#9467bd",
            "#8c564b", "#17becf")
@@ -91,38 +92,37 @@ def _tick_labels(ticks: list[float]) -> list[str]:
 
 class Axis(NamedTuple):
     """A chart axis: its ticks, their pixels and labels, and the pixel text
-    of each distinct finite value, so charts that share an axis label and
-    format it once."""
+    of each input value by position (``None`` where the value is not
+    finite), so charts that share an axis label and format it once."""
 
     ticks: list[float]
     pixels: list[float]
     labels: list[str]
-    text: dict[float, str]
+    texts: list[str | None]
 
 
-def _axis(values: Iterable[float], origin: float, length: float, fmt: str) -> Axis:
+def _axis(values: list[float], origin: float, length: float, fmt: str) -> Axis:
     """The axis whose ticks cover the finite ``values``: the first tick
     lies at pixel ``origin`` and the last ``length`` pixels on (negative
     for a y axis, which grows upwards). Each finite value's text is
-    ``fmt`` of its pixel; a value with no text is not drawn."""
-    # first-seen order: min and max pick the same float (0.0 or -0.0) as
-    # they would over every finite value
-    distinct = dict.fromkeys(filter(math.isfinite, values))
-    ticks = _nice_ticks(min(distinct, default=math.nan), max(distinct, default=math.nan))
+    ``fmt`` of its pixel; a value that is not finite has none and is not
+    drawn."""
+    finite = list(filter(math.isfinite, values))
+    ticks = _nice_ticks(min(finite, default=math.nan), max(finite, default=math.nan))
     halve, lo, span = _frame(ticks)
 
     # Data to pixels a list at a time: a call per point costs more than its arithmetic.
-    def px(vs: Iterable[float]) -> list[float]:
+    def px(vs: list[float]) -> list[float]:
         if halve:
             vs = [v / 2 for v in vs]
         return [origin + (v - lo) / span * length for v in vs]
 
-    return Axis(ticks, px(ticks), _tick_labels(ticks),
-                dict(zip(distinct, [fmt % p for p in px(distinct)])))
+    texts = [fmt % p if math.isfinite(v) else None for v, p in zip(values, px(values))]
+    return Axis(ticks, px(ticks), _tick_labels(ticks), texts)
 
 
-def x_axis(xs: Iterable[float]) -> Axis:
-    """The x axis of charts whose series' xs all lie in ``xs``; its pixel
+def x_axis(xs: list[float]) -> Axis:
+    """The x axis of charts drawn at ``xs``, one position each; its pixel
     texts end in the comma that joins a point's x to its y."""
     return _axis(xs, _MARGIN_LEFT, _PLOT_W, "%.2f,")
 
@@ -131,19 +131,18 @@ def line_chart(
     title: str,
     x_label: str,
     y_label: str,
-    series: list[tuple[str, list[float], list[float]]],
-    axis: Axis | None = None,
+    axis: Axis,
+    values: list[float],
+    series: list[tuple[str, list[int]]],
 ) -> str:
-    """Render one chart; ``series`` is a list of (label, xs, ys).
+    """Render one chart of ``(label, indices)`` series over ``axis``.
 
-    ``axis`` is ``x_axis`` of xs that include every series' xs; without it
-    the chart builds its own from them. A point whose x or y is not finite
-    is not drawn.
+    ``axis`` is ``x_axis`` of the chart's xs, and the point of a series at
+    axis position ``i`` has the y ``values[indices[i]]``. A point whose x
+    or y is not finite is not drawn.
     """
-    if axis is None:
-        axis = x_axis(chain.from_iterable(xs for _, xs, _ in series))
-    y_axis = _axis(chain.from_iterable(ys for _, _, ys in series), _Y_BASE, -_PLOT_H, "%.2f")
-    x_text, y_text = axis.text, y_axis.text
+    y_axis = _axis(values, _Y_BASE, -_PLOT_H, "%.2f")
+    x_texts, y_texts = axis.texts, y_axis.texts
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -168,10 +167,10 @@ def line_chart(
     parts.append(f'<text x="16" y="{_MARGIN_TOP + _PLOT_H / 2:.1f}" text-anchor="middle" '
                  f'transform="rotate(-90 16 {_MARGIN_TOP + _PLOT_H / 2:.1f})">{y_label}</text>')
 
-    for idx, (label, xs, ys) in enumerate(series):
+    for idx, (label, indices) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        points = " ".join([x_text[x] + y_text[y] for x, y in zip(xs, ys)
-                           if x in x_text and y in y_text])
+        points = " ".join([x + y for x, y in zip(x_texts, map(y_texts.__getitem__, indices))
+                           if x is not None and y is not None])
         parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
                      f'stroke-width="1.8"/>')
         legend_y = _MARGIN_TOP + 10 + idx * 18

@@ -27,8 +27,8 @@ from pathlib import Path
 from .charts import line_chart, x_axis
 from .config import (CHOICES, ConfigError, MacTimings, ScenarioConfig, _coerce, load_config,
                      validate_scenario)
-from .pipeline import (REPORT_COLUMNS, SWEEP_METRICS, WorkerError, _simulate_runs,
-                       evaluate_points, metric_column)
+from .pipeline import (REPORT_COLUMNS, SWEEP_METRICS, WorkerError, _distinct_reports,
+                       _simulate_runs, evaluate_points, metric_column)
 from .scenario import expected_n_eff, n_eff_samples
 
 _CELL = "%.9g"
@@ -132,14 +132,15 @@ def _parse_numbers(text: str, key: str, flag: str) -> list:
     return values
 
 
-def _report_lines(timings: MacTimings, model_mode: str, rows: list) -> tuple[list, list]:
-    """The CSV lines and reports of ``(x text, threshold_m cell, n_eff)`` rows;
-    equal counts share one report, so each distinct count is formatted once."""
-    n_effs = [n for _, _, n in rows]
-    reports = evaluate_points(timings, n_effs, model_mode)
-    texts = {n: _REPORT_FORMAT % r for n, r in dict(zip(n_effs, reports)).items()}
-    lines = [f"{x},{cell},{texts[n]},{model_mode}" for x, cell, n in rows]
-    return lines, reports
+def _report_lines(timings: MacTimings, model_mode: str, rows: list) -> tuple[list, list, list]:
+    """The CSV lines of ``(x text, threshold_m cell, n_eff)`` rows, the
+    distinct reports and each row's index into them (``_distinct_reports``),
+    so each distinct count is solved and formatted once and no count is
+    hashed after that one pass."""
+    reports, at = _distinct_reports(timings, [n for _, _, n in rows], model_mode)
+    texts = [_REPORT_FORMAT % r for r in reports]
+    lines = [f"{x},{cell},{texts[i]},{model_mode}" for (x, cell, _), i in zip(rows, at)]
+    return lines, reports, at
 
 
 def cmd_point(args) -> int:
@@ -150,7 +151,7 @@ def cmd_point(args) -> int:
         row = (str(cfg.n_vehicles), _CELL % cfg.threshold_m,
                expected_n_eff(cfg.n_vehicles, cfg.road_length_m, [cfg.threshold_m],
                               cfg.danger_metric)[0])
-    lines, _ = _report_lines(timings, cfg.model_mode, [row])
+    lines, _, _ = _report_lines(timings, cfg.model_mode, [row])
     _emit(args, "point.csv", _csv_text(_POINT_COLUMNS, lines))
     return 0
 
@@ -196,18 +197,18 @@ def cmd_sweep(args) -> int:
                                           expected_n_eff(cfg.n_vehicles, cfg.road_length_m,
                                                          xs, cfg.danger_metric))
                 for row in ((text, text, mean), (text, "benchmark", whole))]
-    lines, reports = _report_lines(timings, cfg.model_mode, rows)
+    lines, reports, at = _report_lines(timings, cfg.model_mode, rows)
     _emit(args, "sweep.csv", _csv_text(_SWEEP_COLUMNS, lines))
 
     if args.svg:
-        x_values = [float(x) for x in xs]
-        axis = x_axis(x_values)
+        axis = x_axis([float(x) for x in xs])
         x_label = ("number of vehicles" if args.x_axis == "n_vehicles"
                    else "danger threshold (m)")
+        # each curve's rows are every len(curves)-th row, from its own offset
+        series = [(curve, at[j::len(curves)]) for j, curve in enumerate(curves)]
         for metric, column in zip(metrics, columns):
-            series = [(curve, x_values, list(map(column, reports[j::len(curves)])))
-                      for j, curve in enumerate(curves)]
-            _emit(args, f"{metric}.svg", line_chart(metric, x_label, metric, series, axis))
+            _emit(args, f"{metric}.svg", line_chart(metric, x_label, metric, axis,
+                                                    list(map(column, reports)), series))
     return 0
 
 

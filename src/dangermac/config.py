@@ -203,8 +203,3 @@ def load_config(
     validate_timings(timings)
     validate_scenario(scenario)
     return timings, scenario
-
-
-def config_to_dict(timings: MacTimings, scenario: ScenarioConfig) -> dict:
-    """Flatten both configs into one JSON-serializable dict (round-trips)."""
-    return timings._asdict() | scenario._asdict()

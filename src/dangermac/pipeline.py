@@ -3,9 +3,10 @@
 Every CLI command reads ``PerfReport``s, one flat record per count whose
 fields are the report's CSV columns, and one private builder makes them
 all from a count's tau, slot terms and collision and busy probabilities.
-``evaluate_points`` feeds it from the chain's fixed point, solving each
-distinct count once. A count there may be an expected value, hence
-fractional; zero contenders skip the solve and give a silent network.
+``_distinct_reports`` feeds it from the chain's fixed point, solving each
+distinct count once, and ``evaluate_points`` lays its reports out by
+count. A count there may be an expected value, hence fractional; zero
+contenders skip the solve and give a silent network.
 ``evaluate_point`` is ``evaluate_points`` of one count.
 ``simulate_points``, which ``compare`` runs beside the chain, feeds it from
 the ``SimStats`` of one simulator run per station count; ``compare`` hands
@@ -76,31 +77,46 @@ def _report_builder(timings: MacTimings):
     return build
 
 
-def evaluate_points(
+def _distinct_reports(
     timings: MacTimings,
     n_effs: list[float],
     model_mode: str,
-) -> list[PerfReport]:
-    """One full analytic report per count in ``n_effs``, in order.
+) -> tuple[list[PerfReport], list[int]]:
+    """One full analytic report per distinct count in ``n_effs``, in the
+    order each is first met, and each count's index into them.
 
     Each distinct count is solved once, and ``_report_builder`` makes its
     report from ``metrics``' helpers, the definitions the public metric
     functions read, so the reports equal their composition bit for bit.
-    Equal counts share one report, kept only for this call. Raises
+    This one pass is where equal counts come to share a report. Raises
     ValueError for a negative or NaN count, and as the builder does.
     """
     geometry = geometry_from(timings)
     build = _report_builder(timings)
-    reports = {}
-    for n in dict.fromkeys(n_effs):
+    index: dict[float, int] = {}
+    at = [index.setdefault(n, len(index)) for n in n_effs]
+    reports = []
+    for n in index:
         if n > 0:
             s = solve_fixed_point(n, geometry, model_mode)
             tau, p_c, p_b = s.tau, s.p_c, s.p_b
         else:
             tau, p_c, p_b = 0.0, 0.0, 0.0
         # a negative or NaN count skips the solve, and _slot_terms rejects it
-        reports[n] = build(n, tau, _slot_terms(tau, n), p_c, p_b)
-    return [reports[n_eff] for n_eff in n_effs]
+        reports.append(build(n, tau, _slot_terms(tau, n), p_c, p_b))
+    return reports, at
+
+
+def evaluate_points(
+    timings: MacTimings,
+    n_effs: list[float],
+    model_mode: str,
+) -> list[PerfReport]:
+    """One full analytic report per count in ``n_effs``, in order: the
+    reports of ``_distinct_reports``, which solves each distinct count
+    once. Equal counts share one report, kept only for this call."""
+    reports, at = _distinct_reports(timings, n_effs, model_mode)
+    return [reports[i] for i in at]
 
 
 def evaluate_point(

@@ -23,38 +23,57 @@ SERIES = [
 ]
 
 
+def _chart(title: str, x_label: str, y_label: str,
+           series: list[tuple[str, list[float], list[float]]]) -> str:
+    """``line_chart`` of ``(label, xs, ys)`` series: every series' xs go into
+    one axis, one stretch after another, and each series points at a NaN
+    filler, which is not drawn, outside its own stretch."""
+    xs, values, stretches = [], [math.nan], []
+    for _, own_xs, ys in series:
+        assert len(own_xs) == len(ys)
+        stretches.append((len(xs), len(values), len(ys)))
+        xs += own_xs
+        values += ys
+    indexed = []
+    for (label, _, _), (start, first, count) in zip(series, stretches):
+        indices = [0] * len(xs)
+        indices[start:start + count] = range(first, first + count)
+        indexed.append((label, indices))
+    return line_chart(title, x_label, y_label, x_axis(xs), values, indexed)
+
+
 def test_chart_is_well_formed_xml():
-    svg = line_chart("pdr", "number of vehicles", "pdr", SERIES)
+    svg = _chart("pdr", "number of vehicles", "pdr", SERIES)
     root = ET.fromstring(svg)
     assert root.tag.endswith("svg")
 
 
 def test_chart_has_one_polyline_per_series():
-    svg = line_chart("pdr", "x", "y", SERIES)
+    svg = _chart("pdr", "x", "y", SERIES)
     assert svg.count("<polyline") == 2
     assert "300" in svg and "benchmark" in svg
 
 
 def test_chart_deterministic():
-    assert line_chart("t", "x", "y", SERIES) == line_chart("t", "x", "y", SERIES)
+    assert _chart("t", "x", "y", SERIES) == _chart("t", "x", "y", SERIES)
 
 
 def test_chart_handles_flat_series():
-    svg = line_chart("tau", "x", "y", [("flat", [0.0, 1.0], [0.5, 0.5])])
+    svg = _chart("tau", "x", "y", [("flat", [0.0, 1.0], [0.5, 0.5])])
     ET.fromstring(svg)
     assert "<polyline" in svg
 
 
 def test_chart_skips_non_finite_points():
-    svg = line_chart("d", "x", "y",
-                     [("gap", [0.0, 1.0, 2.0], [1.0, float("inf"), 3.0])])
+    svg = _chart("d", "x", "y",
+                 [("gap", [0.0, 1.0, 2.0], [1.0, float("inf"), 3.0])])
     root = ET.fromstring(svg)
     polys = [e for e in root.iter() if e.tag.endswith("polyline")]
     assert len(polys[0].attrib["points"].split()) == 2
     # an infinite x once stretched the x ticks to the largest float, drew
     # x = 5 at pixel 2702 and wrote an "inf,34.00" point
     series = [("a", [0.0, 5.0, math.inf], [1.0, 2.0, 3.0])]
-    svg = line_chart("d", "x", "y", series)
+    svg = _chart("d", "x", "y", series)
     [points] = [e.attrib["points"] for e in ET.fromstring(svg).iter()
                 if e.tag.endswith("polyline")]
     assert points == _reference_points(series)[0] == "62.00,394.00 590.00,214.00"
@@ -63,7 +82,7 @@ def test_chart_skips_non_finite_points():
 
 def test_chart_of_non_finite_points_is_pinned():
     nan, inf = math.nan, math.inf
-    svg = line_chart("pdr", "danger threshold (m)", "pdr", [
+    svg = _chart("pdr", "danger threshold (m)", "pdr", [
         ("gaps", [0.1, 0.7, 1.3, 2.9, 3.3, 4.75], [1 / 3, nan, 2 / 7, inf, -inf, 2.5]),
         ("edges", [0.05, 1.55, 2.5, 4.0], [-inf, 0.125, nan, 1 / 7]),
         ("none", [0.2, 3.1], [nan, inf]),
@@ -101,7 +120,7 @@ def test_chart_of_no_finite_y_has_empty_polylines():
     for series in ([("a", [1.0, 2.0], [math.nan, math.inf])],
                    [("a", [], [])],
                    [("a", [], []), ("b", [0.5, 1.5], [2.0, 3.0])]):
-        root = ET.fromstring(line_chart("t", "x", "y", series))
+        root = ET.fromstring(_chart("t", "x", "y", series))
         points = [e.attrib["points"] for e in root.iter() if e.tag.endswith("polyline")]
         assert points == _reference_points(series)
         assert points[0] == ""
@@ -134,31 +153,73 @@ def _chart_series(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_chart_series())
 def test_polylines_match_one_format_per_point(series):
-    own = line_chart("t", "x", "y", series)
-    shared = line_chart("t", "x", "y", series,
-                        x_axis(x for _, xs, _ in series for x in xs))
-    assert shared == own
-    root = ET.fromstring(own)
+    svg = _chart("t", "x", "y", series)
+    root = ET.fromstring(svg)
     points = [e.attrib["points"] for e in root.iter() if e.tag.endswith("polyline")]
     assert points == _reference_points(series)
-    assert _points_outside_plot(own) == []
+    assert _points_outside_plot(svg) == []
+
+
+@st.composite
+def _sweep_charts(draw):
+    """A chart shaped as the command line draws one: finite xs, finite
+    values each of which some series picks, and 1 to 4 series that each
+    index the values at every x position, so no text is ``None``."""
+    finite = _CHART_VALUES.filter(math.isfinite)
+    xs = draw(st.lists(finite, max_size=12))
+    drawn = draw(st.lists(finite, min_size=12, max_size=12))
+    picks = [draw(st.lists(st.integers(0, 11), min_size=len(xs), max_size=len(xs)))
+             for _ in range(draw(st.integers(1, 4)))]
+    # keep the picked values only, in the order first picked
+    order = {}
+    series = [(str(i), [order.setdefault(j, len(order)) for j in indices])
+              for i, indices in enumerate(picks)]
+    return xs, [drawn[j] for j in order], series
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_sweep_charts())
+def test_sweep_polylines_match_one_format_per_point(chart):
+    xs, values, series = chart
+    svg = line_chart("t", "x", "y", x_axis(xs), values, series)
+    root = ET.fromstring(svg)
+    points = [e.attrib["points"] for e in root.iter() if e.tag.endswith("polyline")]
+    assert points == _reference_points([(label, xs, [values[i] for i in indices])
+                                        for label, indices in series])
+    assert all(len(p.split()) == len(xs) for p in points)
+    assert _points_outside_plot(svg) == []
 
 
 def test_threshold_sweep_charts_share_one_axis(tmp_path, monkeypatch, capsys):
+    # Every chart of a sweep shares one x axis and takes one value per
+    # distinct report, not per row: the threshold sweep's 2,002 rows hold
+    # 473 distinct reports and the default sweep's 200 rows 174. Each curve
+    # is one index into those values per x.
     calls = []
 
-    def counting_line_chart(title, x_label, y_label, series, axis=None):
-        calls.append(axis)
-        return line_chart(title, x_label, y_label, series, axis)
+    def recording_line_chart(title, x_label, y_label, axis, values, series):
+        calls.append((axis, values, series))
+        return line_chart(title, x_label, y_label, axis, values, series)
 
-    monkeypatch.setattr(cli, "line_chart", counting_line_chart)
-    argv = ["sweep", "--x-axis", "threshold_m", "--values", "0..1000", "--n-vehicles", "50",
-            "--svg", "--out", str(tmp_path)]
-    assert main(argv) == 0
-    capsys.readouterr()
-    assert len(calls) == 7
-    assert calls[0] is not None and all(axis is calls[0] for axis in calls)
-    assert len(calls[0].text) == 1001
+    monkeypatch.setattr(cli, "line_chart", recording_line_chart)
+    for argv, x_count, value_count, curves in [
+        (["--x-axis", "threshold_m", "--values", "0..1000", "--n-vehicles", "50"],
+         1001, 473, ["filtered", "benchmark"]),
+        ([], 50, 174, ["300", "500", "700", "benchmark"]),
+    ]:
+        calls.clear()
+        assert main(["sweep", *argv, "--svg", "--out", str(tmp_path / str(x_count))]) == 0
+        capsys.readouterr()
+        assert len(calls) == 7
+        axis = calls[0][0]
+        assert all(call[0] is axis for call in calls)
+        assert len(axis.texts) == x_count
+        for _, values, series in calls:
+            assert len(values) == value_count
+            assert [(label, len(indices)) for label, indices in series] == [
+                (curve, x_count) for curve in curves]
+            # every distinct report is drawn
+            assert {i for _, indices in series for i in indices} == set(range(value_count))
 
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
@@ -183,7 +244,7 @@ def test_chart_of_a_span_wider_than_the_largest_float():
     assert _nice_ticks(-1e308, 1e308) == [-1.5e308, -1e308, -5e307, 0.0, 5e307, 1e308, 1.5e308]
     top = sys.float_info.max
     assert _nice_ticks(-top, top) == [-top, -1e308, 0.0, 1e308, top]
-    svg = line_chart("t", "x", "y", [("a", [0.0, 1.0], [1e308, -1e308])])
+    svg = _chart("t", "x", "y", [("a", [0.0, 1.0], [1e308, -1e308])])
     root = ET.fromstring(svg)
     [points] = [e.attrib["points"] for e in root.iter() if e.tag.endswith("polyline")]
     assert points == "62.00,94.00 590.00,334.00"
@@ -290,8 +351,9 @@ def test_sweep_chart_of_a_step_below_half_an_ulp_ends(capsys):
                                       "both print as 1e+20\n"
     src = str(Path(__file__).resolve().parents[1] / "src")
     xs = [float(x) for x in values.split(",")]  # the sweep's x values
-    code = ("from dangermac.charts import line_chart; "
-            f"print(line_chart('pdr', 'x', 'pdr', [('filtered', {xs!r}, [0.5, 0.6])]))")
+    code = ("from dangermac.charts import line_chart, x_axis; "
+            f"print(line_chart('pdr', 'x', 'pdr', x_axis({xs!r}), [0.5, 0.6], "
+            "[('filtered', [0, 1])]))")
     result = subprocess.run([sys.executable, "-c", code],
                             env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                             text=True, timeout=60, preexec_fn=cap_address_space)

@@ -6,8 +6,7 @@ import json
 import pytest
 
 from dangermac.cli import main
-from dangermac.config import (ConfigError, MacTimings, ScenarioConfig, config_to_dict,
-                              load_config)
+from dangermac.config import ConfigError, MacTimings, ScenarioConfig, load_config
 
 TIMINGS = MacTimings._fields
 CONFIG_KEYS = TIMINGS + ScenarioConfig._fields
@@ -80,7 +79,8 @@ def test_a_config_file_may_hold_every_key(tmp_path, capsys):
     # one file serves all commands, so each takes every key from a file;
     # the defaults written out give the same bytes as no file
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(config_to_dict(*load_config())))
+    timings, scenario = load_config()
+    config.write_text(json.dumps(timings._asdict() | scenario._asdict()))
     assert set(json.loads(config.read_text())) == set(CONFIG_KEYS)
     for argv in BASE.values():
         code, out, err = run_cli(capsys, [*argv, "--config", str(config)])

@@ -7,7 +7,6 @@ from dangermac.config import (
     ConfigError,
     MacTimings,
     ScenarioConfig,
-    config_to_dict,
     load_config,
 )
 
@@ -103,13 +102,14 @@ def test_non_integer_count_rejected():
 
 def test_round_trip():
     t, s = load_config('{"cw_min": 15, "threshold_m": 300, "trials": 7}')
-    text = json.dumps(config_to_dict(t, s))
+    text = json.dumps(t._asdict() | s._asdict())
     t2, s2 = load_config(text)
     assert (t2, s2) == (t, s)
     # the no-filter default survives a round trip too
-    t3, s3 = load_config(json.dumps(config_to_dict(*load_config())))
+    t, s = load_config()
+    t3, s3 = load_config(json.dumps(t._asdict() | s._asdict()))
     assert s3.threshold_m is None
-    assert (t3, s3) == load_config()
+    assert (t3, s3) == (t, s)
 
 
 _DEFAULTS = MacTimings._field_defaults | ScenarioConfig._field_defaults
@@ -120,7 +120,8 @@ def test_string_value_parses_as_the_declared_type(key):
     # the CLI passes every value as a string; a key whose kind is read
     # wrongly comes back with another type, or is rejected
     value = 300.0 if _DEFAULTS[key] is None else _DEFAULTS[key]  # threshold_m
-    got = config_to_dict(*load_config(None, {key: str(value)}))[key]
+    timings, scenario = load_config(None, {key: str(value)})
+    got = (timings._asdict() | scenario._asdict())[key]
     assert got == value
     assert type(got) is type(value)
 

@@ -68,6 +68,17 @@ def test_evaluate_points_solves_each_distinct_count_once(monkeypatch):
     assert solved == [5.0, 12.5, 50.0, 1.0] * 2
 
 
+def test_distinct_reports_index_each_count_once():
+    # -0.0 equals 0.0, so it shares the report of the first zero met
+    counts = [*COUNTS, -0.0]
+    timings = MacTimings()
+    reports, at = pipeline._distinct_reports(timings, counts, "busy_aware")
+    assert [r.n_eff_mean for r in reports] == [5.0, 0.0, 12.5, 50.0, 1.0]
+    assert at == [0, 1, 2, 0, 1, 3, 2, 4, 1]
+    assert [reports[i] for i in at] == evaluate_points(timings, counts, "busy_aware")
+    assert pipeline._distinct_reports(timings, [], "busy_aware") == ([], [])
+
+
 def test_evaluate_points_builds_each_report_in_one_pass(monkeypatch):
     geometries, frames = [], []
     frame_times = metrics.frame_times
