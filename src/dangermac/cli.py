@@ -10,9 +10,11 @@ Commands::
 All commands are deterministic and emit CSV with floats printed at 9
 significant digits. Each command accepts the flags of only the config keys
 it reads, and a list flag's values are parsed and checked as its config
-key's are. A call builds the flags of its own command alone; usage, help
-and errors read as they do with every command's. A flag that another
-flag would override is an error. Exit codes: 0 success, 1 usage or
+key's are, each with the CSV cell its rows print, made once. A range is
+checked before it is built, so one too long for memory fails at once. A
+call builds the flags of its own command alone; usage, help and errors
+read as they do with every command's. A flag that another flag would
+override is an error. Exit codes: 0 success, 1 usage or
 validation error, a run too large for memory or a simulator worker that
 died, 3 I/O failure.
 """
@@ -37,7 +39,6 @@ _POINT_COLUMNS = ["n_vehicles", "threshold_m", *REPORT_COLUMNS, "model_mode"]
 _SWEEP_COLUMNS = ["x"] + _POINT_COLUMNS[1:]
 _THRESHOLDS = "300,500,700"  # the default --thresholds
 _SCENARIO_COLUMNS = ["trial", "threshold_m", "n_eff"]
-_SCENARIO_FORMAT = f"%d,{_CELL},%d"
 # The quantities compare checks, in column order, each read off a report.
 _CHECKED = {"tau": attrgetter("tau"), "p_su": attrgetter("p_su"),
             "s": attrgetter("throughput"), "col_frac": lambda report: 1.0 - report.p_su}
@@ -99,10 +100,13 @@ def _build_config(args) -> tuple[MacTimings, ScenarioConfig]:
     return load_config(text, {key: value for key, value in flags.items() if value is not None})
 
 
-def _parse_numbers(text: str, key: str, flag: str) -> list:
+def _parse_numbers(text: str, key: str, flag: str) -> tuple[list, list[str]]:
     """The values of config key ``key`` that ``flag`` lists, as ``a,b,c`` or an
-    inclusive integer range ``lo..hi``: coerced, checked, strictly increasing
-    and, for a float key, each written as its own ``_CELL`` cell."""
+    inclusive integer range ``lo..hi``: coerced, checked, strictly increasing,
+    and each with the one CSV cell its rows print, ``_CELL % value`` for a
+    float key and ``str(value)`` for an int. A float key's cells must differ.
+    A range's ends are checked first and it is then built whole from its
+    length, so a range too long for memory fails at once."""
     lo, dots, hi = text.partition("..")
     try:
         if dots:
@@ -110,26 +114,31 @@ def _parse_numbers(text: str, key: str, flag: str) -> list:
                 span = range(int(lo), int(hi) + 1)
             except ValueError:
                 raise ValueError(f"bad range for {flag}: {text!r}") from None
-            # coercing the endpoints' text shows a float key's overflow as inf
-            kind = type(_coerce(key, lo))
-            _coerce(key, hi)
-            values = list(map(kind, span))
+            # coercing the ends' text shows a float key's overflow as inf
+            values = [_coerce(key, lo), _coerce(key, hi)] if span else []
         else:
             values = [_coerce(key, part) for part in text.split(",")] if text.strip() else []
         if not values:
             raise ValueError(f"{flag} must not be empty")
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise ValueError(f"{flag} must be strictly increasing")
-        if type(values[0]) is float:  # each is written as a cell, so the cells must differ
-            cells = list(map(_CELL.__mod__, values))
-            for a, b, cell, next_cell in zip(values, values[1:], cells, cells[1:]):
-                if cell == next_cell:
-                    raise ValueError(f"{flag}: {a!r} and {b!r} both print as {cell}")
-        for value in (values[0], values[-1]):  # so the ends bound every value
+        # the ends bound every value, so a range is checked before it is built
+        for value in (values[0], values[-1]):
             validate_scenario(ScenarioConfig(**{key: value}))
+        if dots:
+            if span.stop - span.start > sys.maxsize:  # the list could not be built
+                raise ValueError(f"{flag} must hold at most {sys.maxsize} values")
+            kind = type(values[0])
+            values = [values[0]] * len(span)
+            for i, value in enumerate(span):
+                values[i] = kind(value)
+        cells = list(map(_CELL.__mod__ if type(values[0]) is float else str, values))
+        for a, b, cell, next_cell in zip(values, values[1:], cells, cells[1:]):
+            if b <= a:
+                raise ValueError(f"{flag} must be strictly increasing")
+            if cell == next_cell:  # two float rows the CSV could not tell apart
+                raise ValueError(f"{flag}: {a!r} and {b!r} both print as {cell}")
     except ConfigError as exc:
         raise ConfigError(f"{flag}: {exc}") from None
-    return values
+    return values, cells
 
 
 def _report_lines(timings: MacTimings, model_mode: str, rows: list) -> tuple[list, list, list]:
@@ -181,19 +190,19 @@ def cmd_sweep(args) -> int:
     # Rows run x-major: each x has one count per curve, the benchmark curve
     # (its whole population) last.
     if args.x_axis == "n_vehicles":
-        xs = _parse_numbers(args.values, "n_vehicles", "--values")
-        thresholds = _parse_numbers(_THRESHOLDS if args.thresholds is None else args.thresholds,
-                                    "threshold_m", "--thresholds")
-        curves = [*map(_CELL.__mod__, thresholds), "benchmark"]
-        rows = [(text, curve, n) for x, text in zip(xs, map(str, xs))
+        xs, texts = _parse_numbers(args.values, "n_vehicles", "--values")
+        thresholds, cells = _parse_numbers(_THRESHOLDS if args.thresholds is None
+                                           else args.thresholds, "threshold_m", "--thresholds")
+        curves = [*cells, "benchmark"]
+        rows = [(text, curve, n) for x, text in zip(xs, texts)
                 for curve, n in zip(curves, [*expected_n_eff(x, cfg.road_length_m, thresholds,
                                                               cfg.danger_metric), float(x)])]
     else:
-        xs = _parse_numbers(args.values, "threshold_m", "--values")
+        xs, texts = _parse_numbers(args.values, "threshold_m", "--values")
         curves = ["filtered", "benchmark"]
         whole = float(cfg.n_vehicles)
         # a filtered row's threshold_m cell is its own x
-        rows = [row for text, mean in zip(map(_CELL.__mod__, xs),
+        rows = [row for text, mean in zip(texts,
                                           expected_n_eff(cfg.n_vehicles, cfg.road_length_m,
                                                          xs, cfg.danger_metric))
                 for row in ((text, text, mean), (text, "benchmark", whole))]
@@ -218,9 +227,9 @@ def cmd_compare(args) -> int:
         raise ValueError("--n-vehicles and --n-list both give the populations; pass one")
     if args.seeds is not None and args.rng_seed is not None:
         raise ValueError("--seed and --seeds both give the seeds; pass one")
-    n_list = (_parse_numbers(args.n_list, "n_vehicles", "--n-list")
+    n_list = (_parse_numbers(args.n_list, "n_vehicles", "--n-list")[0]
               if args.n_list is not None else [cfg.n_vehicles])
-    seeds = (_parse_numbers(args.seeds, "rng_seed", "--seeds")
+    seeds = (_parse_numbers(args.seeds, "rng_seed", "--seeds")[0]
              if args.seeds is not None else [cfg.rng_seed])
     if args.slots < 1:
         raise ValueError("--slots must be >= 1")
@@ -251,12 +260,11 @@ def cmd_compare(args) -> int:
 
 def cmd_scenario(args) -> int:
     _, cfg = _build_config(args)
-    thresholds = _parse_numbers(args.thresholds, "threshold_m", "--thresholds")
+    thresholds, cells = _parse_numbers(args.thresholds, "threshold_m", "--thresholds")
     samples = n_eff_samples(cfg.n_vehicles, cfg.road_length_m, thresholds,
                             cfg.trials, cfg.rng_seed, cfg.danger_metric)
-    lines = [_SCENARIO_FORMAT % (trial, threshold, count)
-             for trial, counts in enumerate(samples)
-             for threshold, count in zip(thresholds, counts)]
+    lines = [f"{trial},{cell},{count}" for trial, counts in enumerate(samples)
+             for cell, count in zip(cells, counts)]
     _emit(args, "scenario.csv", _csv_text(_SCENARIO_COLUMNS, lines))
     return 0
 

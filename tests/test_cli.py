@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from dangermac.cli import build_parser, main
+from dangermac.cli import _parse_numbers, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -356,15 +356,16 @@ def test_python_dash_m_entry_points():
 
 
 # Runs the command line once in a fresh interpreter, then reports on stderr
-# which of numpy, dataclasses and json got imported: the records are
-# NamedTuples, dataclasses alone loads inspect, ast and dis, and json is
-# read only with a config file.
+# which of numpy, dataclasses, json, pickle and signal got imported: the
+# records are NamedTuples, dataclasses alone loads inspect, ast and dis, json
+# is read only with a config file, and pickle and signal only when compare
+# forks its simulator jobs.
 _RUN_AND_REPORT_IMPORTS = """
 import sys
 from dangermac.cli import main
 code = main(sys.argv[1:])
-print(",".join(m for m in ("numpy", "dataclasses", "json") if m in sys.modules),
-      file=sys.stderr)
+print(",".join(m for m in ("numpy", "dataclasses", "json", "pickle", "signal")
+               if m in sys.modules), file=sys.stderr)
 sys.exit(code)
 """
 
@@ -384,8 +385,8 @@ def run_fresh(*argv):
     ["scenario", "--trials", "20"],
 ], ids=["point", "sweep", "compare", "scenario"])
 def test_analytic_commands_start_without_numpy(capsys, argv):
-    # no command loads numpy, dataclasses or json, and the fresh interpreter
-    # writes the same bytes as this one, where the tests have loaded them
+    # no command loads numpy, dataclasses, json, pickle or signal, and the fresh
+    # interpreter writes the same bytes as this one, where the tests have loaded them
     code, out, loaded = run_fresh(*argv)
     assert code == 0
     assert out.count("\n") >= 2  # header and at least one row
@@ -486,22 +487,29 @@ def test_allocation_too_large_exits_one(capsys, monkeypatch, message):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--trials", "100000000000", "--thresholds", "1"], "not enough memory"),
-    (["--n-vehicles", "1000000000000", "--trials", "1"], "not enough memory"),
-    (["--trials", str(10**20), "--thresholds", "1"], f"trials must be <= {sys.maxsize}"),
-    (["--n-vehicles", str(10**20), "--trials", "1"], f"n must be <= {sys.maxsize}"),
-], ids=["trials", "n-vehicles", "trials-past-index", "n-vehicles-past-index"])
+    (["scenario", "--trials", "100000000000", "--thresholds", "1"], "not enough memory"),
+    (["scenario", "--n-vehicles", "1000000000000", "--trials", "1"], "not enough memory"),
+    (["scenario", "--trials", str(10**20), "--thresholds", "1"],
+     f"trials must be <= {sys.maxsize}"),
+    (["scenario", "--n-vehicles", str(10**20), "--trials", "1"],
+     f"n must be <= {sys.maxsize}"),
+    (["sweep", "--values", f"1..{10**400}"],
+     f"--values: n_vehicles must fit in a float (at most {sys.float_info.max:.4g})"),
+    (["sweep", "--values", f"1..{10**20}"], f"--values must hold at most {sys.maxsize} values"),
+], ids=["trials", "n-vehicles", "trials-past-index", "n-vehicles-past-index",
+        "range-end-past-float", "range-past-index"])
 def test_sampler_too_large_for_memory_exits_one(argv, message):
-    # the sampler allocates its result and position lists whole, so under a
-    # capped address space the run fails at once, with a message and no
-    # traceback; the cap is set in the child only
+    # the sampler allocates its result and position lists whole, and a list
+    # flag checks a range's ends and length before building it whole, so
+    # under a capped address space the run fails at once, with a message and
+    # no traceback; the cap is set in the child only
     resource = pytest.importorskip("resource")
 
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
     src = str(Path(__file__).resolve().parents[1] / "src")
-    result = subprocess.run([sys.executable, "-m", "dangermac", "scenario", *argv],
+    result = subprocess.run([sys.executable, "-m", "dangermac", *argv],
                             env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                             text=True, timeout=60, preexec_fn=cap_address_space)
     assert (result.returncode, result.stdout) == (1, "")
@@ -535,6 +543,39 @@ def test_threshold_sweep_solves_each_distinct_count_once(capsys, monkeypatch):
     _, rows = parse_csv(out)
     assert len(rows) == 2 * 1001
     assert len(solved) == len(set(solved)) == 472
+
+
+@pytest.mark.parametrize("argv, formats", [
+    (["sweep", "--x-axis", "threshold_m", "--values", "0..1000", "--n-vehicles", "50"], 1001),
+    (["sweep"], 3),
+], ids=["threshold-axis", "default"])
+def test_each_list_value_is_formatted_once(capsys, monkeypatch, argv, formats):
+    # a float list value's cell is made where its flag is parsed and printed
+    # from there; report cells use _REPORT_FORMAT, built at import, so only
+    # list values are counted
+    import dangermac.cli as cli
+
+    class CountingCell(str):
+        count = 0
+
+        def __mod__(self, value):
+            CountingCell.count += 1
+            return str.__mod__(self, value)
+
+    monkeypatch.setattr(cli, "_CELL", CountingCell(cli._CELL))
+    code, _, _ = run_cli(capsys, *argv)
+    assert (code, CountingCell.count) == (0, formats)
+
+
+@pytest.mark.parametrize("text, key, values, cells", [
+    ("1e-10,0.1,300", "threshold_m", [1e-10, 0.1, 300.0], ["1e-10", "0.1", "300"]),
+    ("1..3", "n_vehicles", [1, 2, 3], ["1", "2", "3"]),
+    ("0..2", "threshold_m", [0.0, 1.0, 2.0], ["0", "1", "2"]),
+])
+def test_a_list_flag_gives_each_value_with_its_cell(text, key, values, cells):
+    parsed = _parse_numbers(text, key, "--flag")
+    assert parsed == (values, cells)
+    assert list(map(type, parsed[0])) == list(map(type, values))  # 1 == 1.0 too
 
 
 _TOO_LARGE_FOR_A_FLOAT = "9" * 400
