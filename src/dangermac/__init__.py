@@ -47,7 +47,7 @@ from .scenario import (
 )
 from .slotsim import SimStats, run
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"
 
 __all__ = [
     "AccessProbabilities", "ChainGeometry", "ConfigError", "DelayBreakdown",

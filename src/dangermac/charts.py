@@ -6,10 +6,13 @@ formatting. Good enough for eyeballing sweep trends next to the CSV.
 One routine, ``_axis``, builds both axes of a chart: the ticks, their
 pixels and labels, and one ``%.2f`` format of the pixel of each input
 value, by position. A chart takes one y value per distinct report and
-draws each series as one index into those values per x position, so a
-point is the join of two texts picked by position and no value is
-hashed. Charts that share their xs share one x axis, so its labels and
-texts are made once; each chart builds its y axis once over its values.
+draws each series as the x positions it joins, each with an index into
+those values, so a point is the join of two texts picked by position and
+no value is hashed. Charts that share their xs share one x axis, so its
+labels and texts are made once; each chart builds its y axis once over
+its values. Over increasing xs, a run of positions with one index is a
+horizontal segment, which ``run_ends`` lets a series draw by its two
+ends alone: the same picture from fewer points.
 """
 
 from __future__ import annotations
@@ -127,19 +130,33 @@ def x_axis(xs: list[float]) -> Axis:
     return _axis(xs, _MARGIN_LEFT, _PLOT_W, "%.2f,")
 
 
+def run_ends(indices: list[int]) -> list[int]:
+    """The positions of ``indices`` that begin or end a run of equal
+    entries: the first, the last, and each whose entry differs from the
+    one before or after it. Where the xs increase, every other position
+    lies on the horizontal segment between the two ends of its run, so a
+    series joined at these positions alone draws the same line."""
+    if len(indices) < 3:
+        return list(range(len(indices)))
+    triples = zip(indices, indices[1:], indices[2:])
+    inner = [p for p, (a, b, c) in enumerate(triples, 1) if a != b or b != c]
+    return [0, *inner, len(indices) - 1]
+
+
 def line_chart(
     title: str,
     x_label: str,
     y_label: str,
     axis: Axis,
     values: list[float],
-    series: list[tuple[str, list[int]]],
+    series: list[tuple[str, list[int], list[int]]],
 ) -> str:
-    """Render one chart of ``(label, indices)`` series over ``axis``.
+    """Render one chart of ``(label, positions, indices)`` series over ``axis``.
 
-    ``axis`` is ``x_axis`` of the chart's xs, and the point of a series at
-    axis position ``i`` has the y ``values[indices[i]]``. A point whose x
-    or y is not finite is not drawn.
+    ``axis`` is ``x_axis`` of the chart's xs. A series joins the points at
+    axis positions ``positions``, in order, and its ``k``-th point has the
+    y ``values[indices[k]]``. A point whose x or y is not finite is not
+    drawn.
     """
     y_axis = _axis(values, _Y_BASE, -_PLOT_H, "%.2f")
     x_texts, y_texts = axis.texts, y_axis.texts
@@ -167,9 +184,10 @@ def line_chart(
     parts.append(f'<text x="16" y="{_MARGIN_TOP + _PLOT_H / 2:.1f}" text-anchor="middle" '
                  f'transform="rotate(-90 16 {_MARGIN_TOP + _PLOT_H / 2:.1f})">{y_label}</text>')
 
-    for idx, (label, indices) in enumerate(series):
+    for idx, (label, positions, indices) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        points = " ".join([x + y for x, y in zip(x_texts, map(y_texts.__getitem__, indices))
+        points = " ".join([x + y for x, y in zip(map(x_texts.__getitem__, positions),
+                                                 map(y_texts.__getitem__, indices))
                            if x is not None and y is not None])
         parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
                      f'stroke-width="1.8"/>')

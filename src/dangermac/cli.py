@@ -26,7 +26,7 @@ import sys
 from operator import attrgetter
 from pathlib import Path
 
-from .charts import line_chart, x_axis
+from .charts import line_chart, run_ends, x_axis
 from .config import (CHOICES, ConfigError, MacTimings, ScenarioConfig, _coerce, load_config,
                      validate_scenario)
 from .pipeline import (REPORT_COLUMNS, SWEEP_METRICS, WorkerError, _distinct_reports,
@@ -213,8 +213,13 @@ def cmd_sweep(args) -> int:
         axis = x_axis([float(x) for x in xs])
         x_label = ("number of vehicles" if args.x_axis == "n_vehicles"
                    else "danger threshold (m)")
-        # each curve's rows are every len(curves)-th row, from its own offset
-        series = [(curve, at[j::len(curves)]) for j, curve in enumerate(curves)]
+        # each curve's rows are every len(curves)-th row, from its own offset;
+        # the xs increase, so a run of rows with one report is drawn by its ends
+        series = []
+        for j, curve in enumerate(curves):
+            indices = at[j::len(curves)]
+            kept = run_ends(indices)
+            series.append((curve, kept, list(map(indices.__getitem__, kept))))
         for metric, column in zip(metrics, columns):
             _emit(args, f"{metric}.svg", line_chart(metric, x_label, metric, axis,
                                                     list(map(column, reports)), series))

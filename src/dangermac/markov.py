@@ -15,8 +15,9 @@ counter-zero states: one attempt per D slots, T = 1 / D(p_c, p_b), where D
 is the mean number of slots per attempt. D sums each stage's mean
 occupancy per attempt weighted by the share of attempts made from that
 stage; those stage coefficients sum to exactly 1. ``_slots_per_attempt``
-is its one closed form, evaluated by Horner's rule over a tuple of
-``(W_i, (W_i - 1) / 2)`` built once per geometry; the tests check it
+is its one closed form, evaluated by Horner's rule over a table of
+``(W_i, (W_i - 1) / 2)`` floats built once per geometry, the top stage
+kept apart as the recurrence's start; the tests check it
 against the per-stage form and a power iteration of the explicit
 transition matrix, and it returns dD/dp_c and dD/dp_b from the same
 pass. The model is closed over ``n`` contenders by a bracketed Newton
@@ -71,22 +72,28 @@ class FixedPointSolution(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def _stage_terms(g: ChainGeometry) -> tuple[tuple[int, float], ...]:
-    """``(W_i, (W_i - 1) / 2)`` for each stage, top stage first; built once
-    per geometry, which is immutable and hashable, and shared by its solves."""
+def _stage_terms(g: ChainGeometry) -> tuple[tuple[float, float], tuple[tuple[float, float], ...]]:
+    """``(top, rest)``: ``(W_i, (W_i - 1) / 2)`` of the top stage, and of
+    the stages below it, top first. Each window is stored as the float
+    that every operation on it would convert it to (exact up to the
+    configuration's 2^32 cap), so a Horner pass converts none. Built once
+    per geometry, which is immutable and hashable, and shared by its
+    solves."""
     stages = []
     w = g.window(g.max_stage)
     while w >= g.w0:
-        stages.append((w, (w - 1) / 2))
+        stages.append((float(w), (w - 1) / 2))
         w >>= 1
-    return tuple(stages)
+    return stages[0], tuple(stages[1:])
 
 
 def _slots_per_attempt(
-    p_c: float, p_b: float, stages: tuple[tuple[int, float], ...]
+    p_c: float, p_b: float,
+    stages: tuple[tuple[float, float], tuple[tuple[float, float], ...]],
 ) -> tuple[float, float, float]:
     """D(p_c, p_b), the mean number of slots per transmission attempt, and
-    its partial derivatives in ``p_c`` and ``p_b``, from one Horner pass.
+    its partial derivatives in ``p_c`` and ``p_b``, from one Horner pass
+    over ``_stage_terms``' table.
 
     Stage i < max receives collision inflow from stage i-1 only, so its
     transmission state carries p_c**i times b00. The top stage also feeds
@@ -97,23 +104,22 @@ def _slots_per_attempt(
     stage-i attempt spends k_i = 1 + h_i / (1 - p_b/W_i) slots in its
     stage: h_i = (W_i - 1) / 2 is the mean counter, and 1 / (1 - p_b/W_i)
     the busy self-loop's stretch of each counter value. So D = sum c_i k_i,
-    which Horner's rule gives from the top stage down (``stages`` order) as
-    d <- d p_c + (1 - p_c) k_i, starting from d = k_m. At ``p_c = 1`` it is
-    the finite limit k_m (only the top stage transmits) rather than a
-    division by zero; a single stage (max_stage 0) gives k_0 whatever p_c.
+    which Horner's rule gives from the top stage down: d = k_m, then
+    d <- d p_c + (1 - p_c) k_i over the stages below it. At ``p_c = 1``
+    it is the finite limit k_m (only the top stage transmits) rather than
+    a division by zero; a single stage (max_stage 0) gives k_0 whatever p_c.
     The derivatives ride along the same recurrence: dD/dp_c as
     d_c <- d_c p_c + d - k_i from 0, and dD/dp_b as
     d_b <- d_b p_c + (1 - p_c) dk_i/dp_b from dk_m/dp_b, where
     dk_i/dp_b = h_i / (W_i (1 - p_b/W_i)^2).
     """
-    stages = iter(stages)
-    w, h = next(stages)
+    (w, h), rest = stages
     t = 1.0 - p_b / w
     d = 1.0 + h / t
     d_c = 0.0
     d_b = h / (w * t * t)
     q = 1.0 - p_c
-    for w, h in stages:
+    for w, h in rest:
         t = 1.0 - p_b / w
         k = 1.0 + h / t
         d_c = d_c * p_c + d - k

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from dangermac import cli
 from dangermac.charts import (_HEIGHT, _MARGIN_BOTTOM, _MARGIN_LEFT, _MARGIN_RIGHT,
                               _MARGIN_TOP, _WIDTH, _frame, _nice_ticks, _tick_labels, line_chart,
-                              x_axis)
+                              run_ends, x_axis)
 from dangermac.cli import main
 
 
@@ -26,8 +26,9 @@ SERIES = [
 def _chart(title: str, x_label: str, y_label: str,
            series: list[tuple[str, list[float], list[float]]]) -> str:
     """``line_chart`` of ``(label, xs, ys)`` series: every series' xs go into
-    one axis, one stretch after another, and each series points at a NaN
-    filler, which is not drawn, outside its own stretch."""
+    one axis, one stretch after another, and each series joins every
+    position, pointing at a NaN filler, which is not drawn, outside its
+    own stretch."""
     xs, values, stretches = [], [math.nan], []
     for _, own_xs, ys in series:
         assert len(own_xs) == len(ys)
@@ -38,7 +39,7 @@ def _chart(title: str, x_label: str, y_label: str,
     for (label, _, _), (start, first, count) in zip(series, stretches):
         indices = [0] * len(xs)
         indices[start:start + count] = range(first, first + count)
-        indexed.append((label, indices))
+        indexed.append((label, list(range(len(xs))), indices))
     return line_chart(title, x_label, y_label, x_axis(xs), values, indexed)
 
 
@@ -181,7 +182,9 @@ def _sweep_charts(draw):
 @given(_sweep_charts())
 def test_sweep_polylines_match_one_format_per_point(chart):
     xs, values, series = chart
-    svg = line_chart("t", "x", "y", x_axis(xs), values, series)
+    every = list(range(len(xs)))
+    svg = line_chart("t", "x", "y", x_axis(xs), values,
+                     [(label, every, indices) for label, indices in series])
     root = ET.fromstring(svg)
     points = [e.attrib["points"] for e in root.iter() if e.tag.endswith("polyline")]
     assert points == _reference_points([(label, xs, [values[i] for i in indices])
@@ -190,11 +193,59 @@ def test_sweep_polylines_match_one_format_per_point(chart):
     assert _points_outside_plot(svg) == []
 
 
+@st.composite
+def _runs_charts(draw):
+    """A sweep's chart with runs: strictly increasing finite xs, finite
+    values each of which some series picks, and 1 to 4 series of indices
+    that repeat in runs of 1 to 6."""
+    finite = _CHART_VALUES.filter(math.isfinite)
+    xs = sorted(set(draw(st.lists(finite, max_size=24))))
+    drawn = draw(st.lists(finite, min_size=4, max_size=4))
+    order, series = {}, []
+    for _ in range(draw(st.integers(1, 4))):
+        indices = []
+        while len(indices) < len(xs):
+            indices += [draw(st.integers(0, 3))] * draw(st.integers(1, 6))
+        series.append([order.setdefault(j, len(order)) for j in indices[:len(xs)]])
+    return xs, [drawn[j] for j in order], series
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_runs_charts())
+def test_run_ends_draw_the_same_line(chart):
+    # each polyline is the every-position one with only the interior points
+    # of its runs of one index removed, and each removed point has the y of
+    # its run's ends, between their xs: it lies on the segment they draw
+    xs, values, series = chart
+    kept = [run_ends(indices) for indices in series]
+    svg = line_chart("t", "x", "y", x_axis(xs), values,
+                     [(str(i), ends, [indices[p] for p in ends])
+                      for i, (indices, ends) in enumerate(zip(series, kept))])
+    points = [e.attrib["points"] for e in ET.fromstring(svg).iter()
+              if e.tag.endswith("polyline")]
+    every = _reference_points([(str(i), xs, [values[j] for j in indices])
+                               for i, indices in enumerate(series)])
+    for indices, ends, drawn, full in zip(series, kept, points, every):
+        full = full.split()
+        interior = {p for p in range(1, len(indices) - 1)
+                    if indices[p - 1] == indices[p] == indices[p + 1]}
+        assert ends == [p for p in range(len(indices)) if p not in interior]
+        assert drawn.split() == [full[p] for p in ends]
+        for a, b in zip(ends, ends[1:]):
+            ax, ay = full[a].split(",")
+            bx, by = full[b].split(",")
+            for p in range(a + 1, b):
+                x, y = full[p].split(",")
+                assert y == ay == by and float(ax) <= float(x) <= float(bx)
+
+
 def test_threshold_sweep_charts_share_one_axis(tmp_path, monkeypatch, capsys):
     # Every chart of a sweep shares one x axis and takes one value per
     # distinct report, not per row: the threshold sweep's 2,002 rows hold
     # 473 distinct reports and the default sweep's 200 rows 174. Each curve
-    # is one index into those values per x.
+    # keeps the ends of its runs of one report, each with its index into
+    # those values: the threshold sweep's filtered curve 481 of its 1,001
+    # positions and its benchmark curve 2, the default sweep's all 50.
     calls = []
 
     def recording_line_chart(title, x_label, y_label, axis, values, series):
@@ -204,8 +255,8 @@ def test_threshold_sweep_charts_share_one_axis(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "line_chart", recording_line_chart)
     for argv, x_count, value_count, curves in [
         (["--x-axis", "threshold_m", "--values", "0..1000", "--n-vehicles", "50"],
-         1001, 473, ["filtered", "benchmark"]),
-        ([], 50, 174, ["300", "500", "700", "benchmark"]),
+         1001, 473, [("filtered", 481), ("benchmark", 2)]),
+        ([], 50, 174, [("300", 50), ("500", 50), ("700", 50), ("benchmark", 50)]),
     ]:
         calls.clear()
         assert main(["sweep", *argv, "--svg", "--out", str(tmp_path / str(x_count))]) == 0
@@ -216,10 +267,11 @@ def test_threshold_sweep_charts_share_one_axis(tmp_path, monkeypatch, capsys):
         assert len(axis.texts) == x_count
         for _, values, series in calls:
             assert len(values) == value_count
-            assert [(label, len(indices)) for label, indices in series] == [
-                (curve, x_count) for curve in curves]
+            assert [(label, len(positions)) for label, positions, _ in series] == curves
+            assert all(len(indices) == len(positions) and positions[-1] == x_count - 1
+                       for _, positions, indices in series)
             # every distinct report is drawn
-            assert {i for _, indices in series for i in indices} == set(range(value_count))
+            assert {i for _, _, indices in series for i in indices} == set(range(value_count))
 
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
@@ -353,7 +405,7 @@ def test_sweep_chart_of_a_step_below_half_an_ulp_ends(capsys):
     xs = [float(x) for x in values.split(",")]  # the sweep's x values
     code = ("from dangermac.charts import line_chart, x_axis; "
             f"print(line_chart('pdr', 'x', 'pdr', x_axis({xs!r}), [0.5, 0.6], "
-            "[('filtered', [0, 1])]))")
+            "[('filtered', [0, 1], [0, 1])]))")
     result = subprocess.run([sys.executable, "-c", code],
                             env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                             text=True, timeout=60, preexec_fn=cap_address_space)

@@ -730,14 +730,14 @@ def test_compare_golden_rows(capsys):
 SWEEP_FILE_DIGESTS = {
     ("sweep", "--x-axis", "threshold_m", "--values", "0..1000", "--n-vehicles", "50",
      "--svg"): {
-        "n_eff.svg": "fc23edb507d743189feb88b0571ea99ecc12c7cdd6f404fee64a89dca3162468",
-        "p_bus.svg": "572e2124817fa0f6f1acac0a9dd9ea5e38880f2715301a761358364e29eeafa7",
-        "p_col.svg": "54dfd842d9069627dc89e92b64be43ada7dfac475738353386b2862a925df6f5",
-        "pdr.svg": "e2c243da005a97f41918c6ef1ecc5d2c2062a1ad1bbcbf1b43eb99ff5169c10c",
+        "n_eff.svg": "8b81336e4a817cf38bcb59d3ab41ba897276f832893d64a2a1a1172962d28c0d",
+        "p_bus.svg": "32e98812d8481afdc383d5fc990af79218ac67f8010ea1213b32398e1a6ee50b",
+        "p_col.svg": "392f10e55bf1443536cafb2bac5b72fd40935853e97db2e28ad4d690f23b0599",
+        "pdr.svg": "1435f27ceaa7170d3cbc7fe7704f5cbcf191f357ddc773ffcb57b2b0f35755f8",
         "sweep.csv": "f366ec2d4a41e9c8a77f7b34f91a2762ed88401a3936ef517558b58f8ce00770",
-        "tau.svg": "c5c812c28aa135fdf6d9382e3798f6ad1c028c4073367bfd7689f571caf5feef",
-        "throughput.svg": "5f26a7ad552698f1a96954f7f30ddd53fdcc8b2fe55d45f65c478551ef4b035c",
-        "total_delay.svg": "7e5b05ceda214ba63099ddb034e81f82d7df4d7686e218d4bee6274752a4ebf2",
+        "tau.svg": "e6d2e1e9bc735ad8b364058f084bfc756825981f535e83f47e0e6b1307517b04",
+        "throughput.svg": "a6d43fe0db33cab0b0f84807a1f98e3d1d8e6720d2ac3c0f54c336667cc8db9a",
+        "total_delay.svg": "291da311eeec6ef6f3c5af6de2fa130fd70005ebd4efb0d3bbab56d471496692",
     },
     ("sweep", "--svg"): {
         "n_eff.svg": "bf88c47805956a5ccda0659e6cc4ddd46f107c5baad34b4df52c05d84a86120f",

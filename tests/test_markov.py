@@ -552,3 +552,116 @@ def test_fixed_point_does_not_depend_on_solve_order():
             _stage_terms.cache_clear()
             solutions.append({job: solve_fixed_point(*job, mode) for job in order})
         assert solutions[0] == solutions[1] == solutions[2]
+
+
+# Solves pinned to the bit: float.hex of tau, p_c and p_b, and the map
+# calls, for each n of PINNED_COUNTS in order. The counts take in n <= 1,
+# the two floats either side of 50, the bracket's midpoint step at 847 and
+# p rounding to 1 from about 4,800; the geometries take in a single stage,
+# an odd w0 and the 2^32 window cap.
+PINNED_COUNTS = (0.5, 2, 4.669741479412226, 49.99999999999999, 50, 149, 150, 847, 4800, 10**6)
+PINNED_SOLVES = {
+    ((5, 8), 'busy_aware'): [
+        ('0x1.c71c71c71c71cp-3', '0x0.0p+0', '0x0.0p+0', 0),
+        ('0x1.6980e63762d2bp-3', '0x1.6980e63762d2bp-3', '0x1.6980e63762d2bp-3', 5),
+        ('0x1.d2c305fcb1a11p-4', '0x1.6f22df604f5c0p-2', '0x1.6f22df604f5c0p-2', 4),
+        ('0x1.a4cf6b44dc946p-6', '0x1.70ed5cc6514bfp-1', '0x1.70ed5cc6514bfp-1', 5),
+        ('0x1.a4cf6b44dc945p-6', '0x1.70ed5cc6514bfp-1', '0x1.70ed5cc6514bfp-1', 5),
+        ('0x1.ba7e8c1ea3873p-7', '0x1.bb8c36279d65bp-1', '0x1.bb8c36279d65bp-1', 4),
+        ('0x1.b8e84cf2b2499p-7', '0x1.bbf9f0ec231e9p-1', '0x1.bbf9f0ec231e9p-1', 4),
+        ('0x1.fec1083e8fa2dp-8', '0x1.ff5111faf0e13p-1', '0x1.ff5111faf0e13p-1', 13),
+        ('0x1.fc07f01fc07fap-8', '0x1.fffffffffffffp-1', '0x1.fffffffffffffp-1', 7),
+        ('0x1.fc07f01fc07f0p-8', '0x1.0000000000000p+0', '0x1.0000000000000p+0', 7),
+    ],
+    ((0, 8), 'busy_aware'): [
+        ('0x1.c71c71c71c71cp-3', '0x0.0p+0', '0x0.0p+0', 0),
+        ('0x1.bd6ddca644eadp-3', '0x1.bd6ddca644eadp-3', '0x1.bd6ddca644eadp-3', 4),
+        ('0x1.ad1df55255d5fp-3', '0x1.27f581b3e5276p-1', '0x1.27f581b3e5276p-1', 5),
+        ('0x1.9999d054a1766p-3', '0x1.fffda96246015p-1', '0x1.fffda96246015p-1', 6),
+        ('0x1.9999d054a1766p-3', '0x1.fffda96246015p-1', '0x1.fffda96246015p-1', 6),
+        ('0x1.999999999999dp-3', '0x1.fffffffffffd7p-1', '0x1.fffffffffffd7p-1', 6),
+        ('0x1.999999999999cp-3', '0x1.fffffffffffdfp-1', '0x1.fffffffffffdfp-1', 6),
+        ('0x1.999999999999ap-3', '0x1.0000000000000p+0', '0x1.0000000000000p+0', 8),
+        ('0x1.999999999999ap-3', '0x1.0000000000000p+0', '0x1.0000000000000p+0', 3),
+        ('0x1.999999999999ap-3', '0x1.0000000000000p+0', '0x1.0000000000000p+0', 3),
+    ],
+    ((3, 11), 'busy_aware'): [
+        ('0x1.5555555555555p-3', '0x0.0p+0', '0x0.0p+0', 0),
+        ('0x1.1fcaa0aa9dcf8p-3', '0x1.1fcaa0aa9dcf8p-3', '0x1.1fcaa0aa9dcf8p-3', 4),
+        ('0x1.9faaba7f5483fp-4', '0x1.4c8e74e0df434p-2', '0x1.4c8e74e0df434p-2', 5),
+        ('0x1.1247a397b01adp-5', '0x1.9f7d9295ed185p-1', '0x1.9f7d9295ed185p-1', 5),
+        ('0x1.1247a397b01acp-5', '0x1.9f7d9295ed185p-1', '0x1.9f7d9295ed185p-1', 5),
+        ('0x1.83094679d8159p-6', '0x1.f11e0fbf682e6p-1', '0x1.f11e0fbf682e6p-1', 10),
+        ('0x1.82930894f05f8p-6', '0x1.f168067634264p-1', '0x1.f168067634264p-1', 7),
+        ('0x1.6c16c1b2ba6eap-6', '0x1.ffffffd072ba0p-1', '0x1.ffffffd072ba0p-1', 10),
+        ('0x1.6c16c16c16c17p-6', '0x1.0000000000000p+0', '0x1.0000000000000p+0', 4),
+        ('0x1.6c16c16c16c17p-6', '0x1.0000000000000p+0', '0x1.0000000000000p+0', 4),
+    ],
+    ((16, 65536), 'busy_aware'): [
+        ('0x1.fffe0001fffe0p-16', '0x0.0p+0', '0x0.0p+0', 0),
+        ('0x1.fffa000a00160p-16', '0x1.fffa000a00160p-16', '0x1.fffa000a00160p-16', 3),
+        ('0x1.ffef5275d8390p-16', '0x1.d5a5e3ff153a6p-14', '0x1.d5a5e3ff153a6p-14', 3),
+        ('0x1.ff3a2654439c6p-16', '0x1.871f470f5177cp-10', '0x1.871f470f5177cp-10', 3),
+        ('0x1.ff3a2654439c6p-16', '0x1.871f470f5177dp-10', '0x1.871f470f5177dp-10', 3),
+        ('0x1.fdaf599d42aa5p-16', '0x1.260130156cf35p-8', '0x1.260130156cf35p-8', 3),
+        ('0x1.fdab5e4aa5b8ap-16', '0x1.27fa47778e433p-8', '0x1.27fa47778e433p-8', 3),
+        ('0x1.f2f270ad55d62p-16', '0x1.9714600a1a7d2p-6', '0x1.9714600a1a7d2p-6', 4),
+        ('0x1.bad942d3ac1b4p-16', '0x1.e757e48b5c969p-4', '0x1.e757e48b5c969p-4', 4),
+        ('0x1.cfd7cc8b3cb43p-21', '0x1.28334c73a7126p-1', '0x1.28334c73a7126p-1', 7),
+    ],
+    ((5, 8), 'classic'): [
+        ('0x1.c71c71c71c71cp-3', '0x0.0p+0', '0x0.0p+0', 0),
+        ('0x1.6d7b111230aaap-3', '0x1.6d7b111230aaap-3', '0x0.0p+0', 5),
+        ('0x1.d7603650d27b0p-4', '0x1.723214cc1d60ep-2', '0x0.0p+0', 4),
+        ('0x1.a64628f8b5857p-6', '0x1.71919378042ccp-1', '0x0.0p+0', 6),
+        ('0x1.a64628f8b5856p-6', '0x1.71919378042ccp-1', '0x0.0p+0', 6),
+        ('0x1.bbb06d86c4717p-7', '0x1.bbebd0d2ae47ep-1', '0x0.0p+0', 6),
+        ('0x1.ba18e26e7d120p-7', '0x1.bc592d849cdd8p-1', '0x0.0p+0', 6),
+        ('0x1.0057354326646p-7', '0x1.ff5566eccc7c9p-1', '0x0.0p+0', 7),
+        ('0x1.fe01fe01fe020p-8', '0x1.0000000000000p+0', '0x0.0p+0', 5),
+        ('0x1.fe01fe01fe020p-8', '0x1.0000000000000p+0', '0x0.0p+0', 5),
+    ],
+    ((0, 8), 'classic'): [
+        ('0x1.c71c71c71c71cp-3', '0x0.0p+0', '0x0.0p+0', 0),
+        ('0x1.c71c71c71c71cp-3', '0x1.c71c71c71c71cp-3', '0x0.0p+0', 1),
+        ('0x1.c71c71c71c71cp-3', '0x1.346b2d20c71acp-1', '0x0.0p+0', 1),
+        ('0x1.c71c71c71c71cp-3', '0x1.ffff6974136dep-1', '0x0.0p+0', 1),
+        ('0x1.c71c71c71c71cp-3', '0x1.ffff6974136dep-1', '0x0.0p+0', 1),
+        ('0x1.c71c71c71c71cp-3', '0x1.fffffffffffffp-1', '0x0.0p+0', 1),
+        ('0x1.c71c71c71c71cp-3', '0x1.0000000000000p+0', '0x0.0p+0', 1),
+        ('0x1.c71c71c71c71cp-3', '0x1.0000000000000p+0', '0x0.0p+0', 1),
+        ('0x1.c71c71c71c71cp-3', '0x1.0000000000000p+0', '0x0.0p+0', 1),
+        ('0x1.c71c71c71c71cp-3', '0x1.0000000000000p+0', '0x0.0p+0', 1),
+    ],
+    ((3, 11), 'classic'): [
+        ('0x1.5555555555555p-3', '0x0.0p+0', '0x0.0p+0', 0),
+        ('0x1.22021116658aap-3', '0x1.22021116658aap-3', '0x0.0p+0', 4),
+        ('0x1.a3dd6987b22d6p-4', '0x1.4f72461003482p-2', '0x0.0p+0', 5),
+        ('0x1.147374a08c7b9p-5', '0x1.a0c75db8f72a6p-1', '0x0.0p+0', 6),
+        ('0x1.147374a08c7b9p-5', '0x1.a0c75db8f72a6p-1', '0x0.0p+0', 6),
+        ('0x1.86b6f00dd03d0p-6', '0x1.f19d8d4cdc353p-1', '0x0.0p+0', 6),
+        ('0x1.864170bdbe7cep-6', '0x1.f1e5f717996d6p-1', '0x0.0p+0', 6),
+        ('0x1.702e05fa9ae72p-6', '0x1.ffffffd9b031dp-1', '0x0.0p+0', 5),
+        ('0x1.702e05c0b8170p-6', '0x1.0000000000000p+0', '0x0.0p+0', 3),
+        ('0x1.702e05c0b8170p-6', '0x1.0000000000000p+0', '0x0.0p+0', 3),
+    ],
+    ((16, 65536), 'classic'): [
+        ('0x1.fffe0001fffe0p-16', '0x0.0p+0', '0x0.0p+0', 0),
+        ('0x1.fffa000dffe60p-16', '0x1.fffa000dffe60p-16', '0x0.0p+0', 3),
+        ('0x1.ffef528483f91p-16', '0x1.d5a5e40c8a9b0p-14', '0x0.0p+0', 3),
+        ('0x1.ff3a2716f0d43p-16', '0x1.871f47a426519p-10', '0x0.0p+0', 3),
+        ('0x1.ff3a2716f0d43p-16', '0x1.871f47a42651ap-10', '0x0.0p+0', 3),
+        ('0x1.fdaf5be152e1ep-16', '0x1.2601316347c9fp-8', '0x0.0p+0', 3),
+        ('0x1.fdab60928cc3bp-16', '0x1.27fa48c9e1726p-8', '0x0.0p+0', 3),
+        ('0x1.f2f27c7239e19p-16', '0x1.971469857ebcdp-6', '0x0.0p+0', 4),
+        ('0x1.bad969e77e8d0p-16', '0x1.e7580ce1e0918p-4', '0x0.0p+0', 4),
+        ('0x1.cfd7cd801fc97p-21', '0x1.28334cd61641cp-1', '0x0.0p+0', 7),
+    ],
+}
+
+
+@pytest.mark.parametrize("geometry, mode", list(PINNED_SOLVES))
+def test_fixed_point_bits_are_pinned(geometry, mode):
+    got = [solve_fixed_point(n, ChainGeometry(*geometry), mode) for n in PINNED_COUNTS]
+    assert [(s.tau.hex(), s.p_c.hex(), s.p_b.hex(), s.iterations) for s in got] \
+        == PINNED_SOLVES[geometry, mode]
