@@ -5,7 +5,7 @@ formatting. Good enough for eyeballing sweep trends next to the CSV.
 
 One routine, ``_axis``, builds both axes of a chart: the ticks, their
 pixels and labels, and one ``%.2f`` format of the pixel of each input
-value, by position. A chart takes one y value per distinct report and
+value a chart draws, by position. A chart takes one y value per distinct report and
 draws each series as the x positions it joins, each with an index into
 those values, so a point is the join of two texts picked by position and
 no value is hashed. Charts that share their xs share one x axis, so its
@@ -104,12 +104,13 @@ class Axis(NamedTuple):
     texts: list[str | None]
 
 
-def _axis(values: list[float], origin: float, length: float, fmt: str) -> Axis:
+def _axis(values: list[float], origin: float, length: float, fmt: str,
+          drawn: list[int] | None = None) -> Axis:
     """The axis whose ticks cover the finite ``values``: the first tick
     lies at pixel ``origin`` and the last ``length`` pixels on (negative
     for a y axis, which grows upwards). Each finite value's text is
     ``fmt`` of its pixel; a value that is not finite has none and is not
-    drawn."""
+    drawn. Given the positions ``drawn``, only their values get a text."""
     finite = list(filter(math.isfinite, values))
     ticks = _nice_ticks(min(finite, default=math.nan), max(finite, default=math.nan))
     halve, lo, span = _frame(ticks)
@@ -120,14 +121,23 @@ def _axis(values: list[float], origin: float, length: float, fmt: str) -> Axis:
             vs = [v / 2 for v in vs]
         return [origin + (v - lo) / span * length for v in vs]
 
-    texts = [fmt % p if math.isfinite(v) else None for v, p in zip(values, px(values))]
+    if drawn is None:
+        texts = [fmt % p if math.isfinite(v) else None for v, p in zip(values, px(values))]
+    else:
+        texts = [None] * len(values)
+        kept = list(map(values.__getitem__, drawn))
+        for i, v, p in zip(drawn, kept, px(kept)):
+            if math.isfinite(v):
+                texts[i] = fmt % p
     return Axis(ticks, px(ticks), _tick_labels(ticks), texts)
 
 
-def x_axis(xs: list[float]) -> Axis:
-    """The x axis of charts drawn at ``xs``, one position each; its pixel
-    texts end in the comma that joins a point's x to its y."""
-    return _axis(xs, _MARGIN_LEFT, _PLOT_W, "%.2f,")
+def x_axis(xs: list[float], drawn: list[int] | None = None) -> Axis:
+    """The x axis of charts drawn at ``xs``, one position each, ticked over
+    them all; its pixel texts end in the comma that joins a point's x to
+    its y. Given ``drawn``, the positions any series joins, no other
+    position gets a text."""
+    return _axis(xs, _MARGIN_LEFT, _PLOT_W, "%.2f,", drawn)
 
 
 def run_ends(indices: list[int]) -> list[int]:

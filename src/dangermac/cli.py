@@ -210,7 +210,6 @@ def cmd_sweep(args) -> int:
     _emit(args, "sweep.csv", _csv_text(_SWEEP_COLUMNS, lines))
 
     if args.svg:
-        axis = x_axis([float(x) for x in xs])
         x_label = ("number of vehicles" if args.x_axis == "n_vehicles"
                    else "danger threshold (m)")
         # each curve's rows are every len(curves)-th row, from its own offset;
@@ -220,6 +219,9 @@ def cmd_sweep(args) -> int:
             indices = at[j::len(curves)]
             kept = run_ends(indices)
             series.append((curve, kept, list(map(indices.__getitem__, kept))))
+        # ticked over every x, but only the kept positions' pixels are formatted
+        drawn = sorted(set().union(*(kept for _, kept, _ in series)))
+        axis = x_axis([float(x) for x in xs], drawn)
         for metric, column in zip(metrics, columns):
             _emit(args, f"{metric}.svg", line_chart(metric, x_label, metric, axis,
                                                     list(map(column, reports)), series))

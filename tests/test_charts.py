@@ -265,6 +265,9 @@ def test_threshold_sweep_charts_share_one_axis(tmp_path, monkeypatch, capsys):
         axis = calls[0][0]
         assert all(call[0] is axis for call in calls)
         assert len(axis.texts) == x_count
+        # only a position some curve keeps has a pixel text
+        kept = {p for _, positions, _ in calls[0][2] for p in positions}
+        assert [p for p, text in enumerate(axis.texts) if text is not None] == sorted(kept)
         for _, values, series in calls:
             assert len(values) == value_count
             assert [(label, len(positions)) for label, positions, _ in series] == curves

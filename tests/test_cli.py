@@ -496,8 +496,9 @@ def test_allocation_too_large_exits_one(capsys, monkeypatch, message):
     (["sweep", "--values", f"1..{10**400}"],
      f"--values: n_vehicles must fit in a float (at most {sys.float_info.max:.4g})"),
     (["sweep", "--values", f"1..{10**20}"], f"--values must hold at most {sys.maxsize} values"),
+    (["scenario", "--thresholds", "0..1000000000000", "--trials", "1"], "not enough memory"),
 ], ids=["trials", "n-vehicles", "trials-past-index", "n-vehicles-past-index",
-        "range-end-past-float", "range-past-index"])
+        "range-end-past-float", "range-past-index", "range-too-long-for-memory"])
 def test_sampler_too_large_for_memory_exits_one(argv, message):
     # the sampler allocates its result and position lists whole, and a list
     # flag checks a range's ends and length before building it whole, so
@@ -511,7 +512,7 @@ def test_sampler_too_large_for_memory_exits_one(argv, message):
     src = str(Path(__file__).resolve().parents[1] / "src")
     result = subprocess.run([sys.executable, "-m", "dangermac", *argv],
                             env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-                            text=True, timeout=60, preexec_fn=cap_address_space)
+                            text=True, timeout=20, preexec_fn=cap_address_space)
     assert (result.returncode, result.stdout) == (1, "")
     assert result.stderr == f"error: {message}\n"
 

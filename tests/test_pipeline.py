@@ -208,6 +208,8 @@ def _timings(draw):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_timings(), st.lists(_N_EFFS, min_size=1, max_size=4), st.sampled_from(MODEL_MODES))
 @example(MacTimings(slot_us=sys.float_info.max), [5.0], "busy_aware")
+@example(MacTimings(), [5.0], "busy_aware")
+@example(MacTimings(), [5.0], "classic")
 @example(MacTimings(cw_min=1, max_stage=0, rts_us=20.0, cts_us=30.0), [0.0, 0.5, 1.0, 1.5, 50],
          "classic")
 def test_evaluate_points_matches_the_metric_functions_bit_for_bit(timings, n_effs, mode):
@@ -291,6 +293,12 @@ def test_lone_simulated_station_never_collides_nor_sees_a_busy_slot():
             [report] = simulate_points(MacTimings(), [1], slots, seed)
             assert report.p_col == report.p_bus == 0.0, (slots, seed)
             assert all(type(field) is float for field in report)
+
+
+def test_simulated_reports_hold_probabilities():
+    probabilities = ("tau", "p_tr", "p_su", "pdr", "p_emp", "p_suc", "p_own", "p_col", "p_bus")
+    for report in simulate_points(MacTimings(), [1, 5], 2000, 1):
+        assert all(0.0 <= getattr(report, name) <= 1.0 for name in probabilities), report
 
 
 # (count, seed) jobs of mixed cost, with repeated counts and seeds
